@@ -1,7 +1,7 @@
 """vadminer: lexicon-based VAD scoring and issue-tracker corpus analytics."""
 
-from .analyses import AnalysisResults, run_analyses, score_corpus
-from .corpus import Comment, IssueReport, load_corpus, role_of, score_elements, write_corpus
+from .analyses import AnalysisResults, ScoreTable, run_analyses, score_corpus
+from .corpus import Comment, IssueReport, load_corpus, role_of, write_corpus
 from .lexicon import Lexicon, LexiconEntry, LexiconError, load_lexicon, write_lexicon
 from .synth import GeneratorConfig, generate_corpus, generate_lexicon
 from .textscore import VadScore, range_score, score_text, tokenize
@@ -16,6 +16,7 @@ __all__ = [
     "Lexicon",
     "LexiconEntry",
     "LexiconError",
+    "ScoreTable",
     "VadScore",
     "generate_corpus",
     "generate_lexicon",
@@ -25,7 +26,6 @@ __all__ = [
     "role_of",
     "run_analyses",
     "score_corpus",
-    "score_elements",
     "score_text",
     "tokenize",
     "write_corpus",

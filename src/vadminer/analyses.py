@@ -1,6 +1,8 @@
 """Analysis pipelines over a scored issue corpus.
 
-Four pipelines compose the scoring, statistics and model layers:
+``score_corpus`` scans every title, description and comment once into a
+columnar ``ScoreTable``; every pipeline reads its arrays. Four pipelines
+compose the score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
    resolution-time halves (adjacent-pair tests, Bonferroni-adjusted);
@@ -12,20 +14,17 @@ Four pipelines compose the scoring, statistics and model layers:
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import (
-    ElementScores,
     IssueReport,
     PRIORITIES,
     PRIORITY_LEVEL,
     ROLES,
     TYPE_GROUP_ORDER,
     role_of,
-    score_elements,
 )
 from .lexicon import DIMENSIONS, Lexicon
 from .models import (
@@ -45,9 +44,9 @@ from .models import (
     zero_r,
 )
 from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
-from .textscore import VadScore, score_text
+from .textscore import scan
 
-ELEMENTS = ElementScores.ELEMENTS  # Title, Desc, All, First, Last
+ELEMENTS = ("Title", "Desc", "All", "First", "Last")
 
 RQ2_SCOPES = ("All", "Assignees'", "Reporters'", "Others'")
 _SCOPE_ROLE = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}
@@ -76,45 +75,94 @@ _SIGN_ROW_COLUMN = {
 # corpus scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoredIssue:
-    issue: IssueReport
-    elements: ElementScores
-    comment_scores: tuple[VadScore, ...]
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Range scores of a corpus, one row per issue; NaN where the element is
+    absent or nothing in it matched the lexicon.
+
+    ``elements[i, e, k]`` scores issue ``i``'s element ``ELEMENTS[e]`` on
+    ``DIMENSIONS[k]``. Issue ``i``'s comments are rows
+    ``offsets[i]:offsets[i + 1]`` of ``comments`` (their scores) and of
+    ``roles`` (index into ``ROLES``, from ``role_of``).
+    """
+
+    issues: tuple[IssueReport, ...] = field(repr=False)
+    elements: np.ndarray  # (issues, 5, 3)
+    comments: np.ndarray  # (comments, 3)
+    offsets: np.ndarray   # (issues + 1,)
+    roles: np.ndarray     # (comments,)
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(self.issues)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScoreTable):
+            return NotImplemented
+        return self.issues == other.issues and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in ("elements", "comments", "offsets", "roles"))
+
+    @property
+    def comment_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def owner(self) -> np.ndarray:
+        """Issue row of every comment row."""
+        return np.repeat(np.arange(len(self.issues)), self.comment_counts)
+
+    def select(self, rows) -> "ScoreTable":
+        """The table of the given issue rows (indices or a boolean mask), in that order."""
+        rows = np.arange(len(self.issues))[rows]
+        counts = self.comment_counts[rows]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        comment_rows = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return ScoreTable(tuple(self.issues[i] for i in rows), self.elements[rows],
+                          self.comments[comment_rows], offsets, self.roles[comment_rows])
 
 
-def _score_one(issue: IssueReport, lexicon: Lexicon) -> ScoredIssue:
-    return ScoredIssue(
-        issue=issue,
-        elements=score_elements(issue, lexicon),
-        comment_scores=tuple(score_text(c.body, lexicon) for c in issue.comments),
-    )
+def _fold_columns(lo: np.ndarray, hi: np.ndarray, baselines: np.ndarray) -> np.ndarray:
+    # textscore.fold over arrays of extremes; NaN extremes give NaN
+    return np.where(lo > baselines, hi - baselines,
+                    np.where(hi < baselines, baselines - lo, hi - lo))
 
 
-_worker_lexicon: Lexicon | None = None
+def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
+    """Scan every title, description and comment once into a ScoreTable.
 
+    First and Last are their comment's row. All folds the per-comment
+    extremes, which equals scoring the newline-joined comments: a newline
+    never joins two words, and min/max are exact. ``jobs`` is accepted for
+    compatibility and has no effect; scoring runs in this process.
+    """
+    issues = tuple(issues)
+    counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=len(issues))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    extremes = np.dtype((np.float64, 7))  # one textscore.scan result
+    heads = np.fromiter((scan(text, lexicon) for issue in issues
+                         for text in (issue.title, issue.description)),
+                        dtype=extremes, count=2 * len(issues)).reshape(len(issues), 2, 7)
+    thread = np.fromiter((scan(c.body, lexicon) for issue in issues for c in issue.comments),
+                         dtype=extremes, count=offsets[-1])
+    role_code = {role: code for code, role in enumerate(ROLES)}
+    roles = np.fromiter((role_code[role_of(c, issue)] for issue in issues for c in issue.comments),
+                        dtype=np.int8, count=offsets[-1])
 
-def _init_worker(lexicon: Lexicon) -> None:
-    global _worker_lexicon
-    _worker_lexicon = lexicon
-
-
-def _score_batch(issues: list[IssueReport]) -> list[ScoredIssue]:
-    return [_score_one(issue, _worker_lexicon) for issue in issues]
-
-
-def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> list[ScoredIssue]:
-    """Score every issue; identical output for any jobs value."""
-    issues = list(issues)
-    if jobs <= 1 or len(issues) < 4 * jobs:
-        return [_score_one(issue, lexicon) for issue in issues]
-    chunk = max(1, len(issues) // (4 * jobs))
-    batches = [issues[i:i + chunk] for i in range(0, len(issues), chunk)]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(lexicon,)) as pool:
-        scored: list[ScoredIssue] = []
-        for batch in pool.map(_score_batch, batches):
-            scored.extend(batch)
-    return scored
+    baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
+    comments = _fold_columns(thread[:, :3], thread[:, 3:6], baselines)
+    elements = np.full((len(issues), len(ELEMENTS), len(DIMENSIONS)), np.nan)
+    elements[:, :2] = _fold_columns(heads[:, :, :3], heads[:, :, 3:6], baselines)
+    threaded = counts > 0
+    firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
+    if len(firsts):
+        lo = np.fmin.reduceat(thread[:, :3], firsts, axis=0)
+        hi = np.fmax.reduceat(thread[:, 3:6], firsts, axis=0)
+        elements[threaded, 2] = _fold_columns(lo, hi, baselines)
+        elements[threaded, 3] = comments[firsts]
+        elements[threaded, 4] = comments[lasts]
+    return ScoreTable(issues, elements, comments, offsets, roles)
 
 
 def participant_history(issues) -> dict[str, dict[str, int]]:
@@ -178,23 +226,18 @@ class GroupTable:
     skip_reason: str | None = None
 
 
-def _build_group_table(scored, dimension: str, group_of, groups, alpha: float,
-                       n_total: int, n_skipped: int = 0, skip_reason: str | None = None) -> GroupTable:
+def _build_group_table(table: ScoreTable, dimension: str, labels, groups, alpha: float,
+                       n_skipped: int = 0, skip_reason: str | None = None) -> GroupTable:
+    """``labels`` holds each issue's group, None for issues left out."""
     groups = tuple(groups)
-    per_cell: dict[tuple[str, str], list[float]] = {(e, g): [] for e in ELEMENTS for g in groups}
-    used = 0
-    for item in scored:
-        group = group_of(item)
-        if group is None:
-            continue
-        used += 1
-        for element in ELEMENTS:
-            vad = item.elements.by_element(element)
-            if vad is None:
-                continue
-            value = vad.get(dimension)
-            if value is not None:
-                per_cell[(element, group)].append(value)
+    code_of = {group: code for code, group in enumerate(groups)}
+    codes = np.fromiter((code_of.get(label, -1) for label in labels), dtype=np.int64, count=len(table))
+    scores = table.elements[:, :, DIMENSIONS.index(dimension)]
+    per_cell = {}
+    for e, element in enumerate(ELEMENTS):
+        scored = ~np.isnan(scores[:, e])
+        for code, group in enumerate(groups):
+            per_cell[(element, group)] = scores[scored & (codes == code), e]
 
     n_comparisons = len(ELEMENTS) * (len(groups) - 1)
     adjusted = bonferroni_alpha(alpha, n_comparisons)
@@ -206,7 +249,7 @@ def _build_group_table(scored, dimension: str, group_of, groups, alpha: float,
         for group in groups:
             values = per_cell[(element, group)]
             ns[group] = len(values)
-            means[group] = float(np.mean(values)) if values else None
+            means[group] = float(np.mean(values)) if len(values) else None
         comparisons = []
         for left, right in zip(groups, groups[1:]):
             a = per_cell[(element, left)]
@@ -222,26 +265,23 @@ def _build_group_table(scored, dimension: str, group_of, groups, alpha: float,
     return GroupTable(
         dimension=dimension, groups=groups, rows=tuple(rows),
         comparisons=n_comparisons, adjusted_alpha=adjusted,
-        n_total=n_total, n_used=used, n_skipped=n_skipped, skip_reason=skip_reason,
+        n_total=len(table), n_used=int(np.count_nonzero(codes >= 0)),
+        n_skipped=n_skipped, skip_reason=skip_reason,
     )
 
 
 def rq1_priority_arousal(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
     """Arousal means per priority with Blocker->Trivial adjacent-pair tests."""
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
-    return _build_group_table(
-        scored, "arousal", lambda item: item.issue.priority, PRIORITIES, alpha,
-        n_total=len(scored),
-    )
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
+    return _build_group_table(table, "arousal", [issue.priority for issue in table.issues],
+                              PRIORITIES, alpha)
 
 
 def rq1_type_valence(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
     """Valence means for Future Dev / All Tasks / Bug groups; type Other excluded."""
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
-    return _build_group_table(
-        scored, "valence", lambda item: item.issue.type_group, TYPE_GROUP_ORDER, alpha,
-        n_total=len(scored),
-    )
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
+    return _build_group_table(table, "valence", [issue.type_group for issue in table.issues],
+                              TYPE_GROUP_ORDER, alpha)
 
 
 def rq1_dominance_time(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
@@ -250,17 +290,14 @@ def rq1_dominance_time(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=Non
     The faster half of the resolved issues is "Short time", the rest "High
     time" (ties broken by corpus order), so each side holds half the issues.
     """
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
-    resolved = [item for item in scored if item.issue.resolution_time is not None]
-    n_skipped = len(scored) - len(resolved)
-    order = sorted(range(len(resolved)), key=lambda i: resolved[i].issue.resolution_time)
-    half = {}
-    for rank, index in enumerate(order):
-        half[resolved[index].issue.id] = "Short time" if rank < len(resolved) // 2 else "High time"
-    return _build_group_table(
-        resolved, "dominance", lambda item: half[item.issue.id], TIME_GROUPS, alpha,
-        n_total=len(scored), n_skipped=n_skipped, skip_reason="unresolved",
-    )
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
+    times = [issue.resolution_time for issue in table.issues]
+    resolved = [row for row, time in enumerate(times) if time is not None]
+    labels = [None] * len(table)
+    for rank, row in enumerate(sorted(resolved, key=times.__getitem__)):
+        labels[row] = "Short time" if rank < len(resolved) // 2 else "High time"
+    return _build_group_table(table, "dominance", labels, TIME_GROUPS, alpha,
+                              n_skipped=len(table) - len(resolved), skip_reason="unresolved")
 
 
 # ---------------------------------------------------------------------------
@@ -287,23 +324,16 @@ class SummaryResult:
 def rq1_summary(corpus, lexicon: Lexicon, scores=None) -> SummaryResult:
     """One (valence, arousal) point per issue, averaging Title/Desc/All scores,
     with linear and quadratic fits of arousal on valence."""
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
-    points = []
-    for item in scored:
-        values = {"valence": [], "arousal": []}
-        for element in ("Title", "Desc", "All"):
-            vad = item.elements.by_element(element)
-            if vad is None or not vad.has_scores:
-                continue
-            for dim in values:
-                values[dim].append(vad.get(dim))
-        if not values["valence"]:
-            continue
-        points.append(SummaryPoint(
-            issue_id=item.issue.id,
-            valence=float(np.mean(values["valence"])),
-            arousal=float(np.mean(values["arousal"])),
-        ))
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
+    head = table.elements[:, :3, :2]  # Title, Desc, All x valence, arousal
+    present = ~np.isnan(head[:, :, :1])
+    counts = present.sum(axis=1)
+    terms = np.where(present, head, 0.0)
+    # summed in element order, as np.mean sums fewer than eight values
+    means = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / np.maximum(counts, 1)
+    rows = np.flatnonzero(counts[:, 0])
+    points = [SummaryPoint(issue_id=table.issues[row].id, valence=valence, arousal=arousal)
+              for row, (valence, arousal) in zip(rows.tolist(), means[rows].tolist())]
 
     linear = quadratic = None
     note = None
@@ -316,7 +346,7 @@ def rq1_summary(corpus, lexicon: Lexicon, scores=None) -> SummaryResult:
         note = "too few distinct points for curvature fits"
     return SummaryResult(
         points=tuple(points), linear=linear, quadratic=quadratic,
-        n_total=len(scored), n_skipped=len(scored) - len(points), note=note,
+        n_total=len(table), n_skipped=len(table) - len(points), note=note,
     )
 
 
@@ -342,19 +372,16 @@ class PairedDeltaTable:
     scope_counts: dict[str, dict[str, int]]
 
 
-def _scope_pairs(item: ScoredIssue, scope: str) -> tuple[VadScore, VadScore] | None:
-    issue = item.issue
-    if issue.status != "Closed":
-        return None
+def _scope_pairs(table: ScoreTable, closed: np.ndarray, scope: str):
+    """Issue rows qualifying for a scope, with their paired comment rows."""
     if scope == "All":
-        if len(issue.comments) < 4:
-            return None
-        return item.comment_scores[0], item.comment_scores[-1]
-    role = _SCOPE_ROLE[scope]
-    indices = [i for i, c in enumerate(issue.comments) if role_of(c, issue) == role]
-    if len(indices) < 2:
-        return None
-    return item.comment_scores[indices[0]], item.comment_scores[indices[-1]]
+        qualified = np.flatnonzero(closed & (table.comment_counts >= 4))
+        return qualified, table.offsets[qualified], table.offsets[qualified + 1] - 1
+    rows = np.flatnonzero(table.roles == ROLES.index(_SCOPE_ROLE[scope]))
+    counts = np.bincount(table.owner[rows], minlength=len(table))
+    ends = np.cumsum(counts)  # issue i owns rows[ends[i] - counts[i]:ends[i]]
+    qualified = np.flatnonzero(closed & (counts >= 2))
+    return qualified, rows[ends[qualified] - counts[qualified]], rows[ends[qualified] - 1]
 
 
 def rq2_first_last(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> PairedDeltaTable:
@@ -364,31 +391,24 @@ def rq2_first_last(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -
     closed issues where that role wrote >= 2 comments, pairing the role's own
     first and last comment. Positive d means the score rose.
     """
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
     n_comparisons = len(DIMENSIONS) * len(RQ2_SCOPES)
     adjusted = bonferroni_alpha(alpha, n_comparisons)
 
-    pairs_by_scope: dict[str, list[tuple[VadScore, VadScore]]] = {s: [] for s in RQ2_SCOPES}
-    scope_counts = {s: {"qualified": 0, "excluded": 0} for s in RQ2_SCOPES}
-    for item in scored:
-        for scope in RQ2_SCOPES:
-            pair = _scope_pairs(item, scope)
-            if pair is None:
-                scope_counts[scope]["excluded"] += 1
-            else:
-                scope_counts[scope]["qualified"] += 1
-                pairs_by_scope[scope].append(pair)
+    closed = np.array([issue.status == "Closed" for issue in table.issues], dtype=bool)
+    pairs_by_scope = {}
+    scope_counts = {}
+    for scope in RQ2_SCOPES:
+        qualified, first_rows, last_rows = _scope_pairs(table, closed, scope)
+        pairs_by_scope[scope] = (table.comments[first_rows], table.comments[last_rows])
+        scope_counts[scope] = {"qualified": len(qualified), "excluded": len(table) - len(qualified)}
 
     cells = []
-    for dim in DIMENSIONS:
+    for k, dim in enumerate(DIMENSIONS):
         for scope in RQ2_SCOPES:
-            firsts = []
-            lasts = []
-            for first, last in pairs_by_scope[scope]:
-                fv, lv = first.get(dim), last.get(dim)
-                if fv is not None and lv is not None:
-                    firsts.append(fv)
-                    lasts.append(lv)
+            firsts, lasts = (pair[:, k] for pair in pairs_by_scope[scope])
+            both = ~(np.isnan(firsts) | np.isnan(lasts))
+            firsts, lasts = firsts[both], lasts[both]
             if len(firsts) < 2:
                 cells.append(PairedCell(dim, scope, len(firsts), result=None, note="insufficient data"))
             else:
@@ -397,7 +417,7 @@ def rq2_first_last(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -
 
     return PairedDeltaTable(
         cells=tuple(cells), comparisons=n_comparisons, adjusted_alpha=adjusted,
-        n_total=len(scored), scope_counts=scope_counts,
+        n_total=len(table), scope_counts=scope_counts,
     )
 
 
@@ -439,23 +459,6 @@ CONTROL_COLUMNS = (
 )
 
 
-def _vad_column_values(item: ScoredIssue) -> dict[str, float] | None:
-    elements = {
-        "title": item.elements.title,
-        "desc": item.elements.description,
-        "all": item.elements.all_comments,
-        "first": item.elements.first_comment,
-        "last": item.elements.last_comment,
-    }
-    values: dict[str, float] = {}
-    for key, vad in elements.items():
-        if vad is None or not vad.has_scores:
-            return None
-        for dim in DIMENSIONS:
-            values[f"{key}_{dim[0]}"] = vad.get(dim)
-    return values
-
-
 def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
                          folds: int = 10, prune_alpha: float = 0.01) -> Rq3Report:
     """Hierarchical logistic models of the Short/Long resolution-time split.
@@ -467,25 +470,23 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
     cross-validated metrics per stage, the majority baseline, and impact
     sizes of the final model pruned to coefficients with p < prune_alpha.
     """
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
-    resolved = [item for item in scored if item.issue.resolution_time is not None]
-    n_skipped_unresolved = len(scored) - len(resolved)
+    resolved = np.array([issue.resolution_time is not None for issue in table.issues], dtype=bool)
+    n_resolved = int(np.count_nonzero(resolved))
+    n_skipped_unresolved = len(table) - n_resolved
 
-    history = participant_history([item.issue for item in scored])
+    history = participant_history(table.issues)
 
-    rows = []
-    for item in resolved:
-        vad = _vad_column_values(item)
-        if vad is None:
-            continue
-        rows.append((item, vad))
-    n_skipped_incomplete = len(resolved) - len(rows)
+    # every element scored on every dimension
+    rows = np.flatnonzero(resolved & ~np.isnan(table.elements).any(axis=(1, 2)))
+    used = [table.issues[row] for row in rows]
+    n_skipped_incomplete = n_resolved - len(used)
 
     def empty_report(reason: str) -> Rq3Report:
         notices.append(reason)
         return Rq3Report(
-            n_total=len(scored), n_resolved=len(resolved), n_used=0,
+            n_total=len(table), n_resolved=n_resolved, n_used=0,
             n_skipped_unresolved=n_skipped_unresolved,
             n_skipped_incomplete=n_skipped_incomplete,
             long_share=None, zero_r=None, stages=(), filter_decisions=(),
@@ -494,28 +495,23 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
         )
 
     affective_keys: list[str] = []
-    if rows:
-        common = set(rows[0][0].issue.external_features)
-        for item, _ in rows[1:]:
-            common &= set(item.issue.external_features)
+    if used:
+        common = set(used[0].external_features)
+        for issue in used[1:]:
+            common &= set(issue.external_features)
         affective_keys = sorted(common)
     if not affective_keys:
         notices.append("no shared affective columns; stage 2 skipped")
 
     min_rows = max(2 * folds, len(CONTROL_COLUMNS) + len(affective_keys) + 15 + 2)
-    if len(rows) < min_rows:
-        return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})")
+    if len(used) < min_rows:
+        return empty_report(f"only {len(used)} usable resolved issues (need >= {min_rows})")
 
     columns: dict[str, list[float]] = {name: [] for name in CONTROL_COLUMNS}
     for key in affective_keys:
         columns[key] = []
-    vad_columns = [f"{el}_{dim[0]}" for el in VAD_ELEMENT_KEYS for dim in DIMENSIONS]
-    for name in vad_columns:
-        columns[name] = []
-
     times = []
-    for item, vad in rows:
-        issue = item.issue
+    for issue in used:
         record = history[issue.id]
         columns["n_comments"].append(len(issue.comments))
         columns["assignee_prev_comments"].append(record["assignee_prev_comments"])
@@ -527,9 +523,10 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
             columns[indicator].append(1.0 if issue.priority == indicator else 0.0)
         for key in affective_keys:
             columns[key].append(issue.external_features[key])
-        for name in vad_columns:
-            columns[name].append(vad[name])
         times.append(issue.resolution_time)
+    # element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
+    vad_columns = [f"{el}_{dim[0]}" for el in VAD_ELEMENT_KEYS for dim in DIMENSIONS]
+    columns.update(zip(vad_columns, table.elements[rows].reshape(len(rows), -1).T))
 
     labels = binarize_outcome(times)
     long_share = labels.count(LONG) / len(labels)
@@ -582,7 +579,7 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
         notices.append(f"final pruned model failed: {exc}")
 
     return Rq3Report(
-        n_total=len(scored), n_resolved=len(resolved), n_used=len(rows),
+        n_total=len(table), n_resolved=n_resolved, n_used=len(used),
         n_skipped_unresolved=n_skipped_unresolved,
         n_skipped_incomplete=n_skipped_incomplete,
         long_share=long_share, zero_r=baseline, stages=tuple(stages),
@@ -615,43 +612,46 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
     Future Dev entering as the second indicator). Uses resolved issues whose
     type falls in one of the three groups.
     """
-    scored = scores if scores is not None else score_corpus(corpus, lexicon)
+    table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
-    history = participant_history([item.issue for item in scored])
+    history = participant_history(table.issues)
 
-    eligible: list[ScoredIssue] = [
-        item for item in scored
-        if item.issue.resolution_time is not None and item.issue.type_group is not None
-    ]
+    eligible = np.array([issue.resolution_time is not None and issue.type_group is not None
+                         for issue in table.issues], dtype=bool)
+    predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
+    predictors: dict[str, list[float]] = {name: [] for name in predictor_names}
+    for i in np.flatnonzero(eligible):
+        issue = table.issues[i]
+        record = history[issue.id]
+        predictors["priority_level"].append(PRIORITY_LEVEL[issue.priority])
+        predictors["bug_group"].append(1.0 if issue.type_group == "Bug" else 0.0)
+        predictors["future_dev_group"].append(1.0 if issue.type_group == "Future Dev" else 0.0)
+        predictors["resolution_time"].append(issue.resolution_time)
+        predictors["votes"].append(issue.votes)
+        predictors["n_comments"].append(len(issue.comments))
+        predictors["n_watchers"].append(issue.watchers)
+        predictors["assignee_prev_issues"].append(record["assignee_prev_issues"])
+        predictors["reporter_prev_issues"].append(record["reporter_prev_issues"])
+    X = np.column_stack([np.asarray(predictors[name], dtype=float) for name in predictor_names])
 
     columns = tuple((role, dim) for role in ROLES for dim in DIMENSIONS)
     cells: dict[tuple[str, str, str], str] = {}
     n_designs: dict[tuple[str, str], int] = {}
-    predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
-
+    owner = table.owner
     for role, dim in columns:
-        predictors: dict[str, list[float]] = {name: [] for name in predictor_names}
-        response: list[float] = []
-        for item in eligible:
-            issue = item.issue
-            values = [
-                s.get(dim)
-                for c, s in zip(issue.comments, item.comment_scores)
-                if role_of(c, issue) == role and s.get(dim) is not None
-            ]
-            if not values:
-                continue
-            record = history[issue.id]
-            predictors["priority_level"].append(PRIORITY_LEVEL[issue.priority])
-            predictors["bug_group"].append(1.0 if issue.type_group == "Bug" else 0.0)
-            predictors["future_dev_group"].append(1.0 if issue.type_group == "Future Dev" else 0.0)
-            predictors["resolution_time"].append(issue.resolution_time)
-            predictors["votes"].append(issue.votes)
-            predictors["n_comments"].append(len(issue.comments))
-            predictors["n_watchers"].append(issue.watchers)
-            predictors["assignee_prev_issues"].append(record["assignee_prev_issues"])
-            predictors["reporter_prev_issues"].append(record["reporter_prev_issues"])
-            response.append(float(np.mean(values)))
+        k = DIMENSIONS.index(dim)
+        chosen = np.flatnonzero((table.roles == ROLES.index(role)) & ~np.isnan(table.comments[:, k])
+                                & eligible[owner])
+        counts = np.bincount(owner[chosen], minlength=len(table))
+        means = np.bincount(owner[chosen], weights=table.comments[chosen, k],
+                            minlength=len(table)) / np.maximum(counts, 1)
+        # bincount sums in comment order, as np.mean does below eight values;
+        # from eight on np.mean sums pairwise, so it is called there
+        ends = np.cumsum(counts)
+        for i in np.flatnonzero(counts >= 8):
+            means[i] = np.mean(table.comments[chosen[ends[i] - counts[i]:ends[i]], k])
+        has_values = counts[eligible] > 0
+        response = means[eligible][has_values]
 
         n_designs[(role, dim)] = len(response)
         if len(response) <= len(predictor_names) + 1:
@@ -660,7 +660,7 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
                 cells[(row, role, dim)] = ""
             continue
         try:
-            design = DesignMatrix.from_mapping(predictors, response, outcome_kind="real")
+            design = DesignMatrix(predictor_names, X[has_values], response, outcome_kind="real")
             model = fit_linear(design)
         except ValueError as exc:
             notices.append(f"{role}/{dim}: {exc}; column left blank")
@@ -707,11 +707,7 @@ def run_analyses(corpus, lexicon: Lexicon, which=ANALYSIS_NAMES, seed: int = 0,
     if unknown:
         raise ValueError(f"unknown analyses: {sorted(unknown)}")
     scored = score_corpus(corpus, lexicon, jobs=jobs)
-    n_scored = sum(
-        1 for item in scored
-        if any(vad is not None and vad.has_scores
-               for vad in (item.elements.by_element(e) for e in ELEMENTS))
-    )
+    n_scored = int(np.count_nonzero(~np.isnan(scored.elements).all(axis=(1, 2))))
     results = AnalysisResults(n_issues=len(scored), n_scored=n_scored)
     if "rq1" in which:
         results.rq1_priority = rq1_priority_arousal(corpus, lexicon, alpha, scores=scored)

@@ -122,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int)
     analyze.add_argument("--alpha", type=float)
     analyze.add_argument("--analyses", help="comma-separated subset of rq1,rq2,rq3,rq4,summary")
-    analyze.add_argument("--jobs", type=int, help="parallel workers for per-issue scoring")
+    analyze.add_argument("--jobs", type=int,
+                         help="accepted for compatibility; no effect, scoring runs in one process")
     return parser
 
 
@@ -200,7 +201,7 @@ def _run_analyze(args) -> int:
     try:
         seed = int(pick(args.seed, "seed", 0))
         alpha = float(pick(args.alpha, "alpha", 0.05))
-        jobs = int(pick(args.jobs, "jobs", os.cpu_count() or 1))
+        jobs = int(pick(args.jobs, "jobs", 1))
     except ValueError as exc:
         raise CliError(f"invalid numeric option: {exc}") from None
     if not 0.0 < alpha <= 1.0:

@@ -1,13 +1,11 @@
-"""Issue-tracker data model, JSONL ingestion, element extraction and roles."""
+"""Issue-tracker data model, validated JSONL ingestion, and commenter roles."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence
-
-from .lexicon import Lexicon
-from .textscore import VadScore, score_text
 
 ISSUE_TYPES = (
     "Bug", "Task", "SubTask", "Test", "Wish", "NewFeature",
@@ -86,28 +84,6 @@ class IssueReport:
         return TYPE_GROUPS.get(self.issue_type)
 
 
-@dataclass(frozen=True)
-class ElementScores:
-    """Range scores for the five issue elements; None where the element is absent."""
-
-    title: VadScore
-    description: VadScore
-    first_comment: VadScore | None
-    last_comment: VadScore | None
-    all_comments: VadScore | None
-
-    ELEMENTS = ("Title", "Desc", "All", "First", "Last")
-
-    def by_element(self, element: str) -> VadScore | None:
-        return {
-            "Title": self.title,
-            "Desc": self.description,
-            "All": self.all_comments,
-            "First": self.first_comment,
-            "Last": self.last_comment,
-        }[element]
-
-
 def role_of(comment: Comment, issue: IssueReport) -> str:
     """Assignee wins over Reporter when one person holds both roles."""
     if issue.assignee is not None and comment.author == issue.assignee:
@@ -115,22 +91,6 @@ def role_of(comment: Comment, issue: IssueReport) -> str:
     if comment.author == issue.reporter:
         return "Reporter"
     return "Other"
-
-
-def score_elements(issue: IssueReport, lexicon: Lexicon) -> ElementScores:
-    """Score title, description, first/last comment and the comment concatenation."""
-    title = score_text(issue.title, lexicon)
-    description = score_text(issue.description, lexicon)
-    if issue.comments:
-        first = score_text(issue.comments[0].body, lexicon)
-        last = score_text(issue.comments[-1].body, lexicon)
-        combined = "\n".join(c.body for c in issue.comments)
-        all_comments = score_text(combined, lexicon)
-    else:
-        first = last = all_comments = None
-    return ElementScores(title=title, description=description,
-                         first_comment=first, last_comment=last,
-                         all_comments=all_comments)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +184,13 @@ def parse_issue(obj: dict) -> IssueReport:
     for key, value in features.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"field external_features.{key} must be numeric")
-        parsed_features[str(key)] = float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"field external_features.{key} must be finite, got {value!r}")
+        parsed_features[str(key)] = number
 
     return IssueReport(
         id=issue_id,
@@ -251,7 +217,8 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     """Load issues from JSONL, one object per line.
 
     All offending lines are collected and raised together as a
-    CorpusFormatError so callers can report the first few.
+    CorpusFormatError so callers can report the first few. An issue id
+    seen before is an error on the line that repeats it.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -259,6 +226,7 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
 
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
+    first_line: dict[str, int] = {}  # issue id -> line it first appeared on
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -272,9 +240,15 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
             errors.append((line_no, "line is not a JSON object"))
             continue
         try:
-            issues.append(parse_issue(obj))
+            issue = parse_issue(obj)
         except ValueError as exc:
             errors.append((line_no, str(exc)))
+            continue
+        first = first_line.setdefault(issue.id, line_no)
+        if first != line_no:
+            errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
+            continue
+        issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)
     return issues

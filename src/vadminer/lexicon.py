@@ -65,6 +65,8 @@ class Lexicon:
         if not table:
             raise LexiconError("lexicon is empty")
         self._entries = table
+        # lowercase word -> (valence, arousal, dominance), for the scoring kernel
+        self.vad_of = {word: (e.valence, e.arousal, e.dominance) for word, e in table.items()}.get
         self._baselines = {
             dim: math.fsum(getattr(e, dim) for e in table.values()) / len(table)
             for dim in DIMENSIONS

@@ -90,11 +90,11 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
 
     if results.summary is not None:
         summary = results.summary
-        rows = []
-        for point in summary.points:
-            linear_fit = summary.linear.predict([point.valence])[0] if summary.linear else None
-            quad_fit = summary.quadratic.predict([point.valence])[0] if summary.quadratic else None
-            rows.append([point.issue_id, point.valence, point.arousal, linear_fit, quad_fit])
+        valences = [point.valence for point in summary.points]
+        fitted = [fit.predict(valences).tolist() if fit else [None] * len(valences)
+                  for fit in (summary.linear, summary.quadratic)]
+        rows = [[point.issue_id, point.valence, point.arousal, linear_fit, quad_fit]
+                for point, linear_fit, quad_fit in zip(summary.points, *fitted)]
         emit("rq1_summary_points.csv",
              ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], rows)
         fit_rows = []

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from vadminer.analyses import (
@@ -12,8 +15,11 @@ from vadminer.analyses import (
     run_analyses,
     score_corpus,
 )
-from vadminer.corpus import Comment, IssueReport
+from vadminer.corpus import PRIORITY_LEVEL, ROLES, Comment, IssueReport, role_of
+from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
+from vadminer.stats import paired_t_test, welch_t_test
 from vadminer.synth import EffectConfig, GeneratorConfig, generate_corpus, u_shape_config
+from vadminer.textscore import score_text
 
 
 def make_issue(i=1, **overrides):
@@ -117,8 +123,9 @@ def test_rq1_skip_counts_conserved(planted_corpus, synth_lexicon, planted_scored
 def test_rq1_single_group_restriction_consistent(planted_corpus, synth_lexicon, planted_scored):
     issues, _ = planted_corpus
     full = rq1_priority_arousal(issues, synth_lexicon, scores=planted_scored)
-    subset = [item for item in planted_scored if item.issue.priority == "Major"]
-    restricted = rq1_priority_arousal([s.issue for s in subset], synth_lexicon, scores=subset)
+    subset = planted_scored.select([row for row, issue in enumerate(planted_scored.issues)
+                                    if issue.priority == "Major"])
+    restricted = rq1_priority_arousal(subset.issues, synth_lexicon, scores=subset)
     for full_row, sub_row in zip(full.rows, restricted.rows):
         assert full_row.means["Major"] == sub_row.means["Major"]
         assert full_row.ns["Major"] == sub_row.ns["Major"]
@@ -308,6 +315,109 @@ def test_rq4_null_corpus_mostly_blank(synth_lexicon):
             total += 1
             blank += value == ""
     assert blank >= 0.95 * total
+
+
+@pytest.fixture(scope="module")
+def jittered(planted_corpus, synth_lexicon):
+    """The planted corpus scored with full-precision random word scores, so
+    that a change in summation order shows in the last bits."""
+    rng = random.Random(3)
+    lexicon = Lexicon([LexiconEntry(word=e.word, valence=rng.uniform(1, 9), arousal=rng.uniform(1, 9),
+                                    dominance=rng.uniform(1, 9)) for e in synth_lexicon])
+    issues, _ = planted_corpus
+    return issues, lexicon, score_corpus(issues, lexicon)
+
+
+def _element_scores(issue, lexicon):
+    """Title, Desc, All, First, Last scores from score_text; None where absent."""
+    bodies = [c.body for c in issue.comments]
+    threads = ("\n".join(bodies), bodies[0], bodies[-1]) if bodies else ()
+    scores = [score_text(text, lexicon) for text in (issue.title, issue.description, *threads)]
+    return scores + [None] * (5 - len(scores))
+
+
+def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
+    # reference: the per-issue loops over score_text, bit for bit
+    issues, lexicon, table = jittered
+    elements = [_element_scores(issue, lexicon) for issue in issues]
+
+    priority = rq1_priority_arousal(issues, lexicon, scores=table)
+    for e, row in enumerate(priority.rows):
+        cells = {group: [scores[e].arousal for issue, scores in zip(issues, elements)
+                         if issue.priority == group and scores[e] is not None and scores[e].has_scores]
+                 for group in priority.groups}
+        assert row.means == {group: float(np.mean(values)) for group, values in cells.items()}
+        for comparison in row.comparisons:
+            expected = welch_t_test(cells[comparison.left], cells[comparison.right], alpha=priority.adjusted_alpha)
+            assert comparison.result == expected
+
+    summary = rq1_summary(issues, lexicon, scores=table)
+    expected_points = []
+    for issue, scores in zip(issues, elements):
+        scored = [vad for vad in scores[:3] if vad is not None and vad.has_scores]
+        if scored:
+            expected_points.append((issue.id, float(np.mean([vad.valence for vad in scored])),
+                                    float(np.mean([vad.arousal for vad in scored]))))
+    assert [(p.issue_id, p.valence, p.arousal) for p in summary.points] == expected_points
+
+    paired = rq2_first_last(issues, lexicon, scores=table)
+    for cell in paired.cells:
+        pairs = []
+        for issue in issues:
+            if issue.status != "Closed":
+                continue
+            if cell.scope == "All":
+                thread = list(issue.comments) if len(issue.comments) >= 4 else []
+            else:
+                role = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}[cell.scope]
+                thread = [c for c in issue.comments if role_of(c, issue) == role]
+                thread = thread if len(thread) >= 2 else []
+            if thread:
+                first = score_text(thread[0].body, lexicon).get(cell.dimension)
+                last = score_text(thread[-1].body, lexicon).get(cell.dimension)
+                if first is not None and last is not None:
+                    pairs.append((first, last))
+        assert cell.n_pairs == len(pairs)
+        assert cell.result == paired_t_test(*zip(*pairs), alpha=paired.adjusted_alpha)
+
+
+def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
+    # reference: each design built issue by issue from score_text, the
+    # response being np.mean of the role's scored comments
+    from vadminer import analyses
+
+    fitted = []
+    fit_linear = analyses.fit_linear
+    monkeypatch.setattr(analyses, "fit_linear", lambda design: fitted.append(design) or fit_linear(design))
+    issues, lexicon, table = jittered
+    rq4_sign_tables(issues, lexicon, scores=table)
+
+    history = participant_history(issues)
+    comment_scores = {id(c): score_text(c.body, lexicon) for issue in issues for c in issue.comments}
+    long_means = 0
+    assert len(fitted) == len(ROLES) * len(DIMENSIONS)
+    designs = iter(fitted)
+    for role in ROLES:
+        for dim in DIMENSIONS:
+            rows, response = [], []
+            for issue in issues:
+                if issue.resolution_time is None or issue.type_group is None:
+                    continue
+                values = [comment_scores[id(c)].get(dim) for c in issue.comments
+                          if role_of(c, issue) == role and comment_scores[id(c)].get(dim) is not None]
+                if not values:
+                    continue
+                long_means += len(values) >= 8
+                record = history[issue.id]
+                rows.append([PRIORITY_LEVEL[issue.priority], issue.type_group == "Bug",
+                             issue.resolution_time, issue.votes, len(issue.comments), issue.watchers,
+                             record["assignee_prev_issues"], record["reporter_prev_issues"],
+                             issue.type_group == "Future Dev"])
+                response.append(float(np.mean(values)))
+            design = next(designs)
+            assert np.array_equal(design.X, np.array(rows, dtype=float))
+            assert np.array_equal(design.outcome, np.array(response))
+    assert long_means > 0  # the pairwise-summed np.mean case is covered
 
 
 # ---------------------------------------------------------------------------

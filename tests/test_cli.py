@@ -126,6 +126,36 @@ def test_ingest_schema_errors_exit_3(tmp_path, capsys, synth_paths):
     assert err.count("line ") == 10  # only the first ten offending lines listed
 
 
+def test_ingest_and_analyze_reject_duplicate_id(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    repeated = tmp_path / "repeated.jsonl"
+    repeated.write_text("\n".join(lines + [lines[4]]) + "\n", encoding="utf-8")
+    issue_id = json.loads(lines[4])["id"]
+    assert main(["ingest", "--corpus", str(repeated)]) == 3
+    err = capsys.readouterr().err
+    assert f"line {len(lines) + 1}: duplicate issue id '{issue_id}', first on line 5" in err
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(repeated),
+                 "--out", str(tmp_path / "rpt")]) == 3
+    assert "duplicate issue id" in capsys.readouterr().err
+
+
+def test_analyze_rejects_non_finite_feature(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    resolved = next(i for i, line in enumerate(lines) if json.loads(line)["resolved"] is not None)
+    obj = json.loads(lines[resolved])
+    obj["external_features"] = {"avg_sentiment": float("nan")}
+    lines[resolved] = json.dumps(obj)
+    bad = tmp_path / "nan.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad),
+                 "--out", str(tmp_path / "rpt")]) == 3
+    err = capsys.readouterr().err
+    assert f"line {resolved + 1}: field external_features.avg_sentiment must be finite, got nan" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_end_to_end_deterministic(tmp_path, synth_paths):
     corpus_path, lexicon_path, _ = synth_paths
     input_bytes = corpus_path.read_bytes(), lexicon_path.read_bytes()

@@ -2,8 +2,10 @@ import io
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from vadminer.analyses import ELEMENTS, score_corpus
 from vadminer.corpus import (
     Comment,
     CorpusFormatError,
@@ -12,7 +14,6 @@ from vadminer.corpus import (
     load_corpus,
     parse_issue,
     role_of,
-    score_elements,
     write_corpus,
 )
 from vadminer.textscore import tokenize
@@ -79,6 +80,29 @@ def test_load_collects_multiple_errors():
     assert [line for line, _ in excinfo.value.errors] == [1, 2]
 
 
+def test_duplicate_issue_id_names_both_lines():
+    first = json.dumps(issue_json())
+    other = json.dumps(issue_json(id="PRJ-2"))
+    stream = io.StringIO("\n".join([first, other, "", first, first]) + "\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(stream)
+    assert excinfo.value.errors == [
+        (4, "duplicate issue id 'PRJ-1', first on line 1"),
+        (5, "duplicate issue id 'PRJ-1', first on line 1"),
+    ]
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_non_finite_external_feature_rejected(raw):
+    good = json.dumps(issue_json(external_features={"avg_sentiment": 0.5}))
+    bad = json.dumps(issue_json(id="PRJ-2", external_features={"avg_sentiment": 0.5})).replace("0.5", raw)
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(io.StringIO(good + "\n" + bad + "\n"))
+    [(line, message)] = excinfo.value.errors
+    assert line == 2
+    assert message.startswith("field external_features.avg_sentiment must be finite")
+
+
 def test_out_of_order_comments_sorted_not_rejected():
     obj = issue_json(comments=[
         {"author": "a", "created": 300, "body": "later"},
@@ -119,20 +143,27 @@ def test_role_of_precedence():
     assert role_of(Comment(author="rep", created=1, body=""), no_assignee) == "Reporter"
 
 
+def score_elements(issue, lexicon):
+    """Element name -> (valence, arousal, dominance) row of the issue's score table."""
+    return dict(zip(ELEMENTS, score_corpus([issue], lexicon).elements[0]))
+
+
 def test_score_elements_zero_comments(table1_lexicon):
     issue = make_issue(comments=(), resolved=None, status="Open")
     scores = score_elements(issue, table1_lexicon)
-    assert scores.first_comment is None
-    assert scores.last_comment is None
-    assert scores.all_comments is None
-    assert scores.title.matched_count == 1  # "joy"
-    assert scores.description.matched_count == 1  # "sadness"
+    assert np.isnan(scores["First"]).all()
+    assert np.isnan(scores["Last"]).all()
+    assert np.isnan(scores["All"]).all()
+    # one matched word each: "joy" above every baseline, "sadness" below
+    assert scores["Title"] == pytest.approx([8.21 - 5.2775, 5.55 - 4.9125, 7.00 - 5.475], abs=1e-12)
+    assert scores["Desc"] == pytest.approx([5.2775 - 2.40, 4.9125 - 2.81, 5.475 - 3.84], abs=1e-12)
 
 
 def test_score_elements_single_comment(table1_lexicon):
     issue = make_issue(comments=(Comment(author="x", created=1, body="joy"),))
     scores = score_elements(issue, table1_lexicon)
-    assert scores.first_comment == scores.last_comment == scores.all_comments
+    assert np.array_equal(scores["First"], scores["Last"])
+    assert np.array_equal(scores["First"], scores["All"])
 
 
 def test_score_elements_two_comment_values(table1_lexicon):
@@ -142,9 +173,9 @@ def test_score_elements_two_comment_values(table1_lexicon):
     ))
     scores = score_elements(issue, table1_lexicon)
     # hand-evaluated against the four-word baselines
-    assert scores.all_comments.valence == pytest.approx(8.21 - 2.40, abs=1e-12)
-    assert scores.first_comment.valence == pytest.approx(8.21 - 5.2775, abs=1e-12)
-    assert scores.last_comment.valence == pytest.approx(5.2775 - 2.40, abs=1e-12)
+    assert scores["All"][0] == pytest.approx(8.21 - 2.40, abs=1e-12)
+    assert scores["First"][0] == pytest.approx(8.21 - 5.2775, abs=1e-12)
+    assert scores["Last"][0] == pytest.approx(5.2775 - 2.40, abs=1e-12)
 
 
 def test_all_comments_matched_union(table1_lexicon, planted_corpus, synth_lexicon):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -161,3 +162,18 @@ def test_score_bounds_extremes():
     score = score_text("floor ceil", lexicon)
     for dim in DIMENSIONS:
         assert score.get(dim) == 8.0
+
+
+def test_ascii_tokens_follow_the_letter_run_rule(table1_lexicon):
+    # the rule: maximal runs of letters (digits, underscores and punctuation
+    # split), each lowercased; ASCII text takes a faster path to the same tokens
+    def rule(text):
+        return [run.lower() for run in re.findall(r"[^\W\d_]+", text)]
+
+    every_char = "".join(map(chr, range(128)))
+    rng = random.Random(5)
+    samples = [every_char, every_char[::-1], "Joy_JOY-joy9jOy\tsadness\x1fanger\x0blove"]
+    samples += ["".join(rng.choices(every_char, k=rng.randint(0, 60))) for _ in range(500)]
+    for text in samples:
+        assert list(tokenize(text, table1_lexicon).tokens) == rule(text)
+    assert list(tokenize("Ünïcode JOY_İ ΟΔΟΣ", table1_lexicon).tokens) == rule("Ünïcode JOY_İ ΟΔΟΣ")
