@@ -15,6 +15,7 @@ compose the score table with the statistics and model layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .models import (
     zero_r,
 )
 from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
-from .textscore import scan
+from .textscore import scan_texts
 
 ELEMENTS = ("Title", "Desc", "All", "First", "Last")
 
@@ -113,6 +114,11 @@ class ScoreTable:
         """Issue row of every comment row."""
         return np.repeat(np.arange(len(self.issues)), self.comment_counts)
 
+    @cached_property
+    def history(self) -> dict[str, dict[str, int]]:
+        """``participant_history`` of the issues, computed on first use."""
+        return participant_history(self.issues)
+
     def select(self, rows) -> "ScoreTable":
         """The table of the given issue rows (indices or a boolean mask), in that order."""
         rows = np.arange(len(self.issues))[rows]
@@ -140,25 +146,22 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     issues = tuple(issues)
     counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=len(issues))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    extremes = np.dtype((np.float64, 7))  # one textscore.scan result
-    heads = np.fromiter((scan(text, lexicon) for issue in issues
-                         for text in (issue.title, issue.description)),
-                        dtype=extremes, count=2 * len(issues)).reshape(len(issues), 2, 7)
-    thread = np.fromiter((scan(c.body, lexicon) for issue in issues for c in issue.comments),
-                         dtype=extremes, count=offsets[-1])
+    heads_lo, heads_hi, _ = scan_texts(
+        [text for issue in issues for text in (issue.title, issue.description)], lexicon)
+    thread_lo, thread_hi, _ = scan_texts([c.body for issue in issues for c in issue.comments], lexicon)
     role_code = {role: code for code, role in enumerate(ROLES)}
     roles = np.fromiter((role_code[role_of(c, issue)] for issue in issues for c in issue.comments),
                         dtype=np.int8, count=offsets[-1])
 
     baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
-    comments = _fold_columns(thread[:, :3], thread[:, 3:6], baselines)
+    comments = _fold_columns(thread_lo, thread_hi, baselines)
     elements = np.full((len(issues), len(ELEMENTS), len(DIMENSIONS)), np.nan)
-    elements[:, :2] = _fold_columns(heads[:, :, :3], heads[:, :, 3:6], baselines)
+    elements[:, :2] = _fold_columns(heads_lo, heads_hi, baselines).reshape(len(issues), 2, len(DIMENSIONS))
     threaded = counts > 0
     firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
     if len(firsts):
-        lo = np.fmin.reduceat(thread[:, :3], firsts, axis=0)
-        hi = np.fmax.reduceat(thread[:, 3:6], firsts, axis=0)
+        lo = np.fmin.reduceat(thread_lo, firsts, axis=0)
+        hi = np.fmax.reduceat(thread_hi, firsts, axis=0)
         elements[threaded, 2] = _fold_columns(lo, hi, baselines)
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
@@ -476,8 +479,6 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
     n_resolved = int(np.count_nonzero(resolved))
     n_skipped_unresolved = len(table) - n_resolved
 
-    history = participant_history(table.issues)
-
     # every element scored on every dimension
     rows = np.flatnonzero(resolved & ~np.isnan(table.elements).any(axis=(1, 2)))
     used = [table.issues[row] for row in rows]
@@ -511,6 +512,7 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
     for key in affective_keys:
         columns[key] = []
     times = []
+    history = table.history
     for issue in used:
         record = history[issue.id]
         columns["n_comments"].append(len(issue.comments))
@@ -614,12 +616,12 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
     """
     table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
-    history = participant_history(table.issues)
 
     eligible = np.array([issue.resolution_time is not None and issue.type_group is not None
                          for issue in table.issues], dtype=bool)
     predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
     predictors: dict[str, list[float]] = {name: [] for name in predictor_names}
+    history = table.history
     for i in np.flatnonzero(eligible):
         issue = table.issues[i]
         record = history[issue.id]

@@ -68,6 +68,17 @@ def _existing_file(path: str, what: str) -> Path:
     return resolved
 
 
+def _output_dir(path: str) -> Path:
+    """The report directory; it, or its nearest existing ancestor, must be a directory."""
+    out = Path(path)
+    for existing in (out, *out.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise CliError(f"output path {existing} is not a directory")
+            break
+    return out
+
+
 def _load_lexicon_checked(path: str):
     try:
         return load_lexicon(_existing_file(path, "lexicon file"))
@@ -221,7 +232,7 @@ def _run_analyze(args) -> int:
     config = RunConfig(
         lexicon=_existing_file(lexicon_path, "lexicon file"),
         corpus=_existing_file(corpus_path, "corpus file"),
-        out=Path(out_dir),
+        out=_output_dir(out_dir),
         seed=seed,
         alpha=alpha,
         analyses=selected,

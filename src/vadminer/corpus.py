@@ -1,9 +1,17 @@
-"""Issue-tracker data model, validated JSONL ingestion, and commenter roles."""
+"""Issue-tracker data model, validated JSONL ingestion, and commenter roles.
+
+Loading checks every line: bytes that are not UTF-8, invalid JSON and every
+schema violation are collected with their line numbers. Comments, the bulk
+of a corpus, first take a fast check of exact types; one that fails it goes
+through the full validation, which names the fault.
+"""
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -44,14 +52,14 @@ class CorpusFormatError(ValueError):
         super().__init__(f"{len(errors)} invalid corpus line(s): {preview}{more}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comment:
     author: str
     created: int
     body: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IssueReport:
     id: str
     project: str
@@ -101,6 +109,12 @@ _REQUIRED_FIELDS = (
     "id", "project", "type", "priority", "created", "status", "reporter",
     "votes", "watchers", "changes", "developers", "title", "description", "comments",
 )
+
+
+_CREATED = attrgetter("created")
+
+# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _as_nonneg_int(value, name: str) -> int:
@@ -173,9 +187,18 @@ def parse_issue(obj: dict) -> IssueReport:
     raw_comments = obj["comments"]
     if not isinstance(raw_comments, list):
         raise ValueError("field comments must be a list")
-    comments = [_parse_comment(c, i) for i, c in enumerate(raw_comments)]
+    comments = []
+    for index, raw in enumerate(raw_comments):
+        # a well-formed comment passes these checks; any other takes
+        # _parse_comment's, which raise the message for its fault
+        if type(raw) is dict:
+            author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
+            if type(author) is str and author and type(posted) is int and type(body) is str:
+                comments.append(Comment(author, posted, body))
+                continue
+        comments.append(_parse_comment(raw, index))
     # out-of-order comments are sorted, not rejected
-    comments.sort(key=lambda c: c.created)
+    comments.sort(key=_CREATED)
 
     features = obj.get("external_features") or {}
     if not isinstance(features, dict):
@@ -217,11 +240,12 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     """Load issues from JSONL, one object per line.
 
     All offending lines are collected and raised together as a
-    CorpusFormatError so callers can report the first few. An issue id
-    seen before is an error on the line that repeats it.
+    CorpusFormatError so callers can report the first few: bytes that are
+    not UTF-8, invalid JSON, schema violations, and an issue id seen before,
+    which is an error on the line that repeats it.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return load_corpus(handle)
 
     issues: list[IssueReport] = []
@@ -230,6 +254,9 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
+            continue
+        if not stripped.isascii() and _UNDECODED.search(stripped):
+            errors.append((line_no, "not valid UTF-8"))
             continue
         try:
             obj = json.loads(stripped)

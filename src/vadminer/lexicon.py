@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
@@ -13,6 +16,9 @@ SCORE_MIN = 1.0
 SCORE_MAX = 9.0
 
 _SHORT_NAMES = {"v": "valence", "a": "arousal", "d": "dominance"}
+
+# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class LexiconError(ValueError):
@@ -65,8 +71,13 @@ class Lexicon:
         if not table:
             raise LexiconError("lexicon is empty")
         self._entries = table
-        # lowercase word -> (valence, arousal, dominance), for the scoring kernel
-        self.vad_of = {word: (e.valence, e.arousal, e.dominance) for word, e in table.items()}.get
+        # For the scoring kernel: lowercase word -> row of ``vad`` (valence,
+        # arousal, dominance). Rows start at 1, so a lookup is truthy exactly
+        # when the word is in the lexicon; row 0 is padding.
+        self.row_of = {word: row for row, word in enumerate(table, start=1)}.get
+        self.vad = np.array([(math.nan,) * 3] + [(e.valence, e.arousal, e.dominance)
+                                                  for e in table.values()])
+        self.vad.flags.writeable = False
         self._baselines = {
             dim: math.fsum(getattr(e, dim) for e in table.values()) / len(table)
             for dim in DIMENSIONS
@@ -107,14 +118,20 @@ def _parse_header(row: list[str]) -> dict[str, int]:
     return positions
 
 
+def _check_decoded(row: list[str], line_no: int) -> None:
+    if any(not cell.isascii() and _UNDECODED.search(cell) for cell in row):
+        raise LexiconError(f"line {line_no}: not valid UTF-8")
+
+
 def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
     """Parse a lexicon CSV (header ``word,valence,arousal,dominance``).
 
-    Words are lowercased; duplicate words, non-numeric scores, scores outside
-    [1, 9] and rows of the wrong width are rejected with their line number.
+    Words are lowercased; bytes that are not UTF-8, duplicate words,
+    non-numeric scores, scores outside [1, 9] and rows of the wrong width
+    are rejected with their line number.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
             return load_lexicon(handle)
 
     reader = csv.reader(source)
@@ -122,6 +139,7 @@ def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
         header = next(reader)
     except StopIteration:
         raise LexiconError("lexicon is empty: no header row") from None
+    _check_decoded(header, 1)
     positions = _parse_header(header)
     width = len(header)
 
@@ -129,6 +147,7 @@ def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
+        _check_decoded(row, line_no)
         if len(row) != width:
             raise LexiconError(f"expected {width} columns, got {len(row)}, line {line_no}")
         word = row[positions["word"]].strip().lower()

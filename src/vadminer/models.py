@@ -2,11 +2,19 @@
 nested-model likelihood-ratio comparison, stratified cross-validation with a
 rank-statistic AUC, the majority-class baseline, and median+one-sd impact
 sizes for comparing features measured in different units.
+
+The fits do no work twice: IRLS carries the fitted probabilities of each
+accepted step into the next iteration and into the covariance, a design's
+column medians and sds are computed only when impact sizes read them, and
+the sigmoid and the AUC midranks are whole-array numpy expressions, equal
+bit for bit to their masked and looped forms (the tests keep those as
+references).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,9 +76,15 @@ class DesignMatrix:
             raise ValueError(f"unknown outcome kind {outcome_kind!r}")
         self.outcome_kind = outcome_kind
 
-        self.medians = np.median(self.X, axis=0) if len(self.X) else np.zeros(len(self.columns))
-        self.sds = (np.std(self.X, axis=0, ddof=1) if len(self.X) > 1
-                    else np.zeros(len(self.columns)))
+    # computed on first use: only impact sizes read them, and the fits
+    # make many subsets and row samples
+    @cached_property
+    def medians(self) -> np.ndarray:
+        return np.median(self.X, axis=0) if len(self.X) else np.zeros(len(self.columns))
+
+    @cached_property
+    def sds(self) -> np.ndarray:
+        return np.std(self.X, axis=0, ddof=1) if len(self.X) > 1 else np.zeros(len(self.columns))
 
     @classmethod
     def from_mapping(cls, columns: dict, outcome, outcome_kind: str | None = None) -> "DesignMatrix":
@@ -174,12 +188,10 @@ class FilterDecision:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expe = np.exp(eta[~pos])
-    out[~pos] = expe / (1.0 + expe)
-    return out
+    # exp of a non-positive argument never overflows: 1 / (1 + exp(-eta))
+    # for eta >= 0, exp(eta) / (1 + exp(eta)) below
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
@@ -223,11 +235,10 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
         raise ValueError(f"singular design; collinear columns: {culprits}")
 
     beta = np.zeros(X1.shape[1])
-    deviance = _binomial_deviance(y, _sigmoid(X1 @ beta))
+    mu = _sigmoid(X1 @ beta)  # always the fitted probabilities of beta
+    deviance = _binomial_deviance(y, mu)
     converged = False
-    xtwx = np.eye(X1.shape[1])
     for _ in range(_MAX_IRLS_ITER):
-        mu = _sigmoid(X1 @ beta)
         w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
         xtwx = X1.T @ (w[:, None] * X1)
         score = X1.T @ (y - mu)
@@ -238,21 +249,22 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
 
         step = 1.0
         trial = beta + delta
-        trial_dev = _binomial_deviance(y, _sigmoid(X1 @ trial))
+        trial_mu = _sigmoid(X1 @ trial)
+        trial_dev = _binomial_deviance(y, trial_mu)
         while trial_dev > deviance + 1e-10 and step > 1e-10:
             step *= 0.5
             trial = beta + step * delta
-            trial_dev = _binomial_deviance(y, _sigmoid(X1 @ trial))
+            trial_mu = _sigmoid(X1 @ trial)
+            trial_dev = _binomial_deviance(y, trial_mu)
 
         change = float(np.max(np.abs(trial - beta)))
-        beta, deviance = trial, trial_dev
+        beta, mu, deviance = trial, trial_mu, trial_dev
         if change < _IRLS_TOL:
             converged = True
             break
         if np.max(np.abs(beta)) > 1e8:  # diverging: separation
             break
 
-    mu = _sigmoid(X1 @ beta)
     w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
     xtwx = X1.T @ (w[:, None] * X1)
     try:
@@ -337,16 +349,14 @@ def lr_test(reduced: FittedModel, full: FittedModel) -> float:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; a run of equal values shares the mean of its positions."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
     sorted_values = values[order]
-    i = 0
-    while i < len(sorted_values):
-        j = i
-        while j + 1 < len(sorted_values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # positions i..j of each run of equal sorted values
+    starts = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    ends = np.append(starts[1:], len(values)) - 1
+    ranks = np.empty(len(values), dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

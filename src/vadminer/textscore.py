@@ -10,17 +10,24 @@ folded at the lexicon-wide mean when all matched words sit on one side of it:
 Words absent from the lexicon contribute nothing, which also filters out
 code fragments, identifiers and stack traces.
 
-``scan`` is the one kernel: a single tokenizing pass per text, with one
-dict lookup per word, that returns the per-dimension minima, maxima and
-match count. The score depends on nothing
-else, so ``score_text`` folds one scan, and the corpus score table folds the
-per-comment extremes to score a whole comment thread without scanning it
-again. ``tokenize`` and ``range_score`` are thin wrappers for inspection.
+``scan_texts`` is the one kernel. It tokenizes each text of a batch once and
+looks each word up in the lexicon's word -> row dict, appending the rows
+that hit to a compact integer buffer; per-text minima and maxima are then
+taken over the lexicon's rows x 3 score array with ``np.minimum.reduceat``
+and ``np.maximum.reduceat``, a few thousand texts at a time so that the
+buffer stays small at any corpus size. The score depends on nothing but
+these extremes, so ``score_text`` folds the scan of a one-text batch, and
+the corpus score table folds the per-comment extremes to score a whole
+comment thread without scanning it again. ``tokenize`` and ``range_score``
+are thin wrappers for inspection.
 """
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .lexicon import DIMENSIONS, Lexicon, canonical_dimension
 
@@ -30,7 +37,8 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # ASCII letters to lowercase, every other ASCII character to a space
 _ASCII_WORDS = str.maketrans({chr(i): chr(i).lower() if chr(i).isalpha() else " " for i in range(128)})
 
-NO_MATCH = (float("nan"),) * 6 + (0,)
+# texts per reduction: bounds the hit buffer, which holds about ten rows per text
+_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -66,17 +74,33 @@ def _words(text: str) -> list[str]:
     return [run.lower() for run in _WORD_RE.findall(text)]
 
 
-def scan(text: str, lexicon: Lexicon) -> tuple:
-    """Extremes of a text's matched words in one pass.
+def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extremes of each text's matched words.
 
-    Returns ``(v_min, a_min, d_min, v_max, a_max, d_max, matched_count)``;
-    ``NO_MATCH`` (NaN extremes, count 0) when no word is in the lexicon.
+    Returns ``(lo, hi, counts)`` for the sequence ``texts``: the per-dimension
+    minima and maxima, shape ``(len(texts), 3)`` and NaN where no word is in
+    the lexicon, and the match counts.
     """
-    hits = list(filter(None, map(lexicon.vad_of, _words(text))))
-    if not hits:
-        return NO_MATCH
-    v, a, d = zip(*hits)
-    return min(v), min(a), min(d), max(v), max(a), max(d), len(hits)
+    n = len(texts)
+    lo = np.full((n, len(DIMENSIONS)), np.nan)
+    hi = np.full((n, len(DIMENSIONS)), np.nan)
+    counts = np.zeros(n, dtype=np.int64)
+    row_of = lexicon.row_of
+    for start in range(0, n, _BATCH):
+        hits, batch_counts = array("q"), array("q")
+        for text in texts[start:start + _BATCH]:
+            rows = list(filter(None, map(row_of, _words(text))))
+            hits.extend(rows)
+            batch_counts.append(len(rows))
+        batch = np.frombuffer(batch_counts, dtype=np.int64)
+        counts[start:start + len(batch)] = batch
+        matched = np.flatnonzero(batch)
+        if len(matched):
+            values = lexicon.vad[np.frombuffer(hits, dtype=np.int64)]
+            firsts = (np.cumsum(batch) - batch)[matched]
+            lo[start + matched] = np.minimum.reduceat(values, firsts)
+            hi[start + matched] = np.maximum.reduceat(values, firsts)
+    return lo, hi, counts
 
 
 def fold(lo: float, hi: float, baseline: float) -> float:
@@ -91,7 +115,7 @@ def fold(lo: float, hi: float, baseline: float) -> float:
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:
     """Split on every non-letter character, lowercase, and mark lexicon hits."""
     tokens = tuple(_words(text))
-    return TokenizedText(tokens=tokens, matched=tuple(t for t in tokens if lexicon.vad_of(t)))
+    return TokenizedText(tokens=tokens, matched=tuple(filter(lexicon.row_of, tokens)))
 
 
 def range_score(matched_words: list[str] | tuple[str, ...], lexicon: Lexicon, dimension: str) -> float | None:
@@ -102,21 +126,20 @@ def range_score(matched_words: list[str] | tuple[str, ...], lexicon: Lexicon, di
     if not matched_words:
         return None
     dim = canonical_dimension(dimension)
-    index = DIMENSIONS.index(dim)
     values = []
     for word in matched_words:
-        entry = lexicon.vad_of(word.lower())
+        entry = lexicon.lookup(word)
         if entry is None:
             raise LookupError(f"word {word!r} not in lexicon; range_score requires matched words")
-        values.append(entry[index])
+        values.append(getattr(entry, dim))
     return fold(min(values), max(values), lexicon.baseline(dim))
 
 
 def score_text(text: str, lexicon: Lexicon) -> VadScore:
     """Tokenize and score a text on all three dimensions in one pass."""
-    extremes = scan(text, lexicon)
-    count = extremes[6]
+    lo, hi, counts = scan_texts([text], lexicon)
+    count = int(counts[0])
     if count == 0:
         return VadScore(valence=None, arousal=None, dominance=None, matched_count=0)
-    scores = [fold(extremes[i], extremes[i + 3], lexicon.baseline(dim)) for i, dim in enumerate(DIMENSIONS)]
+    scores = [fold(float(lo[0, k]), float(hi[0, k]), lexicon.baseline(dim)) for k, dim in enumerate(DIMENSIONS)]
     return VadScore(*scores, matched_count=count)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from vadminer import analyses
 from vadminer.analyses import (
     participant_history,
     rq1_dominance_time,
@@ -439,6 +440,21 @@ def test_participant_history_counts():
     assert history["PRJ-2"]["reporter_prev_comments"] == 1  # ann commented on PRJ-1
     assert history["PRJ-3"]["assignee_prev_comments"] == 1  # ann, before PRJ-3
     assert history["PRJ-3"]["reporter_prev_issues"] == 0    # bob reported nothing before
+
+
+def test_participant_history_runs_once_per_run(planted_corpus, synth_lexicon, monkeypatch):
+    calls = []
+    original = analyses.participant_history
+
+    def counted(issues):
+        calls.append(len(issues))
+        return original(issues)
+
+    monkeypatch.setattr(analyses, "participant_history", counted)
+    issues, _ = planted_corpus
+    results = run_analyses(issues, synth_lexicon, seed=0)
+    assert results.rq3.n_used > 0 and sum(results.rq4.n_designs.values()) > 0
+    assert calls == [len(issues)]
 
 
 def test_score_corpus_parallel_matches_serial(planted_corpus, synth_lexicon):

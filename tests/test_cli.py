@@ -242,3 +242,40 @@ def test_analyze_corrupt_lexicon_exit_3(tmp_path, synth_paths):
     bad_lex.write_text("word,valence,arousal,dominance\njoy,99,5,5\n", encoding="utf-8")
     assert main(["analyze", "--lexicon", str(bad_lex), "--corpus", str(corpus_path),
                  "--out", str(tmp_path / "x")]) == 3
+
+
+def test_non_utf8_input_exit_3(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_bytes(corpus_path.read_bytes() + b"\xff\xfe{}\n")
+    n_lines = len(corpus_path.read_bytes().splitlines()) + 1
+    bad_lex = tmp_path / "bad.csv"
+    bad_lex.write_bytes(lexicon_path.read_bytes() + b"caf\xe9,5,5,5\n")
+    lex_line = len(lexicon_path.read_bytes().splitlines()) + 1
+    runs = [
+        (["ingest", "--corpus", str(bad_corpus)], f"line {n_lines}: not valid UTF-8"),
+        (["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad_corpus),
+          "--out", str(tmp_path / "r1")], f"line {n_lines}: not valid UTF-8"),
+        (["score", "--lexicon", str(bad_lex), "--text", "joy"], f"line {lex_line}: not valid UTF-8"),
+        (["analyze", "--lexicon", str(bad_lex), "--corpus", str(corpus_path),
+          "--out", str(tmp_path / "r2")], f"line {lex_line}: not valid UTF-8"),
+    ]
+    for argv, message in runs:
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+def test_analyze_out_must_be_a_directory(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    # a corpus that fails to load shows that --out is checked first
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_text("not json\n", encoding="utf-8")
+    for out in (afile, afile / "sub", afile / "sub" / "deeper"):
+        assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad_corpus),
+                     "--out", str(out)]) == 2
+        assert f"error: output path {afile} is not a directory" in capsys.readouterr().err
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "new" / "dir"), "--analyses", "rq1"]) == 0

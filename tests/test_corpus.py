@@ -103,6 +103,40 @@ def test_non_finite_external_feature_rejected(raw):
     assert message.startswith("field external_features.avg_sentiment must be finite")
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"created": 1, "body": "x"}, "missing field comments[1].author"),
+    ({"author": "a", "body": "x"}, "missing field comments[1].created"),
+    ({"author": "a", "created": 1}, "missing field comments[1].body"),
+    ({"author": "a", "created": True, "body": "x"}, "field comments[1].created must be an integer timestamp"),
+    ({"author": "a", "created": 1.5, "body": "x"}, "field comments[1].created must be an integer timestamp"),
+    ({"author": "", "created": 1, "body": "x"}, "field comments[1].author must be a non-empty string"),
+    ({"author": None, "created": 1, "body": "x"}, "field comments[1].author must be a non-empty string"),
+    ({"author": "a", "created": 1, "body": 7}, "field comments[1].body must be a string"),
+    ({"author": "a", "created": 1, "body": None}, "field comments[1].body must be a string"),
+    ("just text", "comments[1] must be an object"),
+    ([1, "a", "x"], "comments[1] must be an object"),
+])
+def test_malformed_comment_messages(bad, message):
+    good = {"author": "a", "created": 1, "body": "fine"}
+    line = json.dumps(issue_json(comments=[good, bad, good]))
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(io.StringIO(json.dumps(issue_json(id="PRJ-0")) + "\n" + line + "\n"))
+    assert excinfo.value.errors == [(2, message)]
+
+
+def test_non_utf8_lines_reported(tmp_path):
+    good = json.dumps(issue_json()).encode()
+    accented = json.dumps(issue_json(id="PRJ-2"), ensure_ascii=False).replace("first", "café").encode()
+    bad_body = json.dumps(issue_json(id="PRJ-3")).replace("first", "caf\udce9").encode("utf-8", "surrogateescape")
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes(b"\n".join([good, accented, b"\xff\xfe" + good, bad_body, b"\x80"]) + b"\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.errors == [(3, "not valid UTF-8"), (4, "not valid UTF-8"), (5, "not valid UTF-8")]
+    path.write_bytes(b"\n".join([good, accented]) + b"\n")
+    assert load_corpus(path)[1].comments[0].body == "café"
+
+
 def test_out_of_order_comments_sorted_not_rejected():
     obj = issue_json(comments=[
         {"author": "a", "created": 300, "body": "later"},

@@ -62,6 +62,18 @@ def test_malformed_rows_report_line(row, fragment):
         load_lexicon(stream)
 
 
+def test_non_utf8_rows_report_line(tmp_path):
+    path = tmp_path / "lex.csv"
+    path.write_bytes(b"word,valence,arousal,dominance\njoy,8,5,7\ncaf\xe9,5,5,5\n")
+    with pytest.raises(LexiconError, match="line 3: not valid UTF-8"):
+        load_lexicon(path)
+    path.write_bytes(b"word,valence\xff,arousal,dominance\njoy,8,5,7\n")
+    with pytest.raises(LexiconError, match="line 1: not valid UTF-8"):
+        load_lexicon(path)
+    path.write_bytes("word,valence,arousal,dominance\ncafé,5,5,5\n".encode())
+    assert load_lexicon(path).lookup("CAFÉ").valence == 5.0
+
+
 def test_duplicate_word_rejected():
     stream = io.StringIO("word,valence,arousal,dominance\njoy,8.21,5.55,7.00\nJOY,8.0,5.0,7.0\n")
     with pytest.raises(LexiconError, match="duplicate word 'joy', line 3"):

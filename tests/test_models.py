@@ -17,6 +17,8 @@ from vadminer.models import (
     lr_test,
     rank_auc,
     zero_r,
+    _midranks,
+    _sigmoid,
 )
 
 import oracles
@@ -236,6 +238,50 @@ def test_auc_invariant_under_monotone_transform():
     labels = (rng.uniform(size=300) < scores).astype(float)
     base = rank_auc(scores, labels)
     assert rank_auc(np.log(scores / (1 - scores)), labels) == pytest.approx(base, abs=1e-12)
+
+
+def loop_midranks(values):
+    # reference: the tie-group walk the vectorized version replaced
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_values = values[order]
+    i = 0
+    while i < len(sorted_values):
+        j = i
+        while j + 1 < len(sorted_values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@pytest.mark.parametrize("values", [
+    [0.3], [2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0], [0.5, 0.1, 0.5, 0.9, 0.1, 0.5, 0.0],
+    np.random.RandomState(17).randint(0, 6, size=500) / 5.0,
+    np.random.RandomState(18).uniform(size=1000),
+])
+def test_midranks_equal_loop_reference(values):
+    values = np.asarray(values, dtype=float)
+    assert np.array_equal(_midranks(values), loop_midranks(values))
+
+
+def masked_sigmoid(eta):
+    # reference: the masked evaluation the branch-free version replaced
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    expe = np.exp(eta[~pos])
+    out[~pos] = expe / (1.0 + expe)
+    return out
+
+
+def test_sigmoid_equals_masked_reference():
+    edges = np.array([745.0, -745.0, 1000.0, -1000.0, 0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7])
+    rng = np.random.RandomState(19)
+    for eta in (edges, rng.normal(0, 5, size=2000), rng.normal(0, 400, size=2000), edges[4:6]):
+        got, expected = _sigmoid(eta), masked_sigmoid(eta)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
-from vadminer.textscore import range_score, score_text, tokenize
+from vadminer.textscore import _BATCH, fold, range_score, scan_texts, score_text, tokenize
 
 # Hand-evaluated anchors over the four-word lexicon (baselines
 # V=5.2775, A=4.9125, D=5.475).
@@ -177,3 +179,66 @@ def test_ascii_tokens_follow_the_letter_run_rule(table1_lexicon):
     for text in samples:
         assert list(tokenize(text, table1_lexicon).tokens) == rule(text)
     assert list(tokenize("Ünïcode JOY_İ ΟΔΟΣ", table1_lexicon).tokens) == rule("Ünïcode JOY_İ ΟΔΟΣ")
+
+
+# ---------------------------------------------------------------------------
+# the batch kernel against a per-text loop
+# ---------------------------------------------------------------------------
+
+def loop_scan(text, lexicon):
+    """Reference: letter runs, lowercased, looked up one by one; Python min/max."""
+    hits = [lexicon.lookup(run.lower()) for run in re.findall(r"[^\W\d_]+", text)]
+    rows = [(e.valence, e.arousal, e.dominance) for e in hits if e is not None]
+    if not rows:
+        return [math.nan] * 3, [math.nan] * 3, 0
+    columns = list(zip(*rows))
+    return [min(c) for c in columns], [max(c) for c in columns], len(rows)
+
+
+def assert_kernel_equals_loop(texts, lexicon):
+    lo, hi, counts = scan_texts(texts, lexicon)
+    assert lo.shape == hi.shape == (len(texts), 3) and counts.shape == (len(texts),)
+    for k, text in enumerate(texts):
+        ref_lo, ref_hi, ref_count = loop_scan(text, lexicon)
+        assert np.array_equal(lo[k], ref_lo, equal_nan=True), text
+        assert np.array_equal(hi[k], ref_hi, equal_nan=True), text
+        assert counts[k] == ref_count, text
+        score = score_text(text, lexicon)
+        assert score.matched_count == ref_count
+        expected = [None] * 3 if ref_count == 0 else [
+            fold(ref_lo[i], ref_hi[i], lexicon.baseline(dim)) for i, dim in enumerate(DIMENSIONS)]
+        assert [score.valence, score.arousal, score.dominance] == expected
+
+
+KERNEL_TEXTS = [
+    "", "   ", "no match here", "joy", "JOY joy Joy jOy", "joy sadness joy sadness",
+    "anger\njoy\r\nlove", "joy_sadness love4anger", "İstanbul joy", "Straße sadness",
+    "ΟΔΟΣ anger — «love»", "naïve joy", "STRASSE İİİ joy",
+]
+
+
+def test_kernel_equals_loop_on_edge_texts(table1_lexicon):
+    assert_kernel_equals_loop(KERNEL_TEXTS, table1_lexicon)
+
+
+def test_kernel_equals_loop_across_batches(table1_lexicon):
+    # a first batch with no match at all, then batches with hits on their edges
+    texts = ["no match here"] * _BATCH + ["joy"] + ["zzz"] * (_BATCH - 2) + ["anger love"]
+    texts += KERNEL_TEXTS * 3
+    assert_kernel_equals_loop(texts, table1_lexicon)
+
+
+def test_kernel_equals_loop_on_planted_corpus(planted_corpus, synth_lexicon):
+    issues, _ = planted_corpus
+    texts = [t for issue in issues for t in (issue.title, issue.description)]
+    texts += [c.body for issue in issues for c in issue.comments]
+    assert len(texts) > 2 * _BATCH
+    assert_kernel_equals_loop(texts, synth_lexicon)
+
+
+@pytest.mark.parametrize("texts", [[], ["zzz"], ["", "no match", "qqq"] * 5])
+def test_kernel_without_matches(table1_lexicon, texts):
+    lo, hi, counts = scan_texts(texts, table1_lexicon)
+    assert lo.shape == hi.shape == (len(texts), 3)
+    assert np.isnan(lo).all() and np.isnan(hi).all()
+    assert counts.tolist() == [0] * len(texts)
