@@ -1,4 +1,22 @@
-"""vadminer: lexicon-based VAD scoring and issue-tracker corpus analytics."""
+"""vadminer: lexicon-based VAD scoring and issue-tracker corpus analytics.
+
+Importing the package sets each of ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` that is not already set to
+``"1"``, so BLAS/LAPACK runs on one thread. A value set before the import is
+kept: to give BLAS more threads, set the variable of the BLAS that numpy links
+(``OPENBLAS_NUM_THREADS`` for numpy's wheels). A program that imports numpy
+before vadminer keeps the BLAS threads numpy started with.
+"""
+
+import os
+
+# A multi-threaded BLAS splits the rq3 fits' sums by thread, so reports
+# would differ in their last digits between machines with different core
+# counts; and at these matrix sizes a second thread costs CPU without saving
+# wall time. This must run before any submodule imports numpy.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
 
 from .analyses import AnalysisResults, ScoreTable, run_analyses, score_corpus
 from .corpus import Comment, IssueReport, load_corpus, role_of, write_corpus

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analyses import ANALYSIS_NAMES, run_analyses
 from .corpus import CorpusFormatError, corpus_histograms, load_corpus, write_corpus
-from .lexicon import LexiconError, canonical_dimension, load_lexicon, write_lexicon
+from .lexicon import UNDECODED, LexiconError, canonical_dimension, load_lexicon, write_lexicon
 from .report import write_reports
 from .synth import ConfigError, GeneratorConfig, Vocabulary, config_from_dict, generate_corpus
 from .textscore import score_text
@@ -50,8 +50,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     config_path = Path(path)
     if not config_path.is_file():
         raise CliError(f"config file not found: {path}")
-    for line_no, line in enumerate(config_path.read_text(encoding="utf-8").splitlines(), start=1):
+    text = config_path.read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
+        if not stripped.isascii() and UNDECODED.search(stripped):
+            raise CliError(f"config line {line_no}: not valid UTF-8")
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
@@ -134,14 +137,21 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--alpha", type=float)
     analyze.add_argument("--analyses", help="comma-separated subset of rq1,rq2,rq3,rq4,summary")
     analyze.add_argument("--jobs", type=int,
-                         help="accepted for compatibility; no effect, scoring runs in one process")
+                         help="accepted for compatibility; no effect: the whole run, scoring "
+                              "and model fits included, uses one core")
     return parser
 
 
 def _run_score(args) -> int:
     lexicon_path = _resolve_lexicon_path(args.lexicon, {})
     lexicon = _load_lexicon_checked(lexicon_path)
-    text = sys.stdin.read() if args.stdin else args.text
+    if args.stdin:
+        try:
+            text = sys.stdin.buffer.read().decode("utf-8")
+        except UnicodeDecodeError:
+            raise CliError("standard input is not valid UTF-8", EXIT_SCHEMA) from None
+    else:
+        text = args.text
     score = score_text(text, lexicon)
 
     def cell(value):

@@ -18,7 +18,7 @@ SCORE_MAX = 9.0
 _SHORT_NAMES = {"v": "valence", "a": "arousal", "d": "dominance"}
 
 # what a byte that is not UTF-8 decodes to under errors="surrogateescape"
-_UNDECODED = re.compile("[\udc80-\udcff]")
+UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class LexiconError(ValueError):
@@ -119,7 +119,7 @@ def _parse_header(row: list[str]) -> dict[str, int]:
 
 
 def _check_decoded(row: list[str], line_no: int) -> None:
-    if any(not cell.isascii() and _UNDECODED.search(cell) for cell in row):
+    if any(not cell.isascii() and UNDECODED.search(cell) for cell in row):
         raise LexiconError(f"line {line_no}: not valid UTF-8")
 
 

@@ -54,7 +54,7 @@ def test_score_no_match_empty_cells(capsys, lexicon_file):
 
 def test_score_stdin(capsys, lexicon_file, monkeypatch):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("love and anger"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO("love and anger".encode())))
     code = main(["score", "--lexicon", str(lexicon_file), "--stdin"])
     assert code == 0
     assert capsys.readouterr().out.strip().endswith(",2")
@@ -264,6 +264,21 @@ def test_non_utf8_input_exit_3(tmp_path, capsys, synth_paths):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+def test_non_utf8_config_exit_2_and_stdin_exit_3(tmp_path, capsys, monkeypatch, lexicon_file):
+    import io
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"# run settings\nseed=9\nlexicon=caf\xe9\n")
+    assert main(["analyze", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config line 3: not valid UTF-8" in err and "Traceback" not in err
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"caf\xe9 joy")))
+    assert main(["score", "--lexicon", str(lexicon_file), "--stdin"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: standard input is not valid UTF-8" in captured.err
 
 
 def test_analyze_out_must_be_a_directory(tmp_path, capsys, synth_paths):

@@ -8,10 +8,11 @@ updates the JSON file and says why in CHANGES.md.
 
 The rq3 files hold floats from IRLS fits and cross-validation, which go
 through numpy's linear algebra; their last digits can depend on the numpy
-version and the BLAS it links. A hash mismatch confined to ``rq3_*`` files
-and ``report.txt`` after a numpy or BLAS upgrade is not a regression in
-this package: regenerate with ``python tests/test_golden.py`` on the
-unchanged code first.
+version, the BLAS it links, and the BLAS thread count when one is set
+explicitly (importing vadminer otherwise pins it to one). A hash mismatch
+confined to ``rq3_*`` files and ``report.txt`` after a numpy or BLAS upgrade
+is not a regression in this package: regenerate with
+``python tests/test_golden.py`` on the unchanged code first.
 """
 import hashlib
 import json
