@@ -1,8 +1,10 @@
 """Analysis pipelines over a scored issue corpus.
 
-``score_corpus`` scans every title, description and comment once into a
-columnar ``ScoreTable``; every pipeline reads its arrays. Four pipelines
-compose the score table with the statistics and model layers:
+``score_corpus`` walks the issues once: it scans every title, description
+and comment into a columnar ``ScoreTable`` and takes the issue attributes
+the pipelines read as float columns of that table. The pipelines read only
+these arrays (the summary also takes its issue ids from the table). Four
+pipelines compose the score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
    resolution-time halves (adjacent-pair tests, Bonferroni-adjusted);
@@ -15,16 +17,21 @@ compose the score table with the statistics and model layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .corpus import (
+    ATTRIBUTE_COLUMNS,
+    CONTROL_COLUMNS,
+    HISTORY_COLUMNS,
     IssueReport,
     PRIORITIES,
     PRIORITY_LEVEL,
+    RESERVED_FEATURES,
     ROLES,
     TYPE_GROUP_ORDER,
+    VAD_COLUMNS,
+    VAD_ELEMENT_KEYS,
     role_of,
 )
 from .lexicon import DIMENSIONS, Lexicon
@@ -45,7 +52,7 @@ from .models import (
     zero_r,
 )
 from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
-from .textscore import scan_texts
+from .textscore import fold, scan_texts
 
 ELEMENTS = ("Title", "Desc", "All", "First", "Last")
 
@@ -53,8 +60,6 @@ RQ2_SCOPES = ("All", "Assignees'", "Reporters'", "Others'")
 _SCOPE_ROLE = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}
 
 TIME_GROUPS = ("Short time", "High time")
-
-VAD_ELEMENT_KEYS = ("title", "desc", "all", "first", "last")
 
 SIGN_TABLE_ROWS = (
     "Priority", "Issue Type", "Resolution Time", "# votes", "# comments",
@@ -78,13 +83,19 @@ _SIGN_ROW_COLUMN = {
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Range scores of a corpus, one row per issue; NaN where the element is
-    absent or nothing in it matched the lexicon.
+    """Range scores and attributes of a corpus, one row per issue; a score is
+    NaN where the element is absent or nothing in it matched the lexicon.
 
     ``elements[i, e, k]`` scores issue ``i``'s element ``ELEMENTS[e]`` on
     ``DIMENSIONS[k]``. Issue ``i``'s comments are rows
     ``offsets[i]:offsets[i + 1]`` of ``comments`` (their scores) and of
-    ``roles`` (index into ``ROLES``, from ``role_of``).
+    ``roles`` (index into ``ROLES``, from ``role_of``). ``features`` maps
+    each name of ``ATTRIBUTE_COLUMNS`` and ``HISTORY_COLUMNS`` (see
+    ``corpus``), then each external feature, to a float column over the
+    issues; an external column is NaN where the issue lacks the key.
+
+    Equal tables hold the same issues and scores. The history counts are
+    those of the corpus the table was scored from, which ``select`` keeps.
     """
 
     issues: tuple[IssueReport, ...] = field(repr=False)
@@ -92,6 +103,7 @@ class ScoreTable:
     comments: np.ndarray  # (comments, 3)
     offsets: np.ndarray   # (issues + 1,)
     roles: np.ndarray     # (comments,)
+    features: dict[str, np.ndarray] = field(repr=False)
 
     __hash__ = None
 
@@ -114,11 +126,6 @@ class ScoreTable:
         """Issue row of every comment row."""
         return np.repeat(np.arange(len(self.issues)), self.comment_counts)
 
-    @cached_property
-    def history(self) -> dict[str, dict[str, int]]:
-        """``participant_history`` of the issues, computed on first use."""
-        return participant_history(self.issues)
-
     def select(self, rows) -> "ScoreTable":
         """The table of the given issue rows (indices or a boolean mask), in that order."""
         rows = np.arange(len(self.issues))[rows]
@@ -126,17 +133,21 @@ class ScoreTable:
         offsets = np.concatenate(([0], np.cumsum(counts)))
         comment_rows = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
         return ScoreTable(tuple(self.issues[i] for i in rows), self.elements[rows],
-                          self.comments[comment_rows], offsets, self.roles[comment_rows])
+                          self.comments[comment_rows], offsets, self.roles[comment_rows],
+                          {name: column[rows] for name, column in self.features.items()})
 
 
-def _fold_columns(lo: np.ndarray, hi: np.ndarray, baselines: np.ndarray) -> np.ndarray:
-    # textscore.fold over arrays of extremes; NaN extremes give NaN
-    return np.where(lo > baselines, hi - baselines,
-                    np.where(hi < baselines, baselines - lo, hi - lo))
+def _attributes(issue: IssueReport) -> tuple:
+    """The issue's values of ATTRIBUTE_COLUMNS; None becomes NaN."""
+    return (len(issue.comments), issue.watchers, issue.developer_count, issue.change_count,
+            issue.votes, PRIORITY_LEVEL[issue.priority], issue.resolution_time,
+            issue.status == "Closed", PRIORITIES.index(issue.priority),
+            TYPE_GROUP_ORDER.index(issue.type_group) if issue.type_group else None)
 
 
 def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
-    """Scan every title, description and comment once into a ScoreTable.
+    """Scan every title, description and comment once into a ScoreTable,
+    with the issue attributes as its feature columns.
 
     First and Last are their comment's row. All folds the per-comment
     extremes, which equals scoring the newline-joined comments: a newline
@@ -153,45 +164,62 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     roles = np.fromiter((role_code[role_of(c, issue)] for issue in issues for c in issue.comments),
                         dtype=np.int8, count=offsets[-1])
 
+    attributes = np.array([_attributes(issue) for issue in issues], dtype=float)
+    attributes = attributes.reshape(len(issues), len(ATTRIBUTE_COLUMNS))  # also when empty
+    features = dict(zip(ATTRIBUTE_COLUMNS, attributes.T.copy()))
+    features.update(participant_history(issues))
+    external: dict[str, np.ndarray] = {}
+    for row, issue in enumerate(issues):
+        for key, value in issue.external_features.items():
+            if key not in external:
+                external[key] = np.full(len(issues), np.nan)
+            external[key][row] = value
+    clash = sorted(external.keys() & set(RESERVED_FEATURES))
+    if clash:
+        raise ValueError(f"external features {clash} take the names of built-in columns")
+    features.update(sorted(external.items()))
+
     baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
-    comments = _fold_columns(thread_lo, thread_hi, baselines)
+    comments = fold(thread_lo, thread_hi, baselines)
     elements = np.full((len(issues), len(ELEMENTS), len(DIMENSIONS)), np.nan)
-    elements[:, :2] = _fold_columns(heads_lo, heads_hi, baselines).reshape(len(issues), 2, len(DIMENSIONS))
+    elements[:, :2] = fold(heads_lo, heads_hi, baselines).reshape(len(issues), 2, len(DIMENSIONS))
     threaded = counts > 0
     firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
     if len(firsts):
         lo = np.fmin.reduceat(thread_lo, firsts, axis=0)
         hi = np.fmax.reduceat(thread_hi, firsts, axis=0)
-        elements[threaded, 2] = _fold_columns(lo, hi, baselines)
+        elements[threaded, 2] = fold(lo, hi, baselines)
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
-    return ScoreTable(issues, elements, comments, offsets, roles)
+    return ScoreTable(issues, elements, comments, offsets, roles, features)
 
 
-def participant_history(issues) -> dict[str, dict[str, int]]:
-    """Per issue: prior comment and issue counts of its assignee/reporter.
+def participant_history(issues) -> dict[str, np.ndarray]:
+    """Prior comment and issue counts of each issue's assignee/reporter: one
+    float column per name of HISTORY_COLUMNS, row-aligned with ``issues``.
 
     "Prior" is by issue creation order (ties broken by id); the current
     issue's own activity is excluded.
     """
-    ordered = sorted(issues, key=lambda i: (i.created, i.id))
+    issues = tuple(issues)
     comments_by: dict[str, int] = {}
     reported_by: dict[str, int] = {}
     assigned_to: dict[str, int] = {}
-    history: dict[str, dict[str, int]] = {}
-    for issue in ordered:
-        history[issue.id] = {
-            "assignee_prev_comments": comments_by.get(issue.assignee, 0) if issue.assignee else 0,
-            "reporter_prev_comments": comments_by.get(issue.reporter, 0),
-            "assignee_prev_issues": assigned_to.get(issue.assignee, 0) if issue.assignee else 0,
-            "reporter_prev_issues": reported_by.get(issue.reporter, 0),
-        }
+    counts = np.zeros((len(issues), len(HISTORY_COLUMNS)))
+    for row in sorted(range(len(issues)), key=lambda row: (issues[row].created, issues[row].id)):
+        issue = issues[row]
+        counts[row] = (
+            comments_by.get(issue.assignee, 0) if issue.assignee else 0,
+            comments_by.get(issue.reporter, 0),
+            assigned_to.get(issue.assignee, 0) if issue.assignee else 0,
+            reported_by.get(issue.reporter, 0),
+        )
         for comment in issue.comments:
             comments_by[comment.author] = comments_by.get(comment.author, 0) + 1
         reported_by[issue.reporter] = reported_by.get(issue.reporter, 0) + 1
         if issue.assignee:
             assigned_to[issue.assignee] = assigned_to.get(issue.assignee, 0) + 1
-    return history
+    return dict(zip(HISTORY_COLUMNS, counts.T.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +257,10 @@ class GroupTable:
     skip_reason: str | None = None
 
 
-def _build_group_table(table: ScoreTable, dimension: str, labels, groups, alpha: float,
+def _build_group_table(table: ScoreTable, dimension: str, codes: np.ndarray, groups, alpha: float,
                        n_skipped: int = 0, skip_reason: str | None = None) -> GroupTable:
-    """``labels`` holds each issue's group, None for issues left out."""
+    """``codes`` holds each issue's index into ``groups``, NaN for issues left out."""
     groups = tuple(groups)
-    code_of = {group: code for code, group in enumerate(groups)}
-    codes = np.fromiter((code_of.get(label, -1) for label in labels), dtype=np.int64, count=len(table))
     scores = table.elements[:, :, DIMENSIONS.index(dimension)]
     per_cell = {}
     for e, element in enumerate(ELEMENTS):
@@ -268,7 +294,7 @@ def _build_group_table(table: ScoreTable, dimension: str, labels, groups, alpha:
     return GroupTable(
         dimension=dimension, groups=groups, rows=tuple(rows),
         comparisons=n_comparisons, adjusted_alpha=adjusted,
-        n_total=len(table), n_used=int(np.count_nonzero(codes >= 0)),
+        n_total=len(table), n_used=int(np.count_nonzero(~np.isnan(codes))),
         n_skipped=n_skipped, skip_reason=skip_reason,
     )
 
@@ -276,15 +302,13 @@ def _build_group_table(table: ScoreTable, dimension: str, labels, groups, alpha:
 def rq1_priority_arousal(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
     """Arousal means per priority with Blocker->Trivial adjacent-pair tests."""
     table = scores if scores is not None else score_corpus(corpus, lexicon)
-    return _build_group_table(table, "arousal", [issue.priority for issue in table.issues],
-                              PRIORITIES, alpha)
+    return _build_group_table(table, "arousal", table.features["priority"], PRIORITIES, alpha)
 
 
 def rq1_type_valence(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
     """Valence means for Future Dev / All Tasks / Bug groups; type Other excluded."""
     table = scores if scores is not None else score_corpus(corpus, lexicon)
-    return _build_group_table(table, "valence", [issue.type_group for issue in table.issues],
-                              TYPE_GROUP_ORDER, alpha)
+    return _build_group_table(table, "valence", table.features["type_group"], TYPE_GROUP_ORDER, alpha)
 
 
 def rq1_dominance_time(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
@@ -294,12 +318,11 @@ def rq1_dominance_time(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=Non
     time" (ties broken by corpus order), so each side holds half the issues.
     """
     table = scores if scores is not None else score_corpus(corpus, lexicon)
-    times = [issue.resolution_time for issue in table.issues]
-    resolved = [row for row, time in enumerate(times) if time is not None]
-    labels = [None] * len(table)
-    for rank, row in enumerate(sorted(resolved, key=times.__getitem__)):
-        labels[row] = "Short time" if rank < len(resolved) // 2 else "High time"
-    return _build_group_table(table, "dominance", labels, TIME_GROUPS, alpha,
+    times = table.features["resolution_time"]
+    resolved = np.flatnonzero(~np.isnan(times))
+    codes = np.full(len(table), np.nan)
+    codes[resolved[np.argsort(times[resolved], kind="stable")]] = np.arange(len(resolved)) >= len(resolved) // 2
+    return _build_group_table(table, "dominance", codes, TIME_GROUPS, alpha,
                               n_skipped=len(table) - len(resolved), skip_reason="unresolved")
 
 
@@ -398,7 +421,7 @@ def rq2_first_last(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -
     n_comparisons = len(DIMENSIONS) * len(RQ2_SCOPES)
     adjusted = bonferroni_alpha(alpha, n_comparisons)
 
-    closed = np.array([issue.status == "Closed" for issue in table.issues], dtype=bool)
+    closed = table.features["closed"] == 1
     pairs_by_scope = {}
     scope_counts = {}
     for scope in RQ2_SCOPES:
@@ -455,13 +478,6 @@ class Rq3Report:
     prune_alpha: float = 0.01
 
 
-CONTROL_COLUMNS = (
-    "n_comments", "assignee_prev_comments", "reporter_prev_comments",
-    "n_developers", "n_watchers", "n_changes",
-    "Critical", "Major", "Minor", "Trivial",
-)
-
-
 def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
                          folds: int = 10, prune_alpha: float = 0.01) -> Rq3Report:
     """Hierarchical logistic models of the Short/Long resolution-time split.
@@ -475,14 +491,14 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
     """
     table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
-    resolved = np.array([issue.resolution_time is not None for issue in table.issues], dtype=bool)
+    features = table.features
+    resolved = ~np.isnan(features["resolution_time"])
     n_resolved = int(np.count_nonzero(resolved))
     n_skipped_unresolved = len(table) - n_resolved
 
     # every element scored on every dimension
     rows = np.flatnonzero(resolved & ~np.isnan(table.elements).any(axis=(1, 2)))
-    used = [table.issues[row] for row in rows]
-    n_skipped_incomplete = n_resolved - len(used)
+    n_skipped_incomplete = n_resolved - len(rows)
 
     def empty_report(reason: str) -> Rq3Report:
         notices.append(reason)
@@ -495,49 +511,28 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
             prune_alpha=prune_alpha,
         )
 
-    affective_keys: list[str] = []
-    if used:
-        common = set(used[0].external_features)
-        for issue in used[1:]:
-            common &= set(issue.external_features)
-        affective_keys = sorted(common)
+    # external columns that every used issue carries (none when no issue is used)
+    affective_keys = [name for name in features if name not in RESERVED_FEATURES
+                      and len(rows) and not np.isnan(features[name][rows]).any()]
     if not affective_keys:
         notices.append("no shared affective columns; stage 2 skipped")
 
-    min_rows = max(2 * folds, len(CONTROL_COLUMNS) + len(affective_keys) + 15 + 2)
-    if len(used) < min_rows:
-        return empty_report(f"only {len(used)} usable resolved issues (need >= {min_rows})")
+    min_rows = max(2 * folds, len(CONTROL_COLUMNS) + len(affective_keys) + len(VAD_COLUMNS) + 2)
+    if len(rows) < min_rows:
+        return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})")
 
-    columns: dict[str, list[float]] = {name: [] for name in CONTROL_COLUMNS}
-    for key in affective_keys:
-        columns[key] = []
-    times = []
-    history = table.history
-    for issue in used:
-        record = history[issue.id]
-        columns["n_comments"].append(len(issue.comments))
-        columns["assignee_prev_comments"].append(record["assignee_prev_comments"])
-        columns["reporter_prev_comments"].append(record["reporter_prev_comments"])
-        columns["n_developers"].append(issue.developer_count)
-        columns["n_watchers"].append(issue.watchers)
-        columns["n_changes"].append(issue.change_count)
-        for indicator in ("Critical", "Major", "Minor", "Trivial"):
-            columns[indicator].append(1.0 if issue.priority == indicator else 0.0)
-        for key in affective_keys:
-            columns[key].append(issue.external_features[key])
-        times.append(issue.resolution_time)
-    # element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
-    vad_columns = [f"{el}_{dim[0]}" for el in VAD_ELEMENT_KEYS for dim in DIMENSIONS]
-    columns.update(zip(vad_columns, table.elements[rows].reshape(len(rows), -1).T))
-
-    labels = binarize_outcome(times)
+    # VAD_COLUMNS are element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
+    columns = {**features, **dict(zip(VAD_COLUMNS, table.elements.reshape(len(table), -1).T)),
+               **{name: features["priority"] == PRIORITIES.index(name) for name in PRIORITIES[1:]}}
+    names = [*CONTROL_COLUMNS, *affective_keys, *VAD_COLUMNS]
+    labels = binarize_outcome(features["resolution_time"][rows])
     long_share = labels.count(LONG) / len(labels)
     baseline = zero_r(labels)
 
-    design = DesignMatrix.from_mapping(columns, labels)
+    design = DesignMatrix(names, np.column_stack([columns[name][rows] for name in names]), labels)
     filter_pairs = [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS]
     design, decisions = correlation_filter(design, filter_pairs, threshold=0.7)
-    kept_vad = [name for name in vad_columns if name in design.columns]
+    kept_vad = [name for name in VAD_COLUMNS if name in design.columns]
     for decision in decisions:
         if decision.dropped:
             notices.append(f"dropped {decision.drop} (|r|={abs(decision.r):.3f} with {decision.keep})")
@@ -581,7 +576,7 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
         notices.append(f"final pruned model failed: {exc}")
 
     return Rq3Report(
-        n_total=len(table), n_resolved=n_resolved, n_used=len(used),
+        n_total=len(table), n_resolved=n_resolved, n_used=len(rows),
         n_skipped_unresolved=n_skipped_unresolved,
         n_skipped_incomplete=n_skipped_incomplete,
         long_share=long_share, zero_r=baseline, stages=tuple(stages),
@@ -617,24 +612,13 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
     table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
 
-    eligible = np.array([issue.resolution_time is not None and issue.type_group is not None
-                         for issue in table.issues], dtype=bool)
+    features = table.features
+    group = features["type_group"]
+    eligible = ~np.isnan(features["resolution_time"]) & ~np.isnan(group)
     predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
-    predictors: dict[str, list[float]] = {name: [] for name in predictor_names}
-    history = table.history
-    for i in np.flatnonzero(eligible):
-        issue = table.issues[i]
-        record = history[issue.id]
-        predictors["priority_level"].append(PRIORITY_LEVEL[issue.priority])
-        predictors["bug_group"].append(1.0 if issue.type_group == "Bug" else 0.0)
-        predictors["future_dev_group"].append(1.0 if issue.type_group == "Future Dev" else 0.0)
-        predictors["resolution_time"].append(issue.resolution_time)
-        predictors["votes"].append(issue.votes)
-        predictors["n_comments"].append(len(issue.comments))
-        predictors["n_watchers"].append(issue.watchers)
-        predictors["assignee_prev_issues"].append(record["assignee_prev_issues"])
-        predictors["reporter_prev_issues"].append(record["reporter_prev_issues"])
-    X = np.column_stack([np.asarray(predictors[name], dtype=float) for name in predictor_names])
+    columns = {**features, "bug_group": group == TYPE_GROUP_ORDER.index("Bug"),
+               "future_dev_group": group == TYPE_GROUP_ORDER.index("Future Dev")}
+    X = np.column_stack([columns[name][eligible] for name in predictor_names])
 
     columns = tuple((role, dim) for role in ROLES for dim in DIMENSIONS)
     cells: dict[tuple[str, str, str], str] = {}

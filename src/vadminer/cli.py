@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analyses import ANALYSIS_NAMES, run_analyses
@@ -27,22 +26,13 @@ EXIT_SCHEMA = 3
 
 LEXICON_ENV_VAR = "VADMINER_LEXICON"
 
+CONFIG_KEYS = ("lexicon", "corpus", "out", "seed", "alpha", "analyses", "jobs")
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_CONFIG):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class RunConfig:
-    lexicon: Path
-    corpus: Path
-    out: Path
-    seed: int = 0
-    alpha: float = 0.05
-    analyses: tuple[str, ...] = ANALYSIS_NAMES
-    jobs: int = 1
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -59,8 +49,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise CliError(f"config line {line_no} is not key=value: {stripped!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key not in CONFIG_KEYS:
+            raise CliError(f"config line {line_no}: unknown key {key!r}")
+        values[key] = value
     return values
 
 
@@ -150,6 +142,9 @@ def _run_score(args) -> int:
             text = sys.stdin.buffer.read().decode("utf-8")
         except UnicodeDecodeError:
             raise CliError("standard input is not valid UTF-8", EXIT_SCHEMA) from None
+    elif not args.text.isascii() and UNDECODED.search(args.text):
+        # argv is decoded with surrogateescape: a byte that is not UTF-8 arrives as a surrogate
+        raise CliError("--text is not valid UTF-8", EXIT_SCHEMA)
     else:
         text = args.text
     score = score_text(text, lexicon)
@@ -239,21 +234,15 @@ def _run_analyze(args) -> int:
     else:
         selected = ANALYSIS_NAMES
 
-    config = RunConfig(
-        lexicon=_existing_file(lexicon_path, "lexicon file"),
-        corpus=_existing_file(corpus_path, "corpus file"),
-        out=_output_dir(out_dir),
-        seed=seed,
-        alpha=alpha,
-        analyses=selected,
-        jobs=jobs,
-    )
+    # every path is checked before any input loads
+    _existing_file(lexicon_path, "lexicon file")
+    _existing_file(corpus_path, "corpus file")
+    out = _output_dir(out_dir)
 
-    lexicon = _load_lexicon_checked(str(config.lexicon))
-    issues = _load_corpus_checked(str(config.corpus))
-    results = run_analyses(issues, lexicon, which=config.analyses, seed=config.seed,
-                           alpha=config.alpha, jobs=config.jobs)
-    written = write_reports(results, config.out)
+    lexicon = _load_lexicon_checked(lexicon_path)
+    issues = _load_corpus_checked(corpus_path)
+    results = run_analyses(issues, lexicon, which=selected, seed=seed, alpha=alpha, jobs=jobs)
+    written = write_reports(results, out)
 
     print(f"analyzed {results.n_issues} issues ({results.n_scored} with scored text)")
     if results.rq1_time is not None and results.rq1_time.n_skipped:
@@ -264,7 +253,7 @@ def _run_analyze(args) -> int:
               f"{results.rq3.n_skipped_incomplete} with incomplete scores)")
         for notice in results.rq3.notices:
             print(f"  rq3 note: {notice}")
-    print(f"wrote {len(written)} report files to {config.out}")
+    print(f"wrote {len(written)} report files to {out}")
     return EXIT_OK
 
 

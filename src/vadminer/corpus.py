@@ -3,17 +3,19 @@
 Loading checks every line: bytes that are not UTF-8, invalid JSON and every
 schema violation are collected with their line numbers. Comments, the bulk
 of a corpus, first take a fast check of exact types; one that fails it goes
-through the full validation, which names the fault.
+through the full validation, which names the fault. An external feature
+may not take the name of a column that the analyses build (RESERVED_FEATURES).
 """
 from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
+
+from .lexicon import UNDECODED
 
 ISSUE_TYPES = (
     "Bug", "Task", "SubTask", "Test", "Wish", "NewFeature",
@@ -37,6 +39,32 @@ TYPE_GROUPS = {
     "Enhancement": "Future Dev",
 }
 TYPE_GROUP_ORDER = ("Future Dev", "All Tasks", "Bug")
+
+# Issue attributes the analyses read, one float column each in the score
+# table, named as the model designs name them. ``priority`` and
+# ``type_group`` are codes into PRIORITIES and TYPE_GROUP_ORDER (NaN for
+# type Other); ``resolution_time`` is NaN while unresolved.
+ATTRIBUTE_COLUMNS = (
+    "n_comments", "n_watchers", "n_developers", "n_changes", "votes", "priority_level",
+    "resolution_time", "closed", "priority", "type_group",
+)
+# prior activity of an issue's assignee and reporter (analyses.participant_history)
+HISTORY_COLUMNS = (
+    "assignee_prev_comments", "reporter_prev_comments", "assignee_prev_issues", "reporter_prev_issues",
+)
+# rq3's design: issue controls, with priority indicators against Blocker,
+# and the text score of every element (title, description, all, first and
+# last comment) on valence, arousal and dominance
+CONTROL_COLUMNS = (
+    "n_comments", "assignee_prev_comments", "reporter_prev_comments",
+    "n_developers", "n_watchers", "n_changes", *PRIORITIES[1:],
+)
+VAD_ELEMENT_KEYS = ("title", "desc", "all", "first", "last")
+VAD_COLUMNS = tuple(f"{element}_{dim}" for element in VAD_ELEMENT_KEYS for dim in "vad")
+# External features share the score table and rq3's design with these
+# columns, so none may take one of their names.
+RESERVED_FEATURES = tuple(dict.fromkeys(ATTRIBUTE_COLUMNS + HISTORY_COLUMNS + CONTROL_COLUMNS + VAD_COLUMNS))
+_RESERVED = frozenset(RESERVED_FEATURES)  # checked for every feature of every issue
 
 
 class CorpusFormatError(ValueError):
@@ -113,15 +141,15 @@ _REQUIRED_FIELDS = (
 
 _CREATED = attrgetter("created")
 
-# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
-_UNDECODED = re.compile("[\udc80-\udcff]")
+# the analyses hold the integer fields in float columns, exact up to 2**53
+_MAX_INT = 2**53
 
 
 def _as_nonneg_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"field {name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"field {name} must be >= 0, got {value}")
+    if not 0 <= value <= _MAX_INT:
+        raise ValueError(f"field {name} must be between 0 and 2**53")
     return value
 
 
@@ -168,12 +196,12 @@ def parse_issue(obj: dict) -> IssueReport:
         raise ValueError("field assignee must be null or a non-empty string")
 
     created = obj["created"]
-    if isinstance(created, bool) or not isinstance(created, int):
-        raise ValueError("field created must be an integer timestamp")
+    if isinstance(created, bool) or not isinstance(created, int) or abs(created) > _MAX_INT:
+        raise ValueError("field created must be an integer timestamp between -2**53 and 2**53")
     resolved = obj.get("resolved")
     if resolved is not None:
-        if isinstance(resolved, bool) or not isinstance(resolved, int):
-            raise ValueError("field resolved must be null or an integer timestamp")
+        if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved > _MAX_INT:
+            raise ValueError("field resolved must be null or an integer timestamp up to 2**53")
         if resolved < created:
             raise ValueError(f"field resolved ({resolved}) precedes created ({created})")
         if status != "Closed":
@@ -205,6 +233,8 @@ def parse_issue(obj: dict) -> IssueReport:
         raise ValueError("field external_features must be an object")
     parsed_features: dict[str, float] = {}
     for key, value in features.items():
+        if key in _RESERVED:
+            raise ValueError(f"field external_features.{key} takes the name of a built-in column")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"field external_features.{key} must be numeric")
         try:
@@ -255,7 +285,7 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
         stripped = line.strip()
         if not stripped:
             continue
-        if not stripped.isascii() and _UNDECODED.search(stripped):
+        if not stripped.isascii() and UNDECODED.search(stripped):
             errors.append((line_no, "not valid UTF-8"))
             continue
         try:

@@ -103,10 +103,6 @@ class Lexicon:
     def baseline(self, dimension: str) -> float:
         return self._baselines[canonical_dimension(dimension)]
 
-    @property
-    def baselines(self) -> dict[str, float]:
-        return dict(self._baselines)
-
 
 def _parse_header(row: list[str]) -> dict[str, int]:
     positions = {name.strip().lower(): i for i, name in enumerate(row)}

@@ -103,13 +103,10 @@ def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndar
     return lo, hi, counts
 
 
-def fold(lo: float, hi: float, baseline: float) -> float:
-    """Range score of one dimension from its extreme word scores."""
-    if lo > baseline:
-        return hi - baseline
-    if hi < baseline:
-        return baseline - lo
-    return hi - lo
+def fold(lo, hi, baseline):
+    """Range score from extreme word scores, element-wise over arrays; NaN
+    extremes give NaN."""
+    return np.where(lo > baseline, hi - baseline, np.where(hi < baseline, baseline - lo, hi - lo))
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:
@@ -132,7 +129,7 @@ def range_score(matched_words: list[str] | tuple[str, ...], lexicon: Lexicon, di
         if entry is None:
             raise LookupError(f"word {word!r} not in lexicon; range_score requires matched words")
         values.append(getattr(entry, dim))
-    return fold(min(values), max(values), lexicon.baseline(dim))
+    return float(fold(min(values), max(values), lexicon.baseline(dim)))
 
 
 def score_text(text: str, lexicon: Lexicon) -> VadScore:
@@ -141,5 +138,5 @@ def score_text(text: str, lexicon: Lexicon) -> VadScore:
     count = int(counts[0])
     if count == 0:
         return VadScore(valence=None, arousal=None, dominance=None, matched_count=0)
-    scores = [fold(float(lo[0, k]), float(hi[0, k]), lexicon.baseline(dim)) for k, dim in enumerate(DIMENSIONS)]
-    return VadScore(*scores, matched_count=count)
+    scores = fold(lo[0], hi[0], np.array([lexicon.baseline(dim) for dim in DIMENSIONS]))
+    return VadScore(*scores.tolist(), matched_count=count)

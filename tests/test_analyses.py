@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -401,7 +402,7 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
     for role in ROLES:
         for dim in DIMENSIONS:
             rows, response = [], []
-            for issue in issues:
+            for row, issue in enumerate(issues):
                 if issue.resolution_time is None or issue.type_group is None:
                     continue
                 values = [comment_scores[id(c)].get(dim) for c in issue.comments
@@ -409,16 +410,59 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
                 if not values:
                     continue
                 long_means += len(values) >= 8
-                record = history[issue.id]
                 rows.append([PRIORITY_LEVEL[issue.priority], issue.type_group == "Bug",
                              issue.resolution_time, issue.votes, len(issue.comments), issue.watchers,
-                             record["assignee_prev_issues"], record["reporter_prev_issues"],
+                             history["assignee_prev_issues"][row], history["reporter_prev_issues"][row],
                              issue.type_group == "Future Dev"])
                 response.append(float(np.mean(values)))
             design = next(designs)
             assert np.array_equal(design.X, np.array(rows, dtype=float))
             assert np.array_equal(design.outcome, np.array(response))
     assert long_means > 0  # the pairwise-summed np.mean case is covered
+
+
+def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
+    # reference: the control, affective and VAD columns built issue by issue
+    # from the issue records and score_text
+    designs = []
+    correlation_filter = analyses.correlation_filter
+    monkeypatch.setattr(analyses, "correlation_filter",
+                        lambda design, *args, **kwargs: designs.append(design)
+                        or correlation_filter(design, *args, **kwargs))
+    issues, lexicon, table = jittered
+    report = rq3_resolution_model(issues, lexicon, scores=table)
+
+    history = participant_history(issues)
+    affective = ["avg_politeness", "avg_sentiment"]
+    rows, times = [], []
+    for row, issue in enumerate(issues):
+        elements = _element_scores(issue, lexicon)
+        if issue.resolution_time is None or not all(vad is not None and vad.has_scores for vad in elements):
+            continue
+        rows.append([len(issue.comments), history["assignee_prev_comments"][row],
+                     history["reporter_prev_comments"][row], issue.developer_count, issue.watchers,
+                     issue.change_count, *(issue.priority == p for p in ("Critical", "Major", "Minor", "Trivial")),
+                     *(issue.external_features[key] for key in affective),
+                     *(vad.get(dim) for vad in elements for dim in DIMENSIONS)])
+        times.append(issue.resolution_time)
+    median = sorted(times)[(len(times) - 1) // 2]
+    [design] = designs
+    assert design.columns == ["n_comments", "assignee_prev_comments", "reporter_prev_comments",
+                              "n_developers", "n_watchers", "n_changes", "Critical", "Major", "Minor",
+                              "Trivial", *affective,
+                              *(f"{el}_{d}" for el in ("title", "desc", "all", "first", "last") for d in "vad")]
+    assert np.array_equal(design.X, np.array(rows, dtype=float))
+    assert np.array_equal(design.outcome, [float(time >= median) for time in times])
+    assert report.n_used == len(rows) and report.stages[1].columns[-2:] == tuple(affective)
+
+    # a column missing on one used issue is no longer shared
+    used_row = next(row for row, issue in enumerate(issues) if issue.resolution_time is not None
+                    and not np.isnan(table.elements[row]).any())
+    sentiment = table.features["avg_sentiment"].copy()
+    sentiment[used_row] = np.nan
+    partial = dataclasses.replace(table, features={**table.features, "avg_sentiment": sentiment})
+    rq3_resolution_model(issues, lexicon, scores=partial)
+    assert designs[1].columns[10:12] == ["avg_politeness", "title_v"]
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +478,13 @@ def test_participant_history_counts():
         make_issue(3, created=300, reporter="bob", assignee="ann", comments=()),
     ]
     history = participant_history(issues)
-    assert history["PRJ-1"] == {"assignee_prev_comments": 0, "reporter_prev_comments": 0,
-                                "assignee_prev_issues": 0, "reporter_prev_issues": 0}
-    assert history["PRJ-2"]["reporter_prev_issues"] == 1   # ann reported PRJ-1
-    assert history["PRJ-2"]["reporter_prev_comments"] == 1  # ann commented on PRJ-1
-    assert history["PRJ-3"]["assignee_prev_comments"] == 1  # ann, before PRJ-3
-    assert history["PRJ-3"]["reporter_prev_issues"] == 0    # bob reported nothing before
+    assert {name: column[0] for name, column in history.items()} == {
+        "assignee_prev_comments": 0, "reporter_prev_comments": 0,
+        "assignee_prev_issues": 0, "reporter_prev_issues": 0}
+    assert history["reporter_prev_issues"][1] == 1    # ann reported PRJ-1
+    assert history["reporter_prev_comments"][1] == 1  # ann commented on PRJ-1
+    assert history["assignee_prev_comments"][2] == 1  # ann, before PRJ-3
+    assert history["reporter_prev_issues"][2] == 0    # bob reported nothing before
 
 
 def test_participant_history_runs_once_per_run(planted_corpus, synth_lexicon, monkeypatch):

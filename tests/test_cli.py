@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,22 @@ def test_analyze_rejects_non_finite_feature(tmp_path, capsys, synth_paths):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["n_comments", "title_v"])
+def test_analyze_rejects_reserved_feature_name(tmp_path, capsys, synth_paths, key):
+    corpus_path, lexicon_path, _ = synth_paths
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[7])
+    obj["external_features"] = {key: 1.0}
+    lines[7] = json.dumps(obj)
+    bad = tmp_path / "reserved.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad),
+                 "--out", str(tmp_path / "rpt")]) == 3
+    err = capsys.readouterr().err
+    assert f"line 8: field external_features.{key} takes the name of a built-in column" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_end_to_end_deterministic(tmp_path, synth_paths):
     corpus_path, lexicon_path, _ = synth_paths
     input_bytes = corpus_path.read_bytes(), lexicon_path.read_bytes()
@@ -228,6 +248,16 @@ def test_analyze_config_file_and_flag_override(tmp_path, synth_paths, capsys):
     assert "rq1_priority_arousal.csv" not in names
 
 
+def test_analyze_config_unknown_key_exit_2(tmp_path, synth_paths, capsys):
+    corpus_path, lexicon_path, _ = synth_paths
+    config = tmp_path / "run.cfg"
+    config.write_text(f"lexicon={lexicon_path}\ncorpus={corpus_path}\nout={tmp_path / 'rpt'}\n"
+                      "alpah=0.001\nsed=9\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(config)]) == 2
+    assert "error: config line 4: unknown key 'alpah'" in capsys.readouterr().err
+    assert not (tmp_path / "rpt").exists()
+
+
 def test_analyze_invalid_alpha(tmp_path, synth_paths, capsys):
     corpus_path, lexicon_path, _ = synth_paths
     code = main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
@@ -281,6 +311,15 @@ def test_non_utf8_config_exit_2_and_stdin_exit_3(tmp_path, capsys, monkeypatch, 
     assert "error: standard input is not valid UTF-8" in captured.err
 
 
+def test_score_text_not_utf8_exit_3(capsys, lexicon_file):
+    # how Python hands over the argument bytes b"caf\xe9joy" on a UTF-8 system
+    assert main(["score", "--lexicon", str(lexicon_file), "--text", "caf\udce9joy"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --text is not valid UTF-8" in captured.err
+    assert main(["score", "--lexicon", str(lexicon_file), "--text", "café joy"]) == 0
+
+
 def test_analyze_out_must_be_a_directory(tmp_path, capsys, synth_paths):
     corpus_path, lexicon_path, _ = synth_paths
     afile = tmp_path / "afile"
@@ -294,3 +333,16 @@ def test_analyze_out_must_be_a_directory(tmp_path, capsys, synth_paths):
         assert f"error: output path {afile} is not a directory" in capsys.readouterr().err
     assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
                  "--out", str(tmp_path / "new" / "dir"), "--analyses", "rq1"]) == 0
+
+
+def test_analyze_runs_without_scipy(tmp_path, synth_paths):
+    # numpy is the only runtime dependency; scipy is installed for the tests' oracles
+    corpus_path, lexicon_path, _ = synth_paths
+    code = ("import sys; sys.modules['scipy'] = None; from vadminer.cli import main; "
+            f"sys.exit(main(['analyze', '--lexicon', {str(lexicon_path)!r}, '--corpus', "
+            f"{str(corpus_path)!r}, '--out', {str(tmp_path / 'rpt')!r}]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list((tmp_path / "rpt").iterdir())) == 13

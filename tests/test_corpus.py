@@ -103,6 +103,31 @@ def test_non_finite_external_feature_rejected(raw):
     assert message.startswith("field external_features.avg_sentiment must be finite")
 
 
+@pytest.mark.parametrize("name,value,message", [
+    ("votes", 2**53 + 1, "field votes must be between 0 and 2**53"),
+    ("developers", 10**400, "field developers must be between 0 and 2**53"),
+    ("watchers", -1, "field watchers must be between 0 and 2**53"),
+    ("created", -2**60, "field created must be an integer timestamp between -2**53 and 2**53"),
+    ("resolved", 10**400, "field resolved must be null or an integer timestamp up to 2**53"),
+])
+def test_integer_beyond_float_columns_rejected(name, value, message):
+    # the analyses read these fields as floats; 10**400 overflows one
+    lines = [json.dumps(issue_json(votes=2**53)), json.dumps(issue_json(id="PRJ-2", **{name: value}))]
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(io.StringIO("\n".join(lines) + "\n"))
+    assert info.value.errors == [(2, message)]
+
+
+@pytest.mark.parametrize("key", ["n_comments", "title_v", "Critical", "votes", "closed",
+                                 "reporter_prev_issues", "last_d"])
+def test_reserved_external_feature_rejected(key):
+    good = json.dumps(issue_json(external_features={"avg_sentiment": 0.5}))
+    bad = json.dumps(issue_json(id="PRJ-2", external_features={"avg_sentiment": 0.5, key: 1}))
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(io.StringIO(good + "\n" + bad + "\n"))
+    assert info.value.errors == [(2, f"field external_features.{key} takes the name of a built-in column")]
+
+
 @pytest.mark.parametrize("bad,message", [
     ({"created": 1, "body": "x"}, "missing field comments[1].author"),
     ({"author": "a", "body": "x"}, "missing field comments[1].created"),

@@ -114,7 +114,25 @@ def test_select_equals_scoring_the_subset(planted_corpus, synth_lexicon, rows):
     issues, _ = planted_corpus
     table = score_corpus(issues[:200], synth_lexicon)
     picked = np.arange(200)[rows]
-    assert table.select(rows) == score_corpus([issues[row] for row in picked], synth_lexicon)
+    selected = table.select(rows)
+    assert selected == score_corpus([issues[row] for row in picked], synth_lexicon)
+    # every feature column is sliced; the history counts stay those of the 200 issues
+    assert {"avg_sentiment", "reporter_prev_issues", "resolution_time"} < set(table.features)
+    assert list(selected.features) == list(table.features)
+    for name, column in table.features.items():
+        assert np.array_equal(selected.features[name], column[picked], equal_nan=True), name
+
+
+def test_external_columns_nan_where_the_key_is_missing(table1_lexicon):
+    issues = [dataclasses.replace(issue, external_features=features) for issue, features in zip(
+        EDGE_ISSUES, [{"b": 2.5}, {}, {"a": -1, "b": 0.0}])]
+    features = score_corpus(issues, table1_lexicon).features
+    assert list(features)[-2:] == ["a", "b"]
+    assert np.array_equal(features["a"], [math.nan, math.nan, -1.0], equal_nan=True)
+    assert np.array_equal(features["b"], [2.5, math.nan, 0.0], equal_nan=True)
+    clash = dataclasses.replace(EDGE_ISSUES[0], external_features={"n_comments": 1.0})
+    with pytest.raises(ValueError, match="n_comments"):
+        score_corpus([clash], table1_lexicon)
 
 
 def test_equality_sees_every_column(planted_corpus, synth_lexicon):
