@@ -1,9 +1,9 @@
 """Analysis pipelines over a scored issue corpus.
 
 ``score_corpus`` walks the issues once: it scans every title, description
-and comment into a columnar ``ScoreTable`` and takes the issue attributes
-the pipelines read as float columns of that table. The pipelines read only
-these arrays (the summary also takes its issue ids from the table). Four
+and comment into a columnar ``ScoreTable`` and takes the issue ids and
+attributes as columns of that table. Every pipeline takes that table and
+nothing else; ``run_analyses`` scores once and passes the table on. Four
 pipelines compose the score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
@@ -24,7 +24,6 @@ from .corpus import (
     ATTRIBUTE_COLUMNS,
     CONTROL_COLUMNS,
     HISTORY_COLUMNS,
-    IssueReport,
     PRIORITIES,
     PRIORITY_LEVEL,
     RESERVED_FEATURES,
@@ -86,19 +85,20 @@ class ScoreTable:
     """Range scores and attributes of a corpus, one row per issue; a score is
     NaN where the element is absent or nothing in it matched the lexicon.
 
-    ``elements[i, e, k]`` scores issue ``i``'s element ``ELEMENTS[e]`` on
-    ``DIMENSIONS[k]``. Issue ``i``'s comments are rows
+    Issue ``i`` has id ``ids[i]``; ``elements[i, e, k]`` scores its element
+    ``ELEMENTS[e]`` on ``DIMENSIONS[k]``. Issue ``i``'s comments are rows
     ``offsets[i]:offsets[i + 1]`` of ``comments`` (their scores) and of
     ``roles`` (index into ``ROLES``, from ``role_of``). ``features`` maps
     each name of ``ATTRIBUTE_COLUMNS`` and ``HISTORY_COLUMNS`` (see
     ``corpus``), then each external feature, to a float column over the
     issues; an external column is NaN where the issue lacks the key.
 
-    Equal tables hold the same issues and scores. The history counts are
-    those of the corpus the table was scored from, which ``select`` keeps.
+    The table keeps no issue records. Equal tables hold the same ids, scores
+    and roles; features are not compared. The history counts are those of
+    the corpus the table was scored from, which ``select`` keeps.
     """
 
-    issues: tuple[IssueReport, ...] = field(repr=False)
+    ids: np.ndarray       # (issues,) of str objects
     elements: np.ndarray  # (issues, 5, 3)
     comments: np.ndarray  # (comments, 3)
     offsets: np.ndarray   # (issues + 1,)
@@ -108,12 +108,12 @@ class ScoreTable:
     __hash__ = None
 
     def __len__(self) -> int:
-        return len(self.issues)
+        return len(self.ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScoreTable):
             return NotImplemented
-        return self.issues == other.issues and all(
+        return np.array_equal(self.ids, other.ids) and all(
             np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
             for name in ("elements", "comments", "offsets", "roles"))
 
@@ -124,20 +124,20 @@ class ScoreTable:
     @property
     def owner(self) -> np.ndarray:
         """Issue row of every comment row."""
-        return np.repeat(np.arange(len(self.issues)), self.comment_counts)
+        return np.repeat(np.arange(len(self)), self.comment_counts)
 
     def select(self, rows) -> "ScoreTable":
         """The table of the given issue rows (indices or a boolean mask), in that order."""
-        rows = np.arange(len(self.issues))[rows]
+        rows = np.arange(len(self))[rows]
         counts = self.comment_counts[rows]
         offsets = np.concatenate(([0], np.cumsum(counts)))
         comment_rows = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
-        return ScoreTable(tuple(self.issues[i] for i in rows), self.elements[rows],
+        return ScoreTable(self.ids[rows], self.elements[rows],
                           self.comments[comment_rows], offsets, self.roles[comment_rows],
                           {name: column[rows] for name, column in self.features.items()})
 
 
-def _attributes(issue: IssueReport) -> tuple:
+def _attributes(issue) -> tuple:
     """The issue's values of ATTRIBUTE_COLUMNS; None becomes NaN."""
     return (len(issue.comments), issue.watchers, issue.developer_count, issue.change_count,
             issue.votes, PRIORITY_LEVEL[issue.priority], issue.resolution_time,
@@ -191,7 +191,9 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
         elements[threaded, 2] = fold(lo, hi, baselines)
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
-    return ScoreTable(issues, elements, comments, offsets, roles, features)
+    # object, not a fixed-width str dtype, which drops an id's trailing NULs
+    ids = np.array([issue.id for issue in issues], dtype=object)
+    return ScoreTable(ids, elements, comments, offsets, roles, features)
 
 
 def participant_history(issues) -> dict[str, np.ndarray]:
@@ -299,25 +301,22 @@ def _build_group_table(table: ScoreTable, dimension: str, codes: np.ndarray, gro
     )
 
 
-def rq1_priority_arousal(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
+def rq1_priority_arousal(table: ScoreTable, alpha: float = 0.05) -> GroupTable:
     """Arousal means per priority with Blocker->Trivial adjacent-pair tests."""
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     return _build_group_table(table, "arousal", table.features["priority"], PRIORITIES, alpha)
 
 
-def rq1_type_valence(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
+def rq1_type_valence(table: ScoreTable, alpha: float = 0.05) -> GroupTable:
     """Valence means for Future Dev / All Tasks / Bug groups; type Other excluded."""
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     return _build_group_table(table, "valence", table.features["type_group"], TYPE_GROUP_ORDER, alpha)
 
 
-def rq1_dominance_time(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> GroupTable:
+def rq1_dominance_time(table: ScoreTable, alpha: float = 0.05) -> GroupTable:
     """Dominance means across a half split of resolution time (resolved issues).
 
     The faster half of the resolved issues is "Short time", the rest "High
     time" (ties broken by corpus order), so each side holds half the issues.
     """
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     times = table.features["resolution_time"]
     resolved = np.flatnonzero(~np.isnan(times))
     codes = np.full(len(table), np.nan)
@@ -347,10 +346,9 @@ class SummaryResult:
     note: str | None = None
 
 
-def rq1_summary(corpus, lexicon: Lexicon, scores=None) -> SummaryResult:
+def rq1_summary(table: ScoreTable) -> SummaryResult:
     """One (valence, arousal) point per issue, averaging Title/Desc/All scores,
     with linear and quadratic fits of arousal on valence."""
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     head = table.elements[:, :3, :2]  # Title, Desc, All x valence, arousal
     present = ~np.isnan(head[:, :, :1])
     counts = present.sum(axis=1)
@@ -358,8 +356,8 @@ def rq1_summary(corpus, lexicon: Lexicon, scores=None) -> SummaryResult:
     # summed in element order, as np.mean sums fewer than eight values
     means = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / np.maximum(counts, 1)
     rows = np.flatnonzero(counts[:, 0])
-    points = [SummaryPoint(issue_id=table.issues[row].id, valence=valence, arousal=arousal)
-              for row, (valence, arousal) in zip(rows.tolist(), means[rows].tolist())]
+    points = [SummaryPoint(issue_id=issue_id, valence=valence, arousal=arousal)
+              for issue_id, (valence, arousal) in zip(table.ids[rows].tolist(), means[rows].tolist())]
 
     linear = quadratic = None
     note = None
@@ -410,14 +408,13 @@ def _scope_pairs(table: ScoreTable, closed: np.ndarray, scope: str):
     return qualified, rows[ends[qualified] - counts[qualified]], rows[ends[qualified] - 1]
 
 
-def rq2_first_last(corpus, lexicon: Lexicon, alpha: float = 0.05, scores=None) -> PairedDeltaTable:
+def rq2_first_last(table: ScoreTable, alpha: float = 0.05) -> PairedDeltaTable:
     """Paired first-vs-last comment tests per dimension and commenter scope.
 
     The All scope uses closed issues with >= 4 comments; each role scope uses
     closed issues where that role wrote >= 2 comments, pairing the role's own
     first and last comment. Positive d means the score rose.
     """
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     n_comparisons = len(DIMENSIONS) * len(RQ2_SCOPES)
     adjusted = bonferroni_alpha(alpha, n_comparisons)
 
@@ -478,8 +475,8 @@ class Rq3Report:
     prune_alpha: float = 0.01
 
 
-def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
-                         folds: int = 10, prune_alpha: float = 0.01) -> Rq3Report:
+def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
+                         prune_alpha: float = 0.01) -> Rq3Report:
     """Hierarchical logistic models of the Short/Long resolution-time split.
 
     Stage 1 uses issue controls, stage 2 adds external affective columns when
@@ -489,7 +486,6 @@ def rq3_resolution_model(corpus, lexicon: Lexicon, seed: int = 0, scores=None,
     cross-validated metrics per stage, the majority baseline, and impact
     sizes of the final model pruned to coefficients with p < prune_alpha.
     """
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
     features = table.features
     resolved = ~np.isnan(features["resolution_time"])
@@ -600,7 +596,7 @@ class SignTable:
     notices: tuple[str, ...]
 
 
-def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None) -> SignTable:
+def rq4_sign_tables(table: ScoreTable, alpha: float = 0.001) -> SignTable:
     """Nine linear regressions (role x dimension) of the role's mean comment
     score on issue characteristics; cells show the coefficient sign when
     p < alpha, blank otherwise.
@@ -609,7 +605,6 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
     Future Dev entering as the second indicator). Uses resolved issues whose
     type falls in one of the three groups.
     """
-    table = scores if scores is not None else score_corpus(corpus, lexicon)
     notices: list[str] = []
 
     features = table.features
@@ -640,25 +635,19 @@ def rq4_sign_tables(corpus, lexicon: Lexicon, alpha: float = 0.001, scores=None)
         response = means[eligible][has_values]
 
         n_designs[(role, dim)] = len(response)
+        cells.update({(row, role, dim): "" for row in SIGN_TABLE_ROWS})
         if len(response) <= len(predictor_names) + 1:
             notices.append(f"{role}/{dim}: insufficient rows ({len(response)}); column left blank")
-            for row in SIGN_TABLE_ROWS:
-                cells[(row, role, dim)] = ""
             continue
         try:
             design = DesignMatrix(predictor_names, X[has_values], response, outcome_kind="real")
             model = fit_linear(design)
         except ValueError as exc:
             notices.append(f"{role}/{dim}: {exc}; column left blank")
-            for row in SIGN_TABLE_ROWS:
-                cells[(row, role, dim)] = ""
             continue
-        for row in SIGN_TABLE_ROWS:
-            column = _SIGN_ROW_COLUMN[row]
+        for row, column in _SIGN_ROW_COLUMN.items():
             if model.p_value(column) < alpha:
                 cells[(row, role, dim)] = "+" if model.coefficient(column) > 0 else "-"
-            else:
-                cells[(row, role, dim)] = ""
 
     return SignTable(
         rows=SIGN_TABLE_ROWS, columns=columns, cells=cells, alpha=alpha,
@@ -687,24 +676,24 @@ class AnalysisResults:
 
 
 def run_analyses(corpus, lexicon: Lexicon, which=ANALYSIS_NAMES, seed: int = 0,
-                 alpha: float = 0.05, jobs: int = 1) -> AnalysisResults:
-    """Score once and run the selected pipelines deterministically."""
+                 alpha: float = 0.05) -> AnalysisResults:
+    """Score once and run the selected pipelines on that table deterministically."""
     unknown = set(which) - set(ANALYSIS_NAMES)
     if unknown:
         raise ValueError(f"unknown analyses: {sorted(unknown)}")
-    scored = score_corpus(corpus, lexicon, jobs=jobs)
-    n_scored = int(np.count_nonzero(~np.isnan(scored.elements).all(axis=(1, 2))))
-    results = AnalysisResults(n_issues=len(scored), n_scored=n_scored)
+    table = score_corpus(corpus, lexicon)
+    n_scored = int(np.count_nonzero(~np.isnan(table.elements).all(axis=(1, 2))))
+    results = AnalysisResults(n_issues=len(table), n_scored=n_scored)
     if "rq1" in which:
-        results.rq1_priority = rq1_priority_arousal(corpus, lexicon, alpha, scores=scored)
-        results.rq1_type = rq1_type_valence(corpus, lexicon, alpha, scores=scored)
-        results.rq1_time = rq1_dominance_time(corpus, lexicon, alpha, scores=scored)
+        results.rq1_priority = rq1_priority_arousal(table, alpha)
+        results.rq1_type = rq1_type_valence(table, alpha)
+        results.rq1_time = rq1_dominance_time(table, alpha)
     if "summary" in which:
-        results.summary = rq1_summary(corpus, lexicon, scores=scored)
+        results.summary = rq1_summary(table)
     if "rq2" in which:
-        results.rq2 = rq2_first_last(corpus, lexicon, alpha, scores=scored)
+        results.rq2 = rq2_first_last(table, alpha)
     if "rq3" in which:
-        results.rq3 = rq3_resolution_model(corpus, lexicon, seed=seed, scores=scored)
+        results.rq3 = rq3_resolution_model(table, seed=seed)
     if "rq4" in which:
-        results.rq4 = rq4_sign_tables(corpus, lexicon, scores=scored)
+        results.rq4 = rq4_sign_tables(table)
     return results

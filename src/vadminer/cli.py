@@ -63,10 +63,13 @@ def _existing_file(path: str, what: str) -> Path:
     return resolved
 
 
-def _output_dir(path: str) -> Path:
-    """The report directory; it, or its nearest existing ancestor, must be a directory."""
+def _output_path(path: str | Path, directory: bool = True) -> Path:
+    """An output directory, or with ``directory=False`` a file: it must not exist as
+    the other kind, and its nearest existing ancestor must be a directory."""
     out = Path(path)
-    for existing in (out, *out.parents):
+    if out.exists() and out.is_dir() != directory:
+        raise CliError(f"output path {out} is {'not ' if directory else ''}a directory")
+    for existing in out.parents:
         if existing.exists():
             if not existing.is_dir():
                 raise CliError(f"output path {existing} is not a directory")
@@ -165,6 +168,8 @@ def _run_synth(args) -> int:
         spec_path = _existing_file(args.spec, "generator spec")
         try:
             config = config_from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
+        except UnicodeDecodeError:
+            raise CliError("generator spec is not valid UTF-8", EXIT_SCHEMA) from None
         except json.JSONDecodeError as exc:
             raise CliError(f"generator spec is not valid JSON: {exc}", EXIT_SCHEMA) from None
         except ConfigError as exc:
@@ -172,13 +177,15 @@ def _run_synth(args) -> int:
     else:
         config = GeneratorConfig()
 
-    out = Path(args.out)
+    out = _output_path(args.out, directory=False)
+    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
+    lexicon_path = out.with_suffix(out.suffix + ".lexicon.csv")
+    for sidecar in (manifest_path, lexicon_path):
+        _output_path(sidecar, directory=False)
     out.parent.mkdir(parents=True, exist_ok=True)
     issues, manifest = generate_corpus(config, args.seed)
     write_corpus(issues, out)
-    manifest_path = out.with_suffix(out.suffix + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    lexicon_path = out.with_suffix(out.suffix + ".lexicon.csv")
     write_lexicon(Vocabulary(config.vocabulary).lexicon(), lexicon_path)
     print(f"wrote {len(issues)} issues to {out}")
     print(f"wrote manifest to {manifest_path}")
@@ -222,6 +229,8 @@ def _run_analyze(args) -> int:
         raise CliError(f"invalid numeric option: {exc}") from None
     if not 0.0 < alpha <= 1.0:
         raise CliError(f"alpha must be in (0, 1], got {alpha}")
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}")
     if jobs < 1:
         raise CliError(f"jobs must be >= 1, got {jobs}")
 
@@ -231,17 +240,19 @@ def _run_analyze(args) -> int:
         unknown = set(selected) - set(ANALYSIS_NAMES)
         if unknown:
             raise CliError(f"unknown analyses {sorted(unknown)}; choose from {ANALYSIS_NAMES}")
+        if not selected:
+            raise CliError(f"analyses {raw_analyses!r} selects none; choose from {ANALYSIS_NAMES}")
     else:
         selected = ANALYSIS_NAMES
 
     # every path is checked before any input loads
     _existing_file(lexicon_path, "lexicon file")
     _existing_file(corpus_path, "corpus file")
-    out = _output_dir(out_dir)
+    out = _output_path(out_dir)
 
     lexicon = _load_lexicon_checked(lexicon_path)
     issues = _load_corpus_checked(corpus_path)
-    results = run_analyses(issues, lexicon, which=selected, seed=seed, alpha=alpha, jobs=jobs)
+    results = run_analyses(issues, lexicon, which=selected, seed=seed, alpha=alpha)
     written = write_reports(results, out)
 
     print(f"analyzed {results.n_issues} issues ({results.n_scored} with scored text)")

@@ -110,17 +110,14 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
 
     if results.rq3 is not None:
         report = results.rq3
-        coeff_rows = []
-        for stage in report.stages:
-            model = stage.model
-            names = ["intercept", *model.columns]
-            for name, b, s, p in zip(names, model.coefficients, model.std_errors, model.p_values):
-                coeff_rows.append([stage.name, name, b, s, p])
+        models = [(stage.name, stage.model) for stage in report.stages]
         if report.final_model is not None:
-            model = report.final_model
+            models.append(("final", report.final_model))
+        coeff_rows = []
+        for label, model in models:
             names = ["intercept", *model.columns]
             for name, b, s, p in zip(names, model.coefficients, model.std_errors, model.p_values):
-                coeff_rows.append(["final", name, b, s, p])
+                coeff_rows.append([label, name, b, s, p])
         emit("rq3_coefficients.csv",
              ["stage", "column", "estimate", "std_error", "p_value"], coeff_rows)
 

@@ -269,6 +269,8 @@ def config_to_dict(config: GeneratorConfig) -> dict:
 
 def config_from_dict(data: dict) -> GeneratorConfig:
     """Build a config from decoded JSON; unknown keys are rejected."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"a generator config is a JSON object, not {type(data).__name__}")
     data = dict(data)
     kwargs = {}
     if "vocabulary" in data:

@@ -94,12 +94,12 @@ def planted_run():
         manifest=manifest,
         lexicon=lexicon,
         scored=scored,
-        rq1_priority=rq1_priority_arousal(issues, lexicon, scores=scored),
-        rq1_type=rq1_type_valence(issues, lexicon, scores=scored),
-        rq1_time=rq1_dominance_time(issues, lexicon, scores=scored),
-        rq2=rq2_first_last(issues, lexicon, scores=scored),
-        rq3=rq3_resolution_model(issues, lexicon, seed=3, scores=scored),
-        rq4=rq4_sign_tables(issues, lexicon, scores=scored),
+        rq1_priority=rq1_priority_arousal(scored),
+        rq1_type=rq1_type_valence(scored),
+        rq1_time=rq1_dominance_time(scored),
+        rq2=rq2_first_last(scored),
+        rq3=rq3_resolution_model(scored, seed=3),
+        rq4=rq4_sign_tables(scored),
         elapsed=0.0,
     )
     run.elapsed = time.perf_counter() - start
@@ -279,9 +279,9 @@ def test_criterion_5_planted_effect_recovery(planted_run):
         null_issues, _ = generate_corpus(null_config(300), seed=1000 + seed)
         null_scored = score_corpus(null_issues, lexicon)
         tables = [
-            rq1_priority_arousal(null_issues, lexicon, scores=null_scored),
-            rq1_type_valence(null_issues, lexicon, scores=null_scored),
-            rq1_dominance_time(null_issues, lexicon, scores=null_scored),
+            rq1_priority_arousal(null_scored),
+            rq1_type_valence(null_scored),
+            rq1_dominance_time(null_scored),
         ]
         for null_table in tables:
             for row in null_table.rows:
@@ -289,7 +289,7 @@ def test_criterion_5_planted_effect_recovery(planted_run):
                     total += 1
                     if comparison.result is not None and comparison.result.significant:
                         significant_count += 1
-        paired_table = rq2_first_last(null_issues, lexicon, scores=null_scored)
+        paired_table = rq2_first_last(null_scored)
         for cell in paired_table.cells:
             total += 1
             if cell.result is not None and cell.result.significant:

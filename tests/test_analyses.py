@@ -40,18 +40,16 @@ def make_issue(i=1, **overrides):
 # group tables
 # ---------------------------------------------------------------------------
 
-def test_rq1_priority_table_shape(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq1_priority_arousal(issues, synth_lexicon, scores=planted_scored)
+def test_rq1_priority_table_shape(planted_scored):
+    table = rq1_priority_arousal(planted_scored)
     assert table.comparisons == 20
     assert table.adjusted_alpha == 0.0025
     assert table.groups == ("Blocker", "Critical", "Major", "Minor", "Trivial")
     assert [row.element for row in table.rows] == ["Title", "Desc", "All", "First", "Last"]
 
 
-def test_rq1_priority_planted_direction(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq1_priority_arousal(issues, synth_lexicon, scores=planted_scored)
+def test_rq1_priority_planted_direction(planted_scored):
+    table = rq1_priority_arousal(planted_scored)
     for row in table.rows:
         means = [row.means[g] for g in table.groups]
         assert all(a >= b for a, b in zip(means, means[1:]))  # Blocker -> Trivial non-increasing
@@ -69,7 +67,7 @@ def test_rq1_type_groups_and_exclusion(synth_lexicon):
         make_issue(4, issue_type="Wish"),
         make_issue(5, issue_type="Other"),
     ]
-    table = rq1_type_valence(issues, synth_lexicon)
+    table = rq1_type_valence(score_corpus(issues, synth_lexicon))
     assert table.groups == ("Future Dev", "All Tasks", "Bug")
     assert table.comparisons == 10
     assert table.n_used == 4  # "Other" contributes to no group
@@ -78,17 +76,15 @@ def test_rq1_type_groups_and_exclusion(synth_lexicon):
     assert title_row.ns["Future Dev"] == 1
 
 
-def test_rq1_type_planted_bug_lowest(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq1_type_valence(issues, synth_lexicon, scores=planted_scored)
+def test_rq1_type_planted_bug_lowest(planted_scored):
+    table = rq1_type_valence(planted_scored)
     for row in table.rows:
         assert row.means["Bug"] < row.means["All Tasks"]
         assert row.means["Bug"] < row.means["Future Dev"]
 
 
-def test_rq1_time_planted_direction(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq1_dominance_time(issues, synth_lexicon, scores=planted_scored)
+def test_rq1_time_planted_direction(planted_scored):
+    table = rq1_dominance_time(planted_scored)
     assert table.groups == ("Short time", "High time")
     for row in table.rows:
         assert row.means["High time"] > row.means["Short time"]
@@ -101,7 +97,7 @@ def test_rq1_time_two_issue_split_insufficient(synth_lexicon):
         make_issue(1, resolved=1500),   # resolution 499
         make_issue(2, resolved=9000),   # resolution 7998
     ]
-    table = rq1_dominance_time(issues, synth_lexicon)
+    table = rq1_dominance_time(score_corpus(issues, synth_lexicon))
     row = table.rows[0]
     assert row.ns["Short time"] == 1 and row.ns["High time"] == 1
     assert all(c.note == "insufficient data" for row in table.rows for c in row.comparisons)
@@ -109,25 +105,23 @@ def test_rq1_time_two_issue_split_insufficient(synth_lexicon):
 
 def test_rq1_time_unresolved_only(synth_lexicon):
     issues = [make_issue(i, resolved=None, status="Open") for i in range(1, 4)]
-    table = rq1_dominance_time(issues, synth_lexicon)
+    table = rq1_dominance_time(score_corpus(issues, synth_lexicon))
     assert table.n_used == 0
     assert table.n_skipped == 3
     assert table.skip_reason == "unresolved"
     assert all(row.means[g] is None for row in table.rows for g in table.groups)
 
 
-def test_rq1_skip_counts_conserved(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq1_dominance_time(issues, synth_lexicon, scores=planted_scored)
+def test_rq1_skip_counts_conserved(planted_scored):
+    table = rq1_dominance_time(planted_scored)
     assert table.n_used + table.n_skipped == table.n_total
 
 
-def test_rq1_single_group_restriction_consistent(planted_corpus, synth_lexicon, planted_scored):
+def test_rq1_single_group_restriction_consistent(planted_corpus, planted_scored):
     issues, _ = planted_corpus
-    full = rq1_priority_arousal(issues, synth_lexicon, scores=planted_scored)
-    subset = planted_scored.select([row for row, issue in enumerate(planted_scored.issues)
-                                    if issue.priority == "Major"])
-    restricted = rq1_priority_arousal(subset.issues, synth_lexicon, scores=subset)
+    full = rq1_priority_arousal(planted_scored)
+    subset = planted_scored.select([row for row, issue in enumerate(issues) if issue.priority == "Major"])
+    restricted = rq1_priority_arousal(subset)
     for full_row, sub_row in zip(full.rows, restricted.rows):
         assert full_row.means["Major"] == sub_row.means["Major"]
         assert full_row.ns["Major"] == sub_row.ns["Major"]
@@ -140,23 +134,22 @@ def test_rq1_single_group_restriction_consistent(planted_corpus, synth_lexicon, 
 def test_summary_single_element_equals_title(table1_lexicon):
     issue = make_issue(1, title="joy", description="zzz qqq", comments=(),
                        resolved=None, status="Open")
-    result = rq1_summary([issue], table1_lexicon)
+    result = rq1_summary(score_corpus([issue], table1_lexicon))
     assert len(result.points) == 1
     point = result.points[0]
     assert point.valence == pytest.approx(8.21 - 5.2775, abs=1e-12)
     assert result.linear is None and result.note is not None
 
 
-def test_summary_quadratic_at_least_linear(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    result = rq1_summary(issues, synth_lexicon, scores=planted_scored)
+def test_summary_quadratic_at_least_linear(planted_scored):
+    result = rq1_summary(planted_scored)
     assert result.quadratic.r_squared + 1e-12 >= result.linear.r_squared
     assert result.n_total == result.n_skipped + len(result.points)
 
 
 def test_summary_u_shape_prefers_quadratic(synth_lexicon):
     issues, _ = generate_corpus(u_shape_config(2000), seed=77)
-    result = rq1_summary(issues, synth_lexicon)
+    result = rq1_summary(score_corpus(issues, synth_lexicon))
     assert result.quadratic.r_squared > result.linear.r_squared + 0.05
 
 
@@ -175,7 +168,7 @@ def _comments(bodies, authors=None, start=1100):
 def test_rq2_comment_count_filter(synth_lexicon):
     four = make_issue(1, comments=_comments(["joy"] * 4))
     three = make_issue(2, comments=_comments(["joy"] * 3))
-    table = rq2_first_last([four, three], synth_lexicon)
+    table = rq2_first_last(score_corpus([four, three], synth_lexicon))
     assert table.scope_counts["All"]["qualified"] == 1
     assert table.scope_counts["All"]["excluded"] == 1
 
@@ -189,7 +182,7 @@ def test_rq2_verbatim_repeat_gives_null_delta(synth_lexicon):
         ))
         for i in range(1, 4)
     ]
-    table = rq2_first_last(issues, synth_lexicon)
+    table = rq2_first_last(score_corpus(issues, synth_lexicon))
     all_cells = [c for c in table.cells if c.scope == "All"]
     for cell in all_cells:
         assert cell.result.t == 0.0 and cell.result.p == 1.0 and cell.result.d == 0.0
@@ -200,9 +193,8 @@ def test_rq2_verbatim_repeat_gives_null_delta(synth_lexicon):
     assert all(c.note == "insufficient data" for c in others)
 
 
-def test_rq2_planted_valence_rise(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq2_first_last(issues, synth_lexicon, scores=planted_scored)
+def test_rq2_planted_valence_rise(planted_scored):
+    table = rq2_first_last(planted_scored)
     assert table.comparisons == 12
     assert table.adjusted_alpha == pytest.approx(0.05 / 12)
     for cell in table.cells:
@@ -211,9 +203,8 @@ def test_rq2_planted_valence_rise(planted_corpus, synth_lexicon, planted_scored)
             assert cell.result.significant
 
 
-def test_rq2_counts_conserved(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq2_first_last(issues, synth_lexicon, scores=planted_scored)
+def test_rq2_counts_conserved(planted_scored):
+    table = rq2_first_last(planted_scored)
     for scope, counts in table.scope_counts.items():
         assert counts["qualified"] + counts["excluded"] == table.n_total
 
@@ -224,7 +215,7 @@ def test_rq2_counts_conserved(planted_corpus, synth_lexicon, planted_scored):
 
 def test_rq3_no_resolved_issues(synth_lexicon):
     issues = [make_issue(i, resolved=None, status="Open") for i in range(1, 6)]
-    report = rq3_resolution_model(issues, synth_lexicon)
+    report = rq3_resolution_model(score_corpus(issues, synth_lexicon))
     assert report.n_used == 0
     assert report.n_skipped_unresolved == 5
     assert report.stages == ()
@@ -232,9 +223,8 @@ def test_rq3_no_resolved_issues(synth_lexicon):
     assert any("usable resolved issues" in note for note in report.notices)
 
 
-def test_rq3_planted_pipeline(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    report = rq3_resolution_model(issues, synth_lexicon, seed=4, scores=planted_scored)
+def test_rq3_planted_pipeline(planted_scored):
+    report = rq3_resolution_model(planted_scored, seed=4)
     assert report.n_used + report.n_skipped_incomplete == report.n_resolved
     assert report.n_resolved + report.n_skipped_unresolved == report.n_total
     # ZeroR row follows from the majority share exactly
@@ -257,22 +247,21 @@ def test_rq3_all_comments_valence_negative_impact(synth_lexicon):
     config = GeneratorConfig(n_issues=4000, effects=EffectConfig(valence_resolution=0.8),
                              external_features=True)
     issues, _ = generate_corpus(config, seed=5)
-    report = rq3_resolution_model(issues, synth_lexicon, seed=1)
+    report = rq3_resolution_model(score_corpus(issues, synth_lexicon), seed=1)
     impacts = {e.feature: e.impact for e in report.impacts}
     assert "all_v" in impacts and impacts["all_v"] < 0
 
 
 def test_rq3_stage2_skipped_without_external_features(synth_lexicon):
     issues, _ = generate_corpus(GeneratorConfig(n_issues=600, external_features=False), seed=8)
-    report = rq3_resolution_model(issues, synth_lexicon, seed=2)
+    report = rq3_resolution_model(score_corpus(issues, synth_lexicon), seed=2)
     assert [s.name for s in report.stages] == ["controls", "controls+vad"]
     assert any("stage 2 skipped" in note for note in report.notices)
 
 
-def test_rq3_deterministic(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    first = rq3_resolution_model(issues, synth_lexicon, seed=4, scores=planted_scored)
-    second = rq3_resolution_model(issues, synth_lexicon, seed=4, scores=planted_scored)
+def test_rq3_deterministic(planted_scored):
+    first = rq3_resolution_model(planted_scored, seed=4)
+    second = rq3_resolution_model(planted_scored, seed=4)
     assert first == second
 
 
@@ -280,9 +269,8 @@ def test_rq3_deterministic(planted_corpus, synth_lexicon, planted_scored):
 # sign tables
 # ---------------------------------------------------------------------------
 
-def test_rq4_planted_priority_arousal(planted_corpus, synth_lexicon, planted_scored):
-    issues, _ = planted_corpus
-    table = rq4_sign_tables(issues, synth_lexicon, scores=planted_scored)
+def test_rq4_planted_priority_arousal(planted_scored):
+    table = rq4_sign_tables(planted_scored)
     assert table.cells[("Priority", "Assignee", "arousal")] == "+"
     assert table.alpha == 0.001
 
@@ -294,14 +282,14 @@ def test_rq4_constant_response_blanks_with_notice(synth_lexicon):
         for i, p in enumerate(
             ["Blocker", "Critical", "Major", "Minor", "Trivial"] * 4, start=1)
     ]
-    table = rq4_sign_tables(issues, synth_lexicon)
+    table = rq4_sign_tables(score_corpus(issues, synth_lexicon))
     assert any("degenerate variance" in note for note in table.notices)
     assert all(table.cells[(row, "Assignee", "valence")] == "" for row in table.rows)
 
 
 def test_rq4_insufficient_rows_blank(synth_lexicon):
     issues = [make_issue(i, comments=_comments(["joy"], authors=["asg"])) for i in range(1, 5)]
-    table = rq4_sign_tables(issues, synth_lexicon)
+    table = rq4_sign_tables(score_corpus(issues, synth_lexicon))
     assert any("insufficient rows" in note for note in table.notices)
     assert all(value == "" for value in table.cells.values())
 
@@ -312,7 +300,7 @@ def test_rq4_null_corpus_mostly_blank(synth_lexicon):
     total = blank = 0
     for seed in range(10):
         issues, _ = generate_corpus(null_config(250), seed=500 + seed)
-        table = rq4_sign_tables(issues, synth_lexicon)
+        table = rq4_sign_tables(score_corpus(issues, synth_lexicon))
         for value in table.cells.values():
             total += 1
             blank += value == ""
@@ -343,7 +331,7 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
     issues, lexicon, table = jittered
     elements = [_element_scores(issue, lexicon) for issue in issues]
 
-    priority = rq1_priority_arousal(issues, lexicon, scores=table)
+    priority = rq1_priority_arousal(table)
     for e, row in enumerate(priority.rows):
         cells = {group: [scores[e].arousal for issue, scores in zip(issues, elements)
                          if issue.priority == group and scores[e] is not None and scores[e].has_scores]
@@ -353,7 +341,7 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
             expected = welch_t_test(cells[comparison.left], cells[comparison.right], alpha=priority.adjusted_alpha)
             assert comparison.result == expected
 
-    summary = rq1_summary(issues, lexicon, scores=table)
+    summary = rq1_summary(table)
     expected_points = []
     for issue, scores in zip(issues, elements):
         scored = [vad for vad in scores[:3] if vad is not None and vad.has_scores]
@@ -362,7 +350,7 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
                                     float(np.mean([vad.arousal for vad in scored]))))
     assert [(p.issue_id, p.valence, p.arousal) for p in summary.points] == expected_points
 
-    paired = rq2_first_last(issues, lexicon, scores=table)
+    paired = rq2_first_last(table)
     for cell in paired.cells:
         pairs = []
         for issue in issues:
@@ -392,7 +380,7 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
     fit_linear = analyses.fit_linear
     monkeypatch.setattr(analyses, "fit_linear", lambda design: fitted.append(design) or fit_linear(design))
     issues, lexicon, table = jittered
-    rq4_sign_tables(issues, lexicon, scores=table)
+    rq4_sign_tables(table)
 
     history = participant_history(issues)
     comment_scores = {id(c): score_text(c.body, lexicon) for issue in issues for c in issue.comments}
@@ -430,7 +418,7 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
                         lambda design, *args, **kwargs: designs.append(design)
                         or correlation_filter(design, *args, **kwargs))
     issues, lexicon, table = jittered
-    report = rq3_resolution_model(issues, lexicon, scores=table)
+    report = rq3_resolution_model(table)
 
     history = participant_history(issues)
     affective = ["avg_politeness", "avg_sentiment"]
@@ -461,7 +449,7 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
     sentiment = table.features["avg_sentiment"].copy()
     sentiment[used_row] = np.nan
     partial = dataclasses.replace(table, features={**table.features, "avg_sentiment": sentiment})
-    rq3_resolution_model(issues, lexicon, scores=partial)
+    rq3_resolution_model(partial)
     assert designs[1].columns[10:12] == ["avg_politeness", "title_v"]
 
 

@@ -103,6 +103,36 @@ def test_synth_invalid_spec(tmp_path, capsys):
     assert "invalid generator spec" in capsys.readouterr().err
 
 
+def test_synth_spec_not_utf8_or_not_an_object(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"n_issues": 5, "title": "caf\xe9"}')
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert "error: generator spec is not valid UTF-8" in err and "Traceback" not in err
+    for text in ("[1, 2]", '"abc"', "null", "7"):
+        spec.write_text(text, encoding="utf-8")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")]) == 2, text
+        err = capsys.readouterr().err
+        assert "error: invalid generator spec: " in err and "Traceback" not in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_synth_out_must_be_a_file_path(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    runs = [(tmp_path, f"output path {tmp_path} is a directory"),
+            (afile / "c.jsonl", f"output path {afile} is not a directory"),
+            (afile / "sub" / "c.jsonl", f"output path {afile} is not a directory")]
+    (tmp_path / "d.jsonl.lexicon.csv").mkdir()
+    runs.append((tmp_path / "d.jsonl", f"output path {tmp_path / 'd.jsonl.lexicon.csv'} is a directory"))
+    for out, message in runs:
+        assert main(["synth", "--out", str(out)]) == 2, out
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "d.jsonl").exists()
+    assert main(["synth", "--out", str(tmp_path / "new" / "c.jsonl")]) == 0
+
+
 def test_ingest_valid(capsys, synth_paths):
     corpus_path, _, _ = synth_paths
     assert main(["ingest", "--corpus", str(corpus_path)]) == 0
@@ -264,6 +294,22 @@ def test_analyze_invalid_alpha(tmp_path, synth_paths, capsys):
                  "--out", str(tmp_path / "x"), "--alpha", "1.5"])
     assert code == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_analyze_negative_seed_and_empty_selection_exit_2(tmp_path, synth_paths, capsys):
+    corpus_path, lexicon_path, _ = synth_paths
+    base = ["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
+            "--out", str(tmp_path / "x")]
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=-2\n", encoding="utf-8")
+    runs = [(["--seed", "-3"], "seed must be >= 0, got -3"),
+            (["--config", str(config)], "seed must be >= 0, got -2"),
+            (["--analyses", ","], "analyses ',' selects none")]
+    for extra, message in runs:
+        assert main(base + extra) == 2, extra
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(base + ["--seed", "0", "--analyses", "rq3"]) == 0
 
 
 def test_analyze_corrupt_lexicon_exit_3(tmp_path, synth_paths):

@@ -36,7 +36,7 @@ def expected_elements(issue, lexicon):
 
 
 def assert_table_matches_kernel(table, issues, lexicon):
-    assert table.issues == tuple(issues)
+    assert table.ids.tolist() == [issue.id for issue in issues]
     assert table.elements.shape == (len(issues), len(ELEMENTS), 3)
     for row, issue in enumerate(issues):
         assert np.array_equal(table.elements[row], expected_elements(issue, lexicon), equal_nan=True)
@@ -142,3 +142,6 @@ def test_equality_sees_every_column(planted_corpus, synth_lexicon):
     assert table != score_corpus(issues[1:51], synth_lexicon)
     changed = dataclasses.replace(table, comments=table.comments + 1.0)
     assert table != changed
+    ids = table.ids.copy()
+    ids[7] = "PRJ-renamed"
+    assert table != dataclasses.replace(table, ids=ids)
