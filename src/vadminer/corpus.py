@@ -5,11 +5,22 @@ schema violation are collected with their line numbers. Comments, the bulk
 of a corpus, first take a fast check of exact types; one that fails it goes
 through the full validation, which names the fault. An external feature
 may not take the name of a column that the analyses build (RESERVED_FEATURES).
+
+Loaded records share their repeated values. ``type``, ``priority`` and
+``status`` are the module's own constants (ISSUE_TYPES, PRIORITIES,
+STATUSES), and each project, reporter, assignee, comment author and
+external-feature key goes through ``sys.intern``, so a name that recurs on
+many lines is one string object rather than a copy per line; ids and texts
+are kept as decoded. The cyclic garbage collector is paused while the
+records are built: they hold no reference cycles, so a collection frees
+nothing, yet each full one would walk every record built so far.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -133,6 +144,11 @@ def role_of(comment: Comment, issue: IssueReport) -> str:
 # JSONL ingestion / serialization
 # ---------------------------------------------------------------------------
 
+# each checks a value and maps it to the module's constant of the same name
+_ISSUE_TYPE = {name: name for name in ISSUE_TYPES}
+_PRIORITY = {name: name for name in PRIORITIES}
+_STATUS = {name: name for name in STATUSES}
+
 _REQUIRED_FIELDS = (
     "id", "project", "type", "priority", "created", "status", "reporter",
     "votes", "watchers", "changes", "developers", "title", "description", "comments",
@@ -143,6 +159,13 @@ _CREATED = attrgetter("created")
 
 # the analyses hold the integer fields in float columns, exact up to 2**53
 _MAX_INT = 2**53
+
+
+def _one_of(constants: dict[str, str], value, name: str) -> str:
+    # only a string can be a member; another value may not even be hashable
+    if isinstance(value, str) and value in constants:
+        return constants[value]
+    raise ValueError(f"field {name} must be one of {tuple(constants)}, got {value!r}")
 
 
 def _as_nonneg_int(value, name: str) -> int:
@@ -166,7 +189,7 @@ def _parse_comment(obj, index: int) -> Comment:
         raise ValueError(f"field comments[{index}].created must be an integer timestamp")
     if not isinstance(body, str):
         raise ValueError(f"field comments[{index}].body must be a string")
-    return Comment(author=author, created=created, body=body)
+    return Comment(author=sys.intern(author), created=created, body=body)
 
 
 def parse_issue(obj: dict) -> IssueReport:
@@ -175,25 +198,24 @@ def parse_issue(obj: dict) -> IssueReport:
         if name not in obj:
             raise ValueError(f"missing field {name}")
 
-    issue_type = obj["type"]
-    if issue_type not in ISSUE_TYPES:
-        raise ValueError(f"field type must be one of {ISSUE_TYPES}, got {issue_type!r}")
-    priority = obj["priority"]
-    if priority not in PRIORITIES:
-        raise ValueError(f"field priority must be one of {PRIORITIES}, got {priority!r}")
-    status = obj["status"]
-    if status not in STATUSES:
-        raise ValueError(f"field status must be one of {STATUSES}, got {status!r}")
+    issue_type = _one_of(_ISSUE_TYPE, obj["type"], "type")
+    priority = _one_of(_PRIORITY, obj["priority"], "priority")
+    status = _one_of(_STATUS, obj["status"], "status")
 
     issue_id = obj["id"]
     if not isinstance(issue_id, str) or not issue_id:
         raise ValueError("field id must be a non-empty string")
+    project = obj["project"]
+    if not isinstance(project, str) or not project:
+        raise ValueError("field project must be a non-empty string")
     reporter = obj["reporter"]
     if not isinstance(reporter, str) or not reporter:
         raise ValueError("field reporter must be a non-empty string")
     assignee = obj.get("assignee")
-    if assignee is not None and (not isinstance(assignee, str) or not assignee):
-        raise ValueError("field assignee must be null or a non-empty string")
+    if assignee is not None:
+        if not isinstance(assignee, str) or not assignee:
+            raise ValueError("field assignee must be null or a non-empty string")
+        assignee = sys.intern(assignee)
 
     created = obj["created"]
     if isinstance(created, bool) or not isinstance(created, int) or abs(created) > _MAX_INT:
@@ -222,7 +244,7 @@ def parse_issue(obj: dict) -> IssueReport:
         if type(raw) is dict:
             author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
             if type(author) is str and author and type(posted) is int and type(body) is str:
-                comments.append(Comment(author, posted, body))
+                comments.append(Comment(sys.intern(author), posted, body))
                 continue
         comments.append(_parse_comment(raw, index))
     # out-of-order comments are sorted, not rejected
@@ -243,17 +265,17 @@ def parse_issue(obj: dict) -> IssueReport:
             number = math.inf
         if not math.isfinite(number):
             raise ValueError(f"field external_features.{key} must be finite, got {value!r}")
-        parsed_features[str(key)] = number
+        parsed_features[sys.intern(str(key))] = number
 
     return IssueReport(
         id=issue_id,
-        project=str(obj["project"]),
+        project=sys.intern(project),
         issue_type=issue_type,
         priority=priority,
         created=created,
         resolved=resolved,
         status=status,
-        reporter=reporter,
+        reporter=sys.intern(reporter),
         assignee=assignee,
         votes=_as_nonneg_int(obj["votes"], "votes"),
         watchers=_as_nonneg_int(obj["watchers"], "watchers"),
@@ -281,31 +303,38 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # issue id -> line it first appeared on
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if not stripped.isascii() and UNDECODED.search(stripped):
-            errors.append((line_no, "not valid UTF-8"))
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            errors.append((line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            errors.append((line_no, "line is not a JSON object"))
-            continue
-        try:
-            issue = parse_issue(obj)
-        except ValueError as exc:
-            errors.append((line_no, str(exc)))
-            continue
-        first = first_line.setdefault(issue.id, line_no)
-        if first != line_no:
-            errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
-            continue
-        issues.append(issue)
+    collecting = gc.isenabled()
+    if collecting:
+        gc.disable()
+    try:
+        for line_no, line in enumerate(source, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if not stripped.isascii() and UNDECODED.search(stripped):
+                errors.append((line_no, "not valid UTF-8"))
+                continue
+            try:
+                obj = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                errors.append((line_no, f"invalid JSON: {exc.msg}"))
+                continue
+            if not isinstance(obj, dict):
+                errors.append((line_no, "line is not a JSON object"))
+                continue
+            try:
+                issue = parse_issue(obj)
+            except ValueError as exc:
+                errors.append((line_no, str(exc)))
+                continue
+            first = first_line.setdefault(issue.id, line_no)
+            if first != line_no:
+                errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
+                continue
+            issues.append(issue)
+    finally:
+        if collecting:
+            gc.enable()
     if errors:
         raise CorpusFormatError(errors)
     return issues

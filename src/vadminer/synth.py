@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 
 from .corpus import (
@@ -27,6 +28,23 @@ from .lexicon import Lexicon, LexiconEntry
 
 class ConfigError(ValueError):
     """Invalid generator configuration."""
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    # bools are ints to Python but not numbers in a spec; NaN, the
+    # infinities and integers beyond the float range are no weights either
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 # Crowd-rated anchor words spanning the affect space (1-9 scale).
@@ -71,6 +89,11 @@ class VocabularyConfig:
     pad_to: int | None = None  # pad with wide-band filler up to an exact lexicon size
 
     def validate(self) -> None:
+        _check_count("words_per_stratum", self.words_per_stratum)
+        _check_count("filler_words", self.filler_words)
+        _check_flag("include_anchor_words", self.include_anchor_words)
+        if self.pad_to is not None:
+            _check_count("pad_to", self.pad_to)
         if self.words_per_stratum < 2:
             raise ConfigError("words_per_stratum must be >= 2")
         if self.filler_words < 4:
@@ -166,6 +189,7 @@ class EffectConfig:
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
+            _check_real(f"effect {name}", value)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"effect {name} must be in [0, 1], got {value}")
 
@@ -207,6 +231,11 @@ class GeneratorConfig:
     external_features: bool = False
 
     def validate(self) -> None:
+        for name in ("n_issues", "n_projects", "participants_per_project"):
+            _check_count(name, getattr(self, name))
+        for name in ("closed_share", "assignee_share", "junk_rate"):
+            _check_real(name, getattr(self, name))
+        _check_flag("external_features", self.external_features)
         if self.n_issues < 0:
             raise ConfigError("n_issues must be >= 0")
         for label, weights, allowed in (
@@ -214,9 +243,12 @@ class GeneratorConfig:
             ("type_weights", self.type_weights, set(TYPE_GROUPS) | {"Other"}),
             ("comment_count_weights", self.comment_count_weights, None),
         ):
+            if not isinstance(weights, dict):
+                raise ConfigError(f"{label} must be an object, got {weights!r}")
             if not weights:
                 raise ConfigError(f"{label} must not be empty")
             for key, weight in weights.items():
+                _check_real(f"{label}[{key}]", weight)
                 if weight < 0:
                     raise ConfigError(f"{label}[{key}] is negative ({weight})")
                 if allowed is not None and key not in allowed:
@@ -287,8 +319,10 @@ def config_from_dict(data: dict) -> GeneratorConfig:
             raise ConfigError(f"invalid effects config: {exc}") from None
     if "comment_count_weights" in data:
         raw = data.pop("comment_count_weights")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"comment_count_weights must be an object, got {raw!r}")
         try:
-            kwargs["comment_count_weights"] = {int(k): float(v) for k, v in raw.items()}
+            kwargs["comment_count_weights"] = {int(k): v for k, v in raw.items()}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid comment_count_weights: {exc}") from None
     try:

@@ -117,6 +117,22 @@ def test_synth_spec_not_utf8_or_not_an_object(tmp_path, capsys):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("spec,message", [
+    ('{"n_issues": "abc"}', "n_issues must be an integer, got 'abc'"),
+    ('{"n_issues": 1.5}', "n_issues must be an integer, got 1.5"),
+    ('{"n_issues": true}', "n_issues must be an integer, got True"),
+    ('{"effects": {"bug_valence": "x"}}', "effect bug_valence must be a finite number, got 'x'"),
+    ('{"comment_count_weights": [1]}', "comment_count_weights must be an object, got [1]"),
+])
+def test_synth_spec_value_types_exit_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec, encoding="utf-8")
+    assert main(["synth", "--spec", str(path), "--out", str(tmp_path / "c.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: invalid generator spec: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_synth_out_must_be_a_file_path(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("", encoding="utf-8")
@@ -172,6 +188,22 @@ def test_ingest_and_analyze_reject_duplicate_id(tmp_path, capsys, synth_paths):
     assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(repeated),
                  "--out", str(tmp_path / "rpt")]) == 3
     assert "duplicate issue id" in capsys.readouterr().err
+
+
+def test_ingest_and_analyze_reject_non_string_project(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[2])
+    obj["project"] = None
+    lines[2] = json.dumps(obj)
+    bad = tmp_path / "project.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["ingest", "--corpus", str(bad)]) == 3
+    assert "line 3: field project must be a non-empty string" in capsys.readouterr().err
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad),
+                 "--out", str(tmp_path / "rpt")]) == 3
+    err = capsys.readouterr().err
+    assert "line 3: field project must be a non-empty string" in err and "Traceback" not in err
 
 
 def test_analyze_rejects_non_finite_feature(tmp_path, capsys, synth_paths):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from collections import Counter
@@ -9,7 +10,10 @@ from vadminer.analyses import ELEMENTS, score_corpus
 from vadminer.corpus import (
     Comment,
     CorpusFormatError,
+    ISSUE_TYPES,
     IssueReport,
+    PRIORITIES,
+    STATUSES,
     corpus_histograms,
     load_corpus,
     parse_issue,
@@ -126,6 +130,67 @@ def test_reserved_external_feature_rejected(key):
     with pytest.raises(CorpusFormatError) as info:
         load_corpus(io.StringIO(good + "\n" + bad + "\n"))
     assert info.value.errors == [(2, f"field external_features.{key} takes the name of a built-in column")]
+
+
+@pytest.mark.parametrize("project", [None, 7, {"a": 1}, "", ["PRJ"]])
+def test_project_must_be_non_empty_string(project):
+    # str(project) used to load null as "None" and write it back
+    lines = [json.dumps(issue_json()), json.dumps(issue_json(id="PRJ-2", project=project))]
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(io.StringIO("\n".join(lines) + "\n"))
+    assert info.value.errors == [(2, "field project must be a non-empty string")]
+
+
+def test_repeated_names_share_one_object():
+    lines = [
+        json.dumps(issue_json(id=f"PRJ-{n}", project="PRJX", reporter="reporter-a", assignee="assignee-b",
+                              comments=[{"author": "author-c", "created": 150, "body": "text"}],
+                              external_features={"avg_sentiment": 0.5}))
+        for n in range(2)
+    ]
+    first, second = load_corpus(io.StringIO("\n".join(lines) + "\n"))
+    assert first.project == "PRJX" and first.project is second.project
+    assert first.reporter == "reporter-a" and first.reporter is second.reporter
+    assert first.assignee == "assignee-b" and first.assignee is second.assignee
+    assert first.comments[0].author == "author-c" and first.comments[0].author is second.comments[0].author
+    [(key_a, _)], [(key_b, _)] = first.external_features.items(), second.external_features.items()
+    assert key_a == "avg_sentiment" and key_a is key_b
+
+
+def test_type_priority_status_are_module_constants():
+    for issue_type, priority, status in zip(ISSUE_TYPES, PRIORITIES * 2, STATUSES * 5):
+        obj = issue_json(type=issue_type, priority=priority, status=status)
+        if status == "Open":
+            obj["resolved"] = None
+        # a decoded copy, not the constant the test passed in
+        issue = parse_issue(json.loads(json.dumps(obj)))
+        assert issue.issue_type is issue_type
+        assert issue.priority is priority
+        assert issue.status is status
+
+
+def test_collector_paused_during_load_and_restored():
+    seen = []
+
+    def lines():
+        for n in range(3):
+            seen.append(gc.isenabled())
+            yield json.dumps(issue_json(id=f"PRJ-{n}")) + "\n"
+
+    assert gc.isenabled()
+    assert len(load_corpus(lines())) == 3
+    assert seen == [False] * 3 and gc.isenabled()
+    with pytest.raises(CorpusFormatError):
+        load_corpus(io.StringIO("not json\n"))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        load_corpus(io.StringIO(json.dumps(issue_json()) + "\n"))
+        with pytest.raises(CorpusFormatError):
+            load_corpus(io.StringIO("not json\n"))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("bad,message", [

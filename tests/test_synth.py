@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -90,6 +91,28 @@ def test_config_json_round_trip():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"n_issues": 5, "surprise": True})
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"n_issues": "abc"}, "n_issues must be an integer, got 'abc'"),
+    ({"n_issues": 1.5}, "n_issues must be an integer, got 1.5"),
+    ({"n_issues": True}, "n_issues must be an integer, got True"),
+    ({"n_projects": 2.0}, "n_projects must be an integer, got 2.0"),
+    ({"vocabulary": {"pad_to": 400.0}}, "pad_to must be an integer, got 400.0"),
+    ({"closed_share": "0.5"}, "closed_share must be a finite number, got '0.5'"),
+    ({"junk_rate": False}, "junk_rate must be a finite number, got False"),
+    ({"effects": {"bug_valence": "x"}}, "effect bug_valence must be a finite number, got 'x'"),
+    ({"priority_weights": {"Major": None}}, "priority_weights[Major] must be a finite number, got None"),
+    ({"type_weights": {"Bug": float("nan")}}, "type_weights[Bug] must be a finite number, got nan"),
+    ({"comment_count_weights": {"1": "0.5"}}, "comment_count_weights[1] must be a finite number, got '0.5'"),
+    ({"comment_count_weights": [1]}, "comment_count_weights must be an object, got [1]"),
+    ({"priority_weights": ["Major"]}, "priority_weights must be an object, got ['Major']"),
+    ({"type_weights": "Bug"}, "type_weights must be an object, got 'Bug'"),
+    ({"external_features": "yes"}, "external_features must be true or false, got 'yes'"),
+])
+def test_config_from_dict_rejects_value_types(data, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(data)
 
 
 def test_vocabulary_strata_scores():
