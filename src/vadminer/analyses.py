@@ -40,7 +40,6 @@ from .models import (
     FilterDecision,
     FittedModel,
     ImpactEntry,
-    LONG,
     binarize_outcome,
     correlation_filter,
     crossval,
@@ -330,15 +329,12 @@ def rq1_dominance_time(table: ScoreTable, alpha: float = 0.05) -> GroupTable:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SummaryPoint:
-    issue_id: str
-    valence: float
-    arousal: float
-
-
-@dataclass(frozen=True)
 class SummaryResult:
-    points: tuple[SummaryPoint, ...]
+    """Point ``i`` of the scatter is issue ``ids[i]`` at (``valence[i]``, ``arousal[i]``)."""
+
+    ids: np.ndarray  # (points,) of str objects
+    valence: np.ndarray
+    arousal: np.ndarray
     linear: FitResult | None
     quadratic: FitResult | None
     n_total: int
@@ -356,21 +352,18 @@ def rq1_summary(table: ScoreTable) -> SummaryResult:
     # summed in element order, as np.mean sums fewer than eight values
     means = (terms[:, 0] + terms[:, 1] + terms[:, 2]) / np.maximum(counts, 1)
     rows = np.flatnonzero(counts[:, 0])
-    points = [SummaryPoint(issue_id=issue_id, valence=valence, arousal=arousal)
-              for issue_id, (valence, arousal) in zip(table.ids[rows].tolist(), means[rows].tolist())]
+    valence, arousal = means[rows, 0], means[rows, 1]
 
     linear = quadratic = None
     note = None
-    v = [p.valence for p in points]
-    a = [p.arousal for p in points]
-    if len(points) >= 4 and len(set(v)) > 2:
-        linear = polyfit(v, a, 1)
-        quadratic = polyfit(v, a, 2)
+    if len(rows) >= 4 and len(np.unique(valence)) > 2:
+        linear = polyfit(valence, arousal, 1)
+        quadratic = polyfit(valence, arousal, 2)
     else:
         note = "too few distinct points for curvature fits"
     return SummaryResult(
-        points=tuple(points), linear=linear, quadratic=quadratic,
-        n_total=len(table), n_skipped=len(table) - len(points), note=note,
+        ids=table.ids[rows], valence=valence, arousal=arousal, linear=linear, quadratic=quadratic,
+        n_total=len(table), n_skipped=len(table) - len(rows), note=note,
     )
 
 
@@ -522,7 +515,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
                **{name: features["priority"] == PRIORITIES.index(name) for name in PRIORITIES[1:]}}
     names = [*CONTROL_COLUMNS, *affective_keys, *VAD_COLUMNS]
     labels = binarize_outcome(features["resolution_time"][rows])
-    long_share = labels.count(LONG) / len(labels)
+    long_share = np.count_nonzero(labels) / len(labels)
     baseline = zero_r(labels)
 
     design = DesignMatrix(names, np.column_stack([columns[name][rows] for name in names]), labels)
@@ -563,9 +556,10 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
     final_stage = stages[-1]
     keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < prune_alpha]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
+    final_design = design.subset(keep)
     try:
-        final_model = fit_logistic(design.subset(keep))
-        impacts = tuple(impact_sizes(final_model, design.subset(keep)))
+        final_model = fit_logistic(final_design)
+        impacts = tuple(impact_sizes(final_model, final_design))
     except ValueError as exc:
         final_model = None
         impacts = ()
@@ -640,7 +634,7 @@ def rq4_sign_tables(table: ScoreTable, alpha: float = 0.001) -> SignTable:
             notices.append(f"{role}/{dim}: insufficient rows ({len(response)}); column left blank")
             continue
         try:
-            design = DesignMatrix(predictor_names, X[has_values], response, outcome_kind="real")
+            design = DesignMatrix(predictor_names, X[has_values], response)
             model = fit_linear(design)
         except ValueError as exc:
             notices.append(f"{role}/{dim}: {exc}; column left blank")

@@ -37,6 +37,7 @@ class CliError(Exception):
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> line that set it
     config_path = Path(path)
     if not config_path.is_file():
         raise CliError(f"config file not found: {path}")
@@ -52,6 +53,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         key, _, value = (part.strip() for part in stripped.partition("="))
         if key not in CONFIG_KEYS:
             raise CliError(f"config line {line_no}: unknown key {key!r}")
+        if key in set_on:
+            raise CliError(f"config line {line_no}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = line_no
         values[key] = value
     return values
 

@@ -1,10 +1,12 @@
 """Issue-tracker data model, validated JSONL ingestion, and commenter roles.
 
-Loading checks every line: bytes that are not UTF-8, invalid JSON and every
-schema violation are collected with their line numbers. Comments, the bulk
-of a corpus, first take a fast check of exact types; one that fails it goes
-through the full validation, which names the fault. An external feature
-may not take the name of a column that the analyses build (RESERVED_FEATURES).
+Loading checks every line: bytes that are not UTF-8, a JSON string escape
+that leaves an unpaired surrogate (no UTF-8 text can hold one), invalid JSON
+and every schema violation are collected with their line numbers. Comments,
+the bulk of a corpus, first take a fast check of exact types; one that fails
+it goes through the full validation, which names the fault. An external
+feature may not take the name of a column that the analyses build
+(RESERVED_FEATURES).
 
 Loaded records share their repeated values. ``type``, ``priority`` and
 ``status`` are the module's own constants (ISSUE_TYPES, PRIORITIES,
@@ -20,6 +22,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -160,6 +163,12 @@ _CREATED = attrgetter("created")
 # the analyses hold the integer fields in float columns, exact up to 2**53
 _MAX_INT = 2**53
 
+# a raw line needs its decoded strings checked only when it holds an escape
+# in \uD800-\uDFFF; json keeps one that is not half of a valid pair as a lone
+# surrogate, which the report writer cannot encode
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def _one_of(constants: dict[str, str], value, name: str) -> str:
     # only a string can be a member; another value may not even be hashable
@@ -293,8 +302,9 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
 
     All offending lines are collected and raised together as a
     CorpusFormatError so callers can report the first few: bytes that are
-    not UTF-8, invalid JSON, schema violations, and an issue id seen before,
-    which is an error on the line that repeats it.
+    not UTF-8, an escaped unpaired surrogate, invalid JSON, schema
+    violations, and an issue id seen before, which is an error on the line
+    that repeats it.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -321,6 +331,9 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
                 continue
             if not isinstance(obj, dict):
                 errors.append((line_no, "line is not a JSON object"))
+                continue
+            if _SURROGATE_ESCAPE.search(stripped) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+                errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
                 continue
             try:
                 issue = parse_issue(obj)

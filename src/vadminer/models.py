@@ -3,50 +3,53 @@ nested-model likelihood-ratio comparison, stratified cross-validation with a
 rank-statistic AUC, the majority-class baseline, and median+one-sd impact
 sizes for comparing features measured in different units.
 
+Outcomes are float arrays. The Short/Long resolution split is 0/1 (1.0 for
+Long, as ``binarize_outcome`` labels it); the logistic fit and
+cross-validation reject any other value, and the linear fit takes any finite
+response. Both fits open with one checked-design prologue: enough rows for
+the parameters, an intercept column, and a rank check that names the
+collinear columns.
+
 The fits do no work twice: IRLS carries the fitted probabilities of each
-accepted step into the next iteration and into the covariance, a design's
-column medians and sds are computed only when impact sizes read them, and
-the sigmoid and the AUC midranks are whole-array numpy expressions, equal
-bit for bit to their masked and looped forms (the tests keep those as
+accepted step into the next iteration and into the covariance, and the
+sigmoid and the AUC midranks are whole-array numpy expressions, equal bit
+for bit to their masked and looped forms (the tests keep those as
 references).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .stats import chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
-
-SHORT = "Short"
-LONG = "Long"
 
 _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
 _MU_CLIP = 1e-10
 
 
-def binarize_outcome(resolution_times) -> list[str]:
-    """Label times as Long when >= the median (lower-middle value for even n)."""
-    times = [float(t) for t in resolution_times]
-    if not times:
+def binarize_outcome(resolution_times) -> np.ndarray:
+    """Label times 1.0 (Long) when >= the median (lower-middle value for even
+    n), else 0.0 (Short)."""
+    times = np.asarray(resolution_times, dtype=float)
+    if not len(times):
         raise ValueError("no resolution times to binarize")
-    if any(t < 0 for t in times):
+    if np.any(times < 0):
         raise ValueError("resolution times must be >= 0")
-    median = sorted(times)[(len(times) - 1) // 2]
-    return [LONG if t >= median else SHORT for t in times]
+    median = np.sort(times)[(len(times) - 1) // 2]
+    return (times >= median).astype(float)
 
 
 class DesignMatrix:
-    """Named feature columns with an outcome, plus per-column median and sd.
+    """Named feature columns with an outcome, one float per row.
 
     Rows with missing values must be dropped before construction; every cell
-    has to be finite.
+    and every outcome value has to be finite.
     """
 
-    def __init__(self, columns, X, outcome, outcome_kind: str | None = None):
+    def __init__(self, columns, X, outcome):
         self.columns = list(columns)
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names in design matrix")
@@ -55,68 +58,23 @@ class DesignMatrix:
             raise ValueError(f"design matrix shape {self.X.shape} does not match {len(self.columns)} columns")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("design matrix contains missing or non-finite cells")
-
-        values = list(outcome)
-        if len(values) != self.X.shape[0]:
+        self.outcome = np.asarray(outcome, dtype=float)
+        if self.outcome.shape != (self.X.shape[0],):
             raise ValueError("outcome length does not match design rows")
-        if outcome_kind is None:
-            outcome_kind = "binary" if values and all(v in (SHORT, LONG) for v in values) else "real"
-        if outcome_kind == "binary":
-            if values and isinstance(values[0], str):
-                self.outcome = np.array([1.0 if v == LONG else 0.0 for v in values])
-            else:
-                self.outcome = np.asarray(values, dtype=float)
-            if not np.all(np.isin(self.outcome, (0.0, 1.0))):
-                raise ValueError("binary outcome must contain only Short/Long (0/1) values")
-        elif outcome_kind == "real":
-            self.outcome = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(self.outcome)):
-                raise ValueError("real outcome contains non-finite values")
-        else:
-            raise ValueError(f"unknown outcome kind {outcome_kind!r}")
-        self.outcome_kind = outcome_kind
-
-    # computed on first use: only impact sizes read them, and the fits
-    # make many subsets and row samples
-    @cached_property
-    def medians(self) -> np.ndarray:
-        return np.median(self.X, axis=0) if len(self.X) else np.zeros(len(self.columns))
-
-    @cached_property
-    def sds(self) -> np.ndarray:
-        return np.std(self.X, axis=0, ddof=1) if len(self.X) > 1 else np.zeros(len(self.columns))
-
-    @classmethod
-    def from_mapping(cls, columns: dict, outcome, outcome_kind: str | None = None) -> "DesignMatrix":
-        names = list(columns)
-        X = np.column_stack([np.asarray(columns[name], dtype=float) for name in names]) if names else np.empty((len(list(outcome)), 0))
-        return cls(names, X, outcome, outcome_kind)
+        if not np.all(np.isfinite(self.outcome)):
+            raise ValueError("outcome contains non-finite values")
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.X[:, self.columns.index(name)]
-
-    def median(self, name: str) -> float:
-        return float(self.medians[self.columns.index(name)])
-
-    def sd(self, name: str) -> float:
-        return float(self.sds[self.columns.index(name)])
-
     def subset(self, names) -> "DesignMatrix":
         names = list(names)
         idx = [self.columns.index(n) for n in names]
-        return DesignMatrix(names, self.X[:, idx], self.outcome, self.outcome_kind)
-
-    def drop(self, names) -> "DesignMatrix":
-        removed = set(names)
-        keep = [n for n in self.columns if n not in removed]
-        return self.subset(keep)
+        return DesignMatrix(names, self.X[:, idx], self.outcome)
 
     def take_rows(self, index) -> "DesignMatrix":
-        return DesignMatrix(self.columns, self.X[index], self.outcome[index], self.outcome_kind)
+        return DesignMatrix(self.columns, self.X[index], self.outcome[index])
 
 
 @dataclass(frozen=True)
@@ -145,14 +103,11 @@ class FittedModel:
     def intercept(self) -> float:
         return self.coefficients[0]
 
-    def linear_predictor(self, X: np.ndarray) -> np.ndarray:
-        beta = np.asarray(self.coefficients)
-        return beta[0] + np.asarray(X, dtype=float) @ beta[1:]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.kind != "logistic":
             raise ValueError("predict_proba is only defined for logistic models")
-        return _sigmoid(self.linear_predictor(X))
+        beta = np.asarray(self.coefficients)
+        return _sigmoid(beta[0] + np.asarray(X, dtype=float) @ beta[1:])
 
 
 @dataclass(frozen=True)
@@ -210,29 +165,39 @@ def _collinear_columns(X1: np.ndarray, names: list[str]) -> list[str]:
     return culprits
 
 
-def _with_intercept(design: DesignMatrix) -> np.ndarray:
-    return np.column_stack([np.ones(design.n), design.X])
+def _check_labels(y: np.ndarray) -> None:
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise ValueError("binary outcome must contain only Short/Long (0/1) values")
+
+
+def _checked_design(design: DesignMatrix, constant_response_ok: bool) -> np.ndarray:
+    """The design with an intercept column first, once it has more rows than
+    parameters, a response that varies unless ``constant_response_ok``, and
+    full column rank; otherwise ValueError, in that order of checks."""
+    n, p = design.n, len(design.columns)
+    if n <= p + 1:
+        raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
+    if not constant_response_ok and float(np.var(design.outcome)) == 0.0:
+        raise ValueError("degenerate variance: response is constant")
+    X1 = np.column_stack([np.ones(n), design.X])
+    if np.linalg.matrix_rank(X1) < X1.shape[1]:
+        culprits = _collinear_columns(X1, design.columns)
+        raise ValueError(f"singular design; collinear columns: {culprits}")
+    return X1
 
 
 def fit_logistic(design: DesignMatrix) -> FittedModel:
     """Maximum-likelihood logistic regression via IRLS with step halving.
 
-    Converges when the largest coefficient change drops below 1e-8 (at most
-    100 iterations). Perfect separation never converges and is reported via
-    ``converged=False``; a singular design raises, naming the dependent
-    columns.
+    The outcome must be 0/1. Converges when the largest coefficient change
+    drops below 1e-8 (at most 100 iterations). Perfect separation never
+    converges and is reported via ``converged=False``; a singular design
+    raises, naming the dependent columns.
     """
-    if design.outcome_kind != "binary":
-        raise ValueError("fit_logistic requires a binary outcome")
     y = design.outcome
-    n, p = design.n, len(design.columns)
-    if n <= p + 1:
-        raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
-
-    X1 = _with_intercept(design)
-    if np.linalg.matrix_rank(X1) < X1.shape[1]:
-        culprits = _collinear_columns(X1, design.columns)
-        raise ValueError(f"singular design; collinear columns: {culprits}")
+    _check_labels(y)
+    # one class only is complete separation, which the fit reports
+    X1 = _checked_design(design, constant_response_ok=True)
 
     beta = np.zeros(X1.shape[1])
     mu = _sigmoid(X1 @ beta)  # always the fitted probabilities of beta
@@ -287,30 +252,19 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
         p_values=tuple(p_values),
         deviance=deviance,
         converged=converged,
-        n_obs=n,
+        n_obs=design.n,
     )
 
 
 def fit_linear(design: DesignMatrix) -> FittedModel:
     """Ordinary least squares with t-statistics and two-sided p-values."""
-    if design.outcome_kind != "real":
-        raise ValueError("fit_linear requires a real-valued outcome")
     y = design.outcome
-    n, p = design.n, len(design.columns)
-    if n <= p + 1:
-        raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
-    if float(np.var(y)) == 0.0:
-        raise ValueError("degenerate variance: response is constant")
-
-    X1 = _with_intercept(design)
-    if np.linalg.matrix_rank(X1) < X1.shape[1]:
-        culprits = _collinear_columns(X1, design.columns)
-        raise ValueError(f"singular design; collinear columns: {culprits}")
+    X1 = _checked_design(design, constant_response_ok=False)
 
     beta, _, _, _ = np.linalg.lstsq(X1, y, rcond=None)
     residuals = y - X1 @ beta
     rss = float(residuals @ residuals)
-    df = n - X1.shape[1]
+    df = design.n - X1.shape[1]
     sigma2 = rss / df
     cov = sigma2 * np.linalg.inv(X1.T @ X1)
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -329,7 +283,7 @@ def fit_linear(design: DesignMatrix) -> FittedModel:
         p_values=tuple(p_values),
         deviance=rss,
         converged=True,
-        n_obs=n,
+        n_obs=design.n,
     )
 
 
@@ -403,18 +357,17 @@ def crossval(design: DesignMatrix, folds: int = 10, seed: int = 0) -> CvReport:
     Class metrics are computed on the pooled out-of-fold predictions at a 0.5
     threshold; AUC is the rank statistic over the pooled probabilities.
     """
-    if design.outcome_kind != "binary":
-        raise ValueError("crossval requires a binary outcome")
+    y = design.outcome
+    _check_labels(y)
     if design.n < folds:
         raise ValueError(f"need at least {folds} rows for {folds}-fold cross-validation")
-    y = design.outcome
     rng = np.random.default_rng(seed)
 
     fold_of = np.empty(design.n, dtype=int)
     for cls in (0.0, 1.0):
         members = np.flatnonzero(y == cls)
         if len(members) < folds:
-            raise ValueError(f"class {LONG if cls else SHORT} has fewer members ({len(members)}) than folds")
+            raise ValueError(f"class {'Long' if cls else 'Short'} has fewer members ({len(members)}) than folds")
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % folds
 
@@ -429,14 +382,10 @@ def crossval(design: DesignMatrix, folds: int = 10, seed: int = 0) -> CvReport:
 
 
 def zero_r(labels) -> CvReport:
-    """Majority-class baseline (ties break toward Long); AUC is 0.5."""
-    values = list(labels)
-    if not values:
+    """Majority-class baseline of 0/1 labels (ties break toward Long, 1.0); AUC is 0.5."""
+    y = np.asarray(labels, dtype=float)
+    if not len(y):
         raise ValueError("no labels")
-    if isinstance(values[0], str):
-        y = np.array([1.0 if v == LONG else 0.0 for v in values])
-    else:
-        y = np.asarray(values, dtype=float)
     majority = 1.0 if np.sum(y == 1.0) >= np.sum(y == 0.0) else 0.0
     predictions = np.full(len(y), majority)
     return _classification_report(y, predictions, 0.5)
@@ -450,16 +399,19 @@ def impact_sizes(model: FittedModel, design: DesignMatrix) -> list[ImpactEntry]:
     """
     if model.kind != "logistic":
         raise ValueError("impact sizes are defined for logistic models")
+    medians = np.median(design.X, axis=0) if design.n else np.zeros(len(design.columns))
+    sds = np.std(design.X, axis=0, ddof=1) if design.n > 1 else np.zeros(len(design.columns))
+    at = [design.columns.index(name) for name in model.columns]
     base_eta = model.intercept
-    for name in model.columns:
-        base_eta += model.coefficient(name) * design.median(name)
+    for name, j in zip(model.columns, at):
+        base_eta += model.coefficient(name) * float(medians[j])
     base = float(_sigmoid(np.array([base_eta]))[0])
     if base < 1e-12:
         raise ValueError("degenerate base probability")
 
     entries = []
-    for name in model.columns:
-        dev_eta = base_eta + model.coefficient(name) * design.sd(name)
+    for name, j in zip(model.columns, at):
+        dev_eta = base_eta + model.coefficient(name) * float(sds[j])
         dev = float(_sigmoid(np.array([dev_eta]))[0])
         entries.append(ImpactEntry(feature=name, impact=(dev - base) / base * 100.0))
     entries.sort(key=lambda e: (-abs(e.impact), e.feature))
@@ -469,11 +421,11 @@ def impact_sizes(model: FittedModel, design: DesignMatrix) -> list[ImpactEntry]:
 def correlation_filter(design: DesignMatrix, pairs, threshold: float = 0.7) -> tuple[DesignMatrix, list[FilterDecision]]:
     """Drop the second column of each (keep, drop) pair when |r| > threshold."""
     decisions = []
-    dropped = []
+    dropped = set()
     for keep, drop in pairs:
-        r = pearson_r(design.column(keep), design.column(drop))
+        r = pearson_r(design.X[:, design.columns.index(keep)], design.X[:, design.columns.index(drop)])
         exceeded = abs(r) > threshold
         decisions.append(FilterDecision(keep=keep, drop=drop, r=r, dropped=exceeded))
         if exceeded:
-            dropped.append(drop)
-    return design.drop(dropped), decisions
+            dropped.add(drop)
+    return design.subset(name for name in design.columns if name not in dropped), decisions

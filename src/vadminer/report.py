@@ -90,11 +90,9 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
 
     if results.summary is not None:
         summary = results.summary
-        valences = [point.valence for point in summary.points]
-        fitted = [fit.predict(valences).tolist() if fit else [None] * len(valences)
+        fitted = [fit.predict(summary.valence).tolist() if fit else [None] * len(summary.ids)
                   for fit in (summary.linear, summary.quadratic)]
-        rows = [[point.issue_id, point.valence, point.arousal, linear_fit, quad_fit]
-                for point, linear_fit, quad_fit in zip(summary.points, *fitted)]
+        rows = list(zip(summary.ids.tolist(), summary.valence.tolist(), summary.arousal.tolist(), *fitted))
         emit("rq1_summary_points.csv",
              ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], rows)
         fit_rows = []
@@ -202,7 +200,7 @@ def render_text_report(results: AnalysisResults) -> str:
     if results.summary is not None:
         summary = results.summary
         lines.append("Per-issue valence/arousal summary")
-        lines.append(f"  points: {len(summary.points)} ({summary.n_skipped} skipped)")
+        lines.append(f"  points: {len(summary.ids)} ({summary.n_skipped} skipped)")
         if summary.linear is not None and summary.quadratic is not None:
             lines.append(f"  linear R^2: {_fmt(summary.linear.r_squared)}; "
                          f"quadratic R^2: {_fmt(summary.quadratic.r_squared)}")

@@ -258,10 +258,7 @@ def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
     df = df_num / df_den
     p = student_t_two_sided_p(t, df)
 
-    try:
-        d = cohens_d(a, b)
-    except ValueError:  # unreachable here, but keep the contract explicit
-        d = 0.0
+    d = cohens_d(a, b)
     return ComparisonResult(mean_a, mean_b, t=t, p=p, d=d,
                             d_label=label_effect_size(d), significant=p < alpha)
 

@@ -144,14 +144,14 @@ def test_criterion_3_zero_r_anchor():
     checks = []
     for n_long, n_short in ((565, 435), (717, 283), (5, 5)):
         q = n_long / (n_long + n_short)
-        report = zero_r(["Long"] * n_long + ["Short"] * n_short)
+        report = zero_r([1.0] * n_long + [0.0] * n_short)
         checks.append((f"q={q}: Long precision equals the share",
                        report.long.precision == pytest.approx(q, abs=1e-12)))
         checks.append((f"q={q}: recall 1, F1 2q/(1+q), AUC 0.5",
                        report.long.recall == 1.0
                        and report.long.f1 == pytest.approx(2 * q / (1 + q), abs=1e-12)
                        and report.auc == 0.5))
-    table = zero_r(["Long"] * 565 + ["Short"] * 435)
+    table = zero_r([1.0] * 565 + [0.0] * 435)
     checks.append(("q=0.565 reproduces 0.565 / 1 / 0.722 / 0.5 to 3 decimals",
                    (round(table.long.precision, 3), round(table.long.recall, 3),
                     round(table.long.f1, 3), round(table.auc, 3)) == (0.565, 1.0, 0.722, 0.5)))
@@ -193,7 +193,7 @@ def test_criterion_4_statistical_oracle_suite():
         X = rng.normal(0, 1, size=(n, int(rng.randint(1, 4))))
         y = 0.5 + X @ rng.uniform(-2, 2, size=X.shape[1]) + rng.normal(0, 0.7, size=n)
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_linear(DesignMatrix(names, X, y, outcome_kind="real"))
+        model = fit_linear(DesignMatrix(names, X, y))
         beta, se, p, rss = oracles.ols_oracle(X, y)
         ols_ok += (np.allclose(model.coefficients, beta, atol=1e-9)
                    and np.allclose(model.std_errors, se, atol=1e-9)
@@ -211,7 +211,7 @@ def test_criterion_4_statistical_oracle_suite():
             continue
         logit_total += 1
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_logistic(DesignMatrix(names, X, y, outcome_kind="binary"))
+        model = fit_logistic(DesignMatrix(names, X, y))
         beta, _, _, deviance = oracles.logistic_oracle(X, y)
         logit_ok += (np.allclose(model.coefficients, beta, atol=1e-9)
                      and abs(model.deviance - deviance) < 1e-9)
@@ -321,9 +321,8 @@ def test_criterion_6_nested_model_behavior(planted_run):
     noise = rng.normal(0, 1, size=(n, 5))
     names_c = ["c0", "c1", "c2"]
     names_n = [f"v{i}" for i in range(5)]
-    base_design = DesignMatrix(names_c, controls, y, outcome_kind="binary")
-    full_design = DesignMatrix(names_c + names_n, np.column_stack([controls, noise]), y,
-                               outcome_kind="binary")
+    base_design = DesignMatrix(names_c, controls, y)
+    full_design = DesignMatrix(names_c + names_n, np.column_stack([controls, noise]), y)
     auc_base = crossval(base_design, folds=10, seed=5).auc
     auc_full = crossval(full_design, folds=10, seed=5).auc
     noise_gain = auc_full - auc_base
@@ -335,9 +334,8 @@ def test_criterion_6_nested_model_behavior(planted_run):
         xs = seeded.normal(0, 1, size=(700, 2))
         ys = (seeded.uniform(size=700) < sps.logistic.cdf(0.6 * xs[:, 0])).astype(float)
         noise_cols = seeded.normal(0, 1, size=(700, 3))
-        reduced_design = DesignMatrix(["a", "b"], xs, ys, outcome_kind="binary")
-        full_noise = DesignMatrix(["a", "b", "n0", "n1", "n2"],
-                                  np.column_stack([xs, noise_cols]), ys, outcome_kind="binary")
+        reduced_design = DesignMatrix(["a", "b"], xs, ys)
+        full_noise = DesignMatrix(["a", "b", "n0", "n1", "n2"], np.column_stack([xs, noise_cols]), ys)
         p_values.append(lr_test(fit_logistic(reduced_design), fit_logistic(full_noise)))
     ks_p = sps.kstest(p_values, "uniform").pvalue
     checks.append((f"null lr p-values uniform (KS p {ks_p:.3f} > 0.01 over 50 seeds)", ks_p > 0.01))
@@ -345,8 +343,8 @@ def test_criterion_6_nested_model_behavior(planted_run):
 
 
 def test_criterion_7_impact_size_closed_form():
-    columns = {"x": [-1.0, 0.0, 1.0], "zero": [4.0, 5.0, 6.0]}
-    design = DesignMatrix.from_mapping(columns, [0.0, 1.0, 1.0], outcome_kind="binary")
+    design = DesignMatrix(["x", "zero"], np.column_stack([[-1.0, 0.0, 1.0], [4.0, 5.0, 6.0]]),
+                          [0.0, 1.0, 1.0])
     model = FittedModel(kind="logistic", columns=("x", "zero"),
                         coefficients=(0.0, 1.0, 0.0), std_errors=(0.1, 0.1, 0.1),
                         p_values=(0.5, 0.001, 0.9), deviance=1.0, converged=True, n_obs=3)

@@ -135,16 +135,15 @@ def test_summary_single_element_equals_title(table1_lexicon):
     issue = make_issue(1, title="joy", description="zzz qqq", comments=(),
                        resolved=None, status="Open")
     result = rq1_summary(score_corpus([issue], table1_lexicon))
-    assert len(result.points) == 1
-    point = result.points[0]
-    assert point.valence == pytest.approx(8.21 - 5.2775, abs=1e-12)
+    assert len(result.ids) == 1
+    assert result.valence[0] == pytest.approx(8.21 - 5.2775, abs=1e-12)
     assert result.linear is None and result.note is not None
 
 
 def test_summary_quadratic_at_least_linear(planted_scored):
     result = rq1_summary(planted_scored)
     assert result.quadratic.r_squared + 1e-12 >= result.linear.r_squared
-    assert result.n_total == result.n_skipped + len(result.points)
+    assert result.n_total == result.n_skipped + len(result.ids)
 
 
 def test_summary_u_shape_prefers_quadratic(synth_lexicon):
@@ -348,7 +347,7 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
         if scored:
             expected_points.append((issue.id, float(np.mean([vad.valence for vad in scored])),
                                     float(np.mean([vad.arousal for vad in scored]))))
-    assert [(p.issue_id, p.valence, p.arousal) for p in summary.points] == expected_points
+    assert list(zip(summary.ids.tolist(), summary.valence.tolist(), summary.arousal.tolist())) == expected_points
 
     paired = rq2_first_last(table)
     for cell in paired.cells:

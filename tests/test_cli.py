@@ -206,6 +206,26 @@ def test_ingest_and_analyze_reject_non_string_project(tmp_path, capsys, synth_pa
     assert "line 3: field project must be a non-empty string" in err and "Traceback" not in err
 
 
+def test_ingest_and_analyze_reject_unpaired_surrogate(tmp_path, capsys, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[6])
+    obj["id"] = "PRJ-\ud800"
+    lines[6] = json.dumps(obj)
+    assert '"PRJ-\\ud800"' in lines[6]
+    bad = tmp_path / "surrogate.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = "line 7: unpaired surrogate escape: not valid UTF-8"
+    assert main(["ingest", "--corpus", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    out = tmp_path / "rpt"
+    assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_analyze_rejects_non_finite_feature(tmp_path, capsys, synth_paths):
     corpus_path, lexicon_path, _ = synth_paths
     lines = corpus_path.read_text(encoding="utf-8").splitlines()
@@ -317,6 +337,17 @@ def test_analyze_config_unknown_key_exit_2(tmp_path, synth_paths, capsys):
                       "alpah=0.001\nsed=9\n", encoding="utf-8")
     assert main(["analyze", "--config", str(config)]) == 2
     assert "error: config line 4: unknown key 'alpah'" in capsys.readouterr().err
+    assert not (tmp_path / "rpt").exists()
+
+
+def test_analyze_config_repeated_key_exit_2(tmp_path, synth_paths, capsys):
+    corpus_path, lexicon_path, _ = synth_paths
+    config = tmp_path / "run.cfg"
+    config.write_text(f"lexicon={lexicon_path}\ncorpus={corpus_path}\nout={tmp_path / 'rpt'}\n"
+                      "analyses=rq1\n# comment\nanalyses=rq2\n", encoding="utf-8")
+    assert main(["analyze", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error: config line 6: key 'analyses' already set on line 4" in err and "Traceback" not in err
     assert not (tmp_path / "rpt").exists()
 
 

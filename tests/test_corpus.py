@@ -227,6 +227,34 @@ def test_non_utf8_lines_reported(tmp_path):
     assert load_corpus(path)[1].comments[0].body == "café"
 
 
+@pytest.mark.parametrize("overrides", [
+    {"id": "PRJ-\ud800"},
+    {"reporter": "x\ud800y"},
+    {"title": "x\udc00"},  # a low half alone
+    {"description": "\ude00\ud83d"},  # the halves of a pair, in the wrong order
+    {"comments": [{"author": "a\udbff", "created": 150, "body": "first"}]},
+    {"comments": [{"author": "asg", "created": 150, "body": "\ud800\ud800 first"}]},
+    {"external_features": {"k\ud800": 1.0}},
+])
+@pytest.mark.parametrize("upper", [False, True])
+def test_unpaired_surrogate_escape_rejected(overrides, upper):
+    line = json.dumps(issue_json(**overrides))  # writes a lone surrogate as an escape, e.g. \\ud800
+    if upper:
+        line = line.replace("\\ud", "\\uD")
+    text = json.dumps(issue_json(id="PRJ-0")) + "\n" + line + "\n"
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(io.StringIO(text))
+    assert excinfo.value.errors == [(2, "unpaired surrogate escape: not valid UTF-8")]
+
+
+def test_escaped_surrogate_pair_and_escaped_backslash_load():
+    paired = json.dumps(issue_json(title="smile \U0001F600"))
+    assert "\\ud83d\\ude00" in paired
+    literal = json.dumps(issue_json(id="PRJ-2", title="\\ud800"))  # a backslash, then "ud800"
+    issues = load_corpus(io.StringIO(paired + "\n" + literal + "\n"))
+    assert [issue.title for issue in issues] == ["smile \U0001F600", "\\ud800"]
+
+
 def test_out_of_order_comments_sorted_not_rejected():
     obj = issue_json(comments=[
         {"author": "a", "created": 300, "body": "later"},

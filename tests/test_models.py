@@ -6,8 +6,6 @@ from scipy import stats as sps
 
 from vadminer.models import (
     DesignMatrix,
-    LONG,
-    SHORT,
     binarize_outcome,
     correlation_filter,
     crossval,
@@ -29,7 +27,7 @@ def binary_design(X, y, names=None):
     if X.shape[0] != len(y):
         X = X.T
     names = names or [f"x{i}" for i in range(X.shape[1])]
-    return DesignMatrix(names, X, np.asarray(y, float), outcome_kind="binary")
+    return DesignMatrix(names, X, np.asarray(y, float))
 
 
 # ---------------------------------------------------------------------------
@@ -37,15 +35,15 @@ def binary_design(X, y, names=None):
 # ---------------------------------------------------------------------------
 
 def test_binarize_odd_median():
-    assert binarize_outcome([1, 2, 3, 4, 5]) == [SHORT, SHORT, LONG, LONG, LONG]
+    assert binarize_outcome([1, 2, 3, 4, 5]).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_binarize_all_equal():
-    assert binarize_outcome([7, 7, 7]) == [LONG, LONG, LONG]
+    assert binarize_outcome([7, 7, 7]).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_binarize_even_lower_median():
-    assert binarize_outcome([1, 2, 3, 4]) == [SHORT, LONG, LONG, LONG]
+    assert binarize_outcome([1, 2, 3, 4]).tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 def test_binarize_errors():
@@ -101,7 +99,7 @@ def test_logistic_null_features_rarely_significant():
 
 def test_logistic_intercept_only_balanced():
     y = np.array([0.0, 1.0] * 50)
-    design = DesignMatrix([], np.empty((100, 0)), y, outcome_kind="binary")
+    design = DesignMatrix([], np.empty((100, 0)), y)
     model = fit_logistic(design)
     assert abs(model.intercept) < 1e-6
 
@@ -120,6 +118,17 @@ def test_logistic_singular_design_names_columns():
     y = (rng.uniform(size=50) < 0.5).astype(float)
     with pytest.raises(ValueError, match="x1"):
         fit_logistic(binary_design(X, y, names=["x0", "x1"]))
+    # the outcome is checked first, then the row count, then the rank
+    labels = "only Short/Long \\(0/1\\) values"
+    for outcome in (y + 2.0, np.where(y == 1.0, 0.5, 0.0)):
+        with pytest.raises(ValueError, match=labels):
+            fit_logistic(binary_design(X, outcome, names=["x0", "x1"]))
+        with pytest.raises(ValueError, match=labels):
+            crossval(binary_design(X, outcome, names=["x0", "x1"]), folds=10, seed=0)
+    with pytest.raises(ValueError, match=labels):
+        fit_logistic(binary_design(X[:3], y[:3] + 2.0, names=["x0", "x1"]))
+    with pytest.raises(ValueError, match=r"need more observations \(3\) than parameters \(3\)"):
+        fit_logistic(binary_design(X[:3], y[:3], names=["x0", "x1"]))
 
 
 def test_logistic_probabilities_in_unit_interval():
@@ -289,7 +298,7 @@ def test_sigmoid_equals_masked_reference():
 # ---------------------------------------------------------------------------
 
 def test_zero_r_majority_share():
-    labels = [LONG] * 565 + [SHORT] * 435
+    labels = [1.0] * 565 + [0.0] * 435
     report = zero_r(labels)
     assert report.long.precision == pytest.approx(0.565, abs=1e-12)
     assert report.long.recall == 1.0
@@ -304,14 +313,14 @@ def test_zero_r_majority_share():
 
 
 def test_zero_r_tie_breaks_long():
-    report = zero_r([LONG, SHORT, LONG, SHORT])
+    report = zero_r([1.0, 0.0, 1.0, 0.0])
     assert report.long.precision == 0.5
     assert report.long.recall == 1.0
     assert report.long.f1 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_zero_r_all_long():
-    report = zero_r([LONG, LONG, LONG])
+    report = zero_r([1.0, 1.0, 1.0])
     assert report.long.precision == 1.0 and report.long.recall == 1.0 and report.long.f1 == 1.0
     assert report.short.precision == 0.0 and report.short.f1 == 0.0
 
@@ -322,10 +331,8 @@ def test_zero_r_all_long():
 
 def _design_with_stats(medians, sds, names):
     # three rows are enough to pin median and sd exactly for symmetric data
-    columns = {}
-    for name, median, sd in zip(names, medians, sds):
-        columns[name] = [median - sd, median, median + sd]
-    return DesignMatrix.from_mapping(columns, [0.0, 1.0, 1.0], outcome_kind="binary")
+    columns = [[median - sd, median, median + sd] for median, sd in zip(medians, sds)]
+    return DesignMatrix(names, np.column_stack(columns), [0.0, 1.0, 1.0])
 
 
 def test_impact_closed_form():
@@ -393,8 +400,7 @@ def test_impacts_sorted_by_magnitude():
 def test_filter_drops_identical_column():
     rng = np.random.RandomState(41)
     v = rng.normal(0, 1, size=100)
-    design = DesignMatrix.from_mapping({"v": v, "d": v.copy()}, [0.0] * 50 + [1.0] * 50,
-                                       outcome_kind="binary")
+    design = DesignMatrix(["v", "d"], np.column_stack([v, v.copy()]), [0.0] * 50 + [1.0] * 50)
     filtered, decisions = correlation_filter(design, [("v", "d")])
     assert decisions[0].dropped and decisions[0].r == pytest.approx(1.0)
     assert filtered.columns == ["v"]
@@ -404,7 +410,7 @@ def test_filter_keeps_independent_noise():
     rng = np.random.RandomState(43)
     a = rng.normal(0, 1, size=10_000)
     b = rng.normal(0, 1, size=10_000)
-    design = DesignMatrix.from_mapping({"a": a, "b": b}, [0.0, 1.0] * 5000, outcome_kind="binary")
+    design = DesignMatrix(["a", "b"], np.column_stack([a, b]), [0.0, 1.0] * 5000)
     filtered, decisions = correlation_filter(design, [("a", "b")])
     assert not decisions[0].dropped
     assert abs(decisions[0].r) < 0.1
@@ -415,7 +421,7 @@ def test_filter_boundary_exactly_point_seven_retained():
     # integer vectors engineered so the sample r is exactly 0.7 in floats
     x = np.array([-6.0, -2.0, 4.0, 4.0]) + 10.0
     y = np.array([-6.0, 3.0, 1.0, 2.0]) + 10.0
-    design = DesignMatrix.from_mapping({"v": x, "d": y}, [0.0, 1.0, 0.0, 1.0], outcome_kind="binary")
+    design = DesignMatrix(["v", "d"], np.column_stack([x, y]), [0.0, 1.0, 0.0, 1.0])
     filtered, decisions = correlation_filter(design, [("v", "d")], threshold=0.7)
     assert decisions[0].r == 0.7
     assert not decisions[0].dropped
@@ -429,7 +435,7 @@ def test_filter_boundary_exactly_point_seven_retained():
 def test_linear_exact_fit():
     x = np.arange(10.0)
     y = 3.0 * x + 2.0
-    design = DesignMatrix.from_mapping({"x": x}, y, outcome_kind="real")
+    design = DesignMatrix(["x"], x[:, None], y)
     model = fit_linear(design)
     assert model.intercept == pytest.approx(2.0, abs=1e-9)
     assert model.coefficient("x") == pytest.approx(3.0, abs=1e-9)
@@ -443,7 +449,7 @@ def test_linear_matches_oracle_on_fixed_cases():
         X = rng.normal(0, 1, size=(n, rng.randint(1, 4)))
         y = 1.0 + X @ rng.uniform(-2, 2, size=X.shape[1]) + rng.normal(0, 0.5, size=n)
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_linear(DesignMatrix(names, X, y, outcome_kind="real"))
+        model = fit_linear(DesignMatrix(names, X, y))
         beta, se, p, rss = oracles.ols_oracle(X, y)
         assert np.allclose(model.coefficients, beta, atol=1e-9)
         assert np.allclose(model.std_errors, se, atol=1e-9)
@@ -456,8 +462,7 @@ def test_linear_planted_signs():
     priority = rng.randint(1, 6, size=10_000).astype(float)
     comments = rng.poisson(4, size=10_000).astype(float)
     y = 0.5 * priority - 0.2 * comments + rng.normal(0, 1, size=10_000)
-    design = DesignMatrix.from_mapping({"priority": priority, "comments": comments}, y,
-                                       outcome_kind="real")
+    design = DesignMatrix(["priority", "comments"], np.column_stack([priority, comments]), y)
     model = fit_linear(design)
     assert model.coefficient("priority") > 0 and model.p_value("priority") < 0.001
     assert model.coefficient("comments") < 0 and model.p_value("comments") < 0.001
@@ -471,7 +476,7 @@ def test_linear_null_predictor_rarely_significant():
         x = rng.normal(0, 1, size=300)
         noise = rng.normal(0, 1, size=300)
         y = 0.8 * x + rng.normal(0, 1, size=300)
-        design = DesignMatrix.from_mapping({"x": x, "noise": noise}, y, outcome_kind="real")
+        design = DesignMatrix(["x", "noise"], np.column_stack([x, noise]), y)
         model = fit_linear(design)
         if model.p_value("noise") >= 0.001:
             clean += 1
@@ -481,7 +486,12 @@ def test_linear_null_predictor_rarely_significant():
 def test_linear_degenerate_and_singular():
     x = np.arange(10.0)
     with pytest.raises(ValueError, match="constant"):
-        fit_linear(DesignMatrix.from_mapping({"x": x}, np.full(10, 3.0), outcome_kind="real"))
+        fit_linear(DesignMatrix(["x"], x[:, None], np.full(10, 3.0)))
     X = np.column_stack([x, x])
     with pytest.raises(ValueError, match="collinear"):
-        fit_linear(DesignMatrix(["a", "b"], X, x + 1.0, outcome_kind="real"))
+        fit_linear(DesignMatrix(["a", "b"], X, x + 1.0))
+    # the row count is checked first, then the response, then the rank
+    with pytest.raises(ValueError, match=r"need more observations \(3\) than parameters \(3\)"):
+        fit_linear(DesignMatrix(["a", "b"], X[:3], np.full(3, 3.0)))
+    with pytest.raises(ValueError, match="degenerate variance: response is constant"):
+        fit_linear(DesignMatrix(["a", "b"], X, np.full(10, 3.0)))
