@@ -3,8 +3,9 @@
 ``score_corpus`` walks the issues once: it scans every title, description
 and comment into a columnar ``ScoreTable`` and takes the issue ids and
 attributes as columns of that table. Every pipeline takes that table and
-nothing else; ``run_analyses`` scores once and passes the table on. Four
-pipelines compose the score table with the statistics and model layers:
+nothing else, and so does ``run_analyses``, which runs the selected ones; the
+records can be freed once the table is built. Four pipelines compose the
+score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
    resolution-time halves (adjacent-pair tests, Bonferroni-adjusted);
@@ -17,6 +18,7 @@ pipelines compose the score table with the statistics and model layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -92,9 +94,10 @@ class ScoreTable:
     ``corpus``), then each external feature, to a float column over the
     issues; an external column is NaN where the issue lacks the key.
 
-    The table keeps no issue records. Equal tables hold the same ids, scores
-    and roles; features are not compared. The history counts are those of
-    the corpus the table was scored from, which ``select`` keeps.
+    The table keeps no issue records, and the id strings belong to the table:
+    they are copies, not the records' own strings. Equal tables hold the same
+    ids, scores and roles; features are not compared. The history counts are
+    those of the corpus the table was scored from, which ``select`` keeps.
     """
 
     ids: np.ndarray       # (issues,) of str objects
@@ -136,12 +139,19 @@ class ScoreTable:
                           {name: column[rows] for name, column in self.features.items()})
 
 
-def _attributes(issue) -> tuple:
-    """The issue's values of ATTRIBUTE_COLUMNS; None becomes NaN."""
-    return (len(issue.comments), issue.watchers, issue.developer_count, issue.change_count,
-            issue.votes, PRIORITY_LEVEL[issue.priority], issue.resolution_time,
-            issue.status == "Closed", PRIORITIES.index(issue.priority),
-            TYPE_GROUP_ORDER.index(issue.type_group) if issue.type_group else None)
+# how each of ATTRIBUTE_COLUMNS is read off an issue, NaN where it has no value
+_ATTRIBUTES = {
+    "n_comments": lambda issue: len(issue.comments),
+    "n_watchers": attrgetter("watchers"),
+    "n_developers": attrgetter("developer_count"),
+    "n_changes": attrgetter("change_count"),
+    "votes": attrgetter("votes"),
+    "priority_level": lambda issue: PRIORITY_LEVEL[issue.priority],
+    "resolution_time": lambda issue: np.nan if issue.resolved is None else issue.resolved - issue.created,
+    "closed": lambda issue: issue.status == "Closed",
+    "priority": lambda issue: PRIORITIES.index(issue.priority),
+    "type_group": lambda issue: TYPE_GROUP_ORDER.index(issue.type_group) if issue.type_group else np.nan,
+}
 
 
 def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
@@ -150,48 +160,53 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
 
     First and Last are their comment's row. All folds the per-comment
     extremes, which equals scoring the newline-joined comments: a newline
-    never joins two words, and min/max are exact. ``jobs`` is accepted for
-    compatibility and has no effect; scoring runs in this process.
+    never joins two words, and min/max are exact. The table holds copies of
+    the ids and nothing else of the records, so they can be freed once it is
+    built. ``jobs`` is accepted for compatibility and has no effect; scoring
+    runs in this process.
     """
     issues = tuple(issues)
-    counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=len(issues))
+    n = len(issues)
+    counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=n)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    heads_lo, heads_hi, _ = scan_texts(
-        [text for issue in issues for text in (issue.title, issue.description)], lexicon)
-    thread_lo, thread_hi, _ = scan_texts([c.body for issue in issues for c in issue.comments], lexicon)
+    baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
+
+    elements = np.full((n, len(ELEMENTS), len(DIMENSIONS)), np.nan)
+    lo, hi, _ = scan_texts([text for issue in issues for text in (issue.title, issue.description)], lexicon)
+    elements[:, :2] = fold(lo, hi, baselines).reshape(n, 2, len(DIMENSIONS))
+    lo, hi, _ = scan_texts([c.body for issue in issues for c in issue.comments], lexicon)
+    comments = fold(lo, hi, baselines)
+    threaded = counts > 0
+    firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
+    if len(firsts):
+        elements[threaded, 2] = fold(np.fmin.reduceat(lo, firsts, axis=0),
+                                     np.fmax.reduceat(hi, firsts, axis=0), baselines)
+        elements[threaded, 3] = comments[firsts]
+        elements[threaded, 4] = comments[lasts]
+    del lo, hi  # the per-comment extremes go before the feature columns are built
     role_code = {role: code for code, role in enumerate(ROLES)}
     roles = np.fromiter((role_code[role_of(c, issue)] for issue in issues for c in issue.comments),
                         dtype=np.int8, count=offsets[-1])
 
-    attributes = np.array([_attributes(issue) for issue in issues], dtype=float)
-    attributes = attributes.reshape(len(issues), len(ATTRIBUTE_COLUMNS))  # also when empty
-    features = dict(zip(ATTRIBUTE_COLUMNS, attributes.T.copy()))
+    features = {name: np.fromiter(map(_ATTRIBUTES[name], issues), dtype=float, count=n)
+                for name in ATTRIBUTE_COLUMNS}
     features.update(participant_history(issues))
     external: dict[str, np.ndarray] = {}
     for row, issue in enumerate(issues):
         for key, value in issue.external_features.items():
             if key not in external:
-                external[key] = np.full(len(issues), np.nan)
+                external[key] = np.full(n, np.nan)
             external[key][row] = value
     clash = sorted(external.keys() & set(RESERVED_FEATURES))
     if clash:
         raise ValueError(f"external features {clash} take the names of built-in columns")
     features.update(sorted(external.items()))
 
-    baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
-    comments = fold(thread_lo, thread_hi, baselines)
-    elements = np.full((len(issues), len(ELEMENTS), len(DIMENSIONS)), np.nan)
-    elements[:, :2] = fold(heads_lo, heads_hi, baselines).reshape(len(issues), 2, len(DIMENSIONS))
-    threaded = counts > 0
-    firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
-    if len(firsts):
-        lo = np.fmin.reduceat(thread_lo, firsts, axis=0)
-        hi = np.fmax.reduceat(thread_hi, firsts, axis=0)
-        elements[threaded, 2] = fold(lo, hi, baselines)
-        elements[threaded, 3] = comments[firsts]
-        elements[threaded, 4] = comments[lasts]
-    # object, not a fixed-width str dtype, which drops an id's trailing NULs
-    ids = np.array([issue.id for issue in issues], dtype=object)
+    # Object, not a fixed-width str dtype, which drops an id's trailing NULs.
+    # Each id is a copy: a record's own string would keep the memory around
+    # it from being reused after the records are freed.
+    ids = np.array([issue.id.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+                    for issue in issues], dtype=object)
     return ScoreTable(ids, elements, comments, offsets, roles, features)
 
 
@@ -669,13 +684,12 @@ class AnalysisResults:
     summary: SummaryResult | None = None
 
 
-def run_analyses(corpus, lexicon: Lexicon, which=ANALYSIS_NAMES, seed: int = 0,
+def run_analyses(table: ScoreTable, which=ANALYSIS_NAMES, seed: int = 0,
                  alpha: float = 0.05) -> AnalysisResults:
-    """Score once and run the selected pipelines on that table deterministically."""
+    """Run the selected pipelines on the score table deterministically."""
     unknown = set(which) - set(ANALYSIS_NAMES)
     if unknown:
         raise ValueError(f"unknown analyses: {sorted(unknown)}")
-    table = score_corpus(corpus, lexicon)
     n_scored = int(np.count_nonzero(~np.isnan(table.elements).all(axis=(1, 2))))
     results = AnalysisResults(n_issues=len(table), n_scored=n_scored)
     if "rq1" in which:

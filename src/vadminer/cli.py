@@ -8,11 +8,13 @@ Exit codes are stable: 0 success, 2 missing file or invalid configuration,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
 
+from . import analyses
 from .analyses import ANALYSIS_NAMES, run_analyses
 from .corpus import CorpusFormatError, corpus_histograms, load_corpus, write_corpus
 from .lexicon import UNDECODED, LexiconError, canonical_dimension, load_lexicon, write_lexicon
@@ -255,8 +257,11 @@ def _run_analyze(args) -> int:
     out = _output_path(out_dir)
 
     lexicon = _load_lexicon_checked(lexicon_path)
-    issues = _load_corpus_checked(corpus_path)
-    results = run_analyses(issues, lexicon, which=selected, seed=seed, alpha=alpha)
+    # the records are freed as soon as they are scored; the pipelines read the table
+    table = analyses.score_corpus(_load_corpus_checked(corpus_path), lexicon)
+    # a full collection also empties the free lists that the records' tuples filled
+    gc.collect()
+    results = run_analyses(table, which=selected, seed=seed, alpha=alpha)
     written = write_reports(results, out)
 
     print(f"analyzed {results.n_issues} issues ({results.n_scored} with scored text)")

@@ -208,10 +208,21 @@ def _as_sample(values, name: str, min_len: int = 2) -> np.ndarray:
     return arr
 
 
+def _scaled(*samples: np.ndarray) -> list[np.ndarray]:
+    """The samples divided by the one power of two that brings their largest
+    magnitude into [0.5, 1).
+
+    The division is exact, barring underflow of values far below the largest,
+    so statistics that do not depend on scale keep every bit on ordinary data,
+    while their squares and sums of squares can no longer underflow or overflow.
+    """
+    exponent = math.frexp(max(float(np.max(np.abs(sample))) for sample in samples))[1]
+    return [np.ldexp(sample, -exponent) for sample in samples]
+
+
 def cohens_d(a, b) -> float:
     """Pooled-standard-deviation Cohen's d, (mean_a - mean_b) / s_pooled."""
-    a = _as_sample(a, "a")
-    b = _as_sample(b, "b")
+    a, b = _scaled(_as_sample(a, "a"), _as_sample(b, "b"))
     na, nb = len(a), len(b)
     va = float(np.var(a, ddof=1))
     vb = float(np.var(b, ddof=1))
@@ -231,6 +242,7 @@ def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
     a = _as_sample(a, "a")
     b = _as_sample(b, "b")
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
+    a, b = _scaled(a, b)
     va = float(np.var(a, ddof=1))
     vb = float(np.var(b, ddof=1))
     na, nb = len(a), len(b)
@@ -248,7 +260,7 @@ def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
 
     sa, sb = va / na, vb / nb
     se = math.sqrt(sa + sb)
-    t = (mean_a - mean_b) / se
+    t = (float(np.mean(a)) - float(np.mean(b))) / se
     df_num = (sa + sb) ** 2
     df_den = 0.0
     if va > 0:
@@ -272,7 +284,7 @@ def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
     after = _as_sample(after, "after")
     if len(before) != len(after):
         raise ValueError(f"paired samples differ in length: {len(before)} vs {len(after)}")
-    diffs = after - before
+    (diffs,) = _scaled(after - before)
     mean_diff = float(np.mean(diffs))
     sd_diff = float(np.std(diffs, ddof=1))
     mean_a, mean_b = float(np.mean(before)), float(np.mean(after))

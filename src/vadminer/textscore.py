@@ -14,7 +14,7 @@ code fragments, identifiers and stack traces.
 looks each word up in the lexicon's word -> row dict, appending the rows
 that hit to a compact integer buffer; per-text minima and maxima are then
 taken over the lexicon's rows x 3 score array with ``np.minimum.reduceat``
-and ``np.maximum.reduceat``, a few thousand texts at a time so that the
+and ``np.maximum.reduceat``, about a thousand texts at a time so that the
 buffer stays small at any corpus size. The score depends on nothing but
 these extremes, so ``score_text`` folds the scan of a one-text batch, and
 the corpus score table folds the per-comment extremes to score a whole
@@ -38,7 +38,7 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _ASCII_WORDS = str.maketrans({chr(i): chr(i).lower() if chr(i).isalpha() else " " for i in range(128)})
 
 # texts per reduction: bounds the hit buffer, which holds about ten rows per text
-_BATCH = 4096
+_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,11 @@ def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndar
 def fold(lo, hi, baseline):
     """Range score from extreme word scores, element-wise over arrays; NaN
     extremes give NaN."""
-    return np.where(lo > baseline, hi - baseline, np.where(hi < baseline, baseline - lo, hi - lo))
+    # lo > baseline and hi < baseline never hold together, and both fail on NaN
+    out = np.asarray(np.subtract(hi, lo), dtype=float)
+    np.subtract(hi, baseline, out=out, where=lo > baseline)
+    np.subtract(baseline, lo, out=out, where=hi < baseline)
+    return out
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:

@@ -484,7 +484,7 @@ def test_participant_history_runs_once_per_run(planted_corpus, synth_lexicon, mo
 
     monkeypatch.setattr(analyses, "participant_history", counted)
     issues, _ = planted_corpus
-    results = run_analyses(issues, synth_lexicon, seed=0)
+    results = run_analyses(score_corpus(issues, synth_lexicon), seed=0)
     assert results.rq3.n_used > 0 and sum(results.rq4.n_designs.values()) > 0
     assert calls == [len(issues)]
 
@@ -499,8 +499,9 @@ def test_score_corpus_parallel_matches_serial(planted_corpus, synth_lexicon):
 
 def test_run_analyses_selection(planted_corpus, synth_lexicon):
     issues, _ = planted_corpus
-    results = run_analyses(issues[:300], synth_lexicon, which=("rq1",), seed=0)
+    table = score_corpus(issues[:300], synth_lexicon)
+    results = run_analyses(table, which=("rq1",), seed=0)
     assert results.rq1_priority is not None
     assert results.rq2 is None and results.rq3 is None and results.rq4 is None
     with pytest.raises(ValueError, match="unknown analyses"):
-        run_analyses(issues[:10], synth_lexicon, which=("rq9",))
+        run_analyses(table, which=("rq9",))

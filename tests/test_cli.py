@@ -455,3 +455,35 @@ def test_analyze_runs_without_scipy(tmp_path, synth_paths):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(list((tmp_path / "rpt").iterdir())) == 13
+
+
+def test_analyze_frees_the_records_before_the_pipelines(tmp_path, synth_paths):
+    # in a fresh interpreter, so that no other test's records are alive
+    corpus_path, lexicon_path, _ = synth_paths
+    code = f"""
+import gc, sys
+from vadminer import analyses
+from vadminer.cli import main
+from vadminer.corpus import Comment, IssueReport
+
+counts = {{}}
+def counted(name, function):
+    def run(*args, **kwargs):
+        counts[name] = sum(isinstance(o, (IssueReport, Comment)) for o in gc.get_objects())
+        return function(*args, **kwargs)
+    return run
+
+analyses.score_corpus = counted("scoring", analyses.score_corpus)
+analyses.rq1_priority_arousal = counted("pipelines", analyses.rq1_priority_arousal)
+code = main(["analyze", "--lexicon", {str(lexicon_path)!r}, "--corpus", {str(corpus_path)!r},
+             "--out", {str(tmp_path / "rpt")!r}, "--analyses", "rq1"])
+print(counts["scoring"], counts["pipelines"])
+sys.exit(code)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    scoring, pipelines = map(int, proc.stdout.splitlines()[-1].split())
+    assert scoring >= 150  # the count sees the records while they are scored
+    assert pipelines == 0

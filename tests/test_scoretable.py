@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 from vadminer.analyses import ELEMENTS, score_corpus
-from vadminer.corpus import ROLES, Comment, IssueReport, role_of
+from vadminer.corpus import (
+    ATTRIBUTE_COLUMNS,
+    HISTORY_COLUMNS,
+    PRIORITIES,
+    PRIORITY_LEVEL,
+    ROLES,
+    TYPE_GROUP_ORDER,
+    Comment,
+    IssueReport,
+    role_of,
+)
 from vadminer.textscore import score_text
 
 NAN_ROW = [math.nan] * 3
@@ -145,3 +155,94 @@ def test_equality_sees_every_column(planted_corpus, synth_lexicon):
     ids = table.ids.copy()
     ids[7] = "PRJ-renamed"
     assert table != dataclasses.replace(table, ids=ids)
+
+
+def reference_features(issues):
+    """Every feature column by a walk over the records. A history count is the
+    number of the person's events on issues that come earlier in (created, id)
+    order; an external column is NaN where the issue lacks the key."""
+    comments_by, reported_by, assigned_to = {}, {}, {}  # person -> (created, id) of each event
+    for issue in issues:
+        key = (issue.created, issue.id)
+        for comment in issue.comments:
+            comments_by.setdefault(comment.author, []).append(key)
+        reported_by.setdefault(issue.reporter, []).append(key)
+        assigned_to.setdefault(issue.assignee, []).append(key)
+
+    def earlier(events, person, key):
+        return 0 if person is None else sum(event < key for event in events.get(person, []))
+
+    columns = {name: [] for name in ATTRIBUTE_COLUMNS + HISTORY_COLUMNS}
+    for issue in issues:
+        key = (issue.created, issue.id)
+        values = {
+            "n_comments": len(issue.comments),
+            "n_watchers": issue.watchers,
+            "n_developers": issue.developer_count,
+            "n_changes": issue.change_count,
+            "votes": issue.votes,
+            "priority_level": PRIORITY_LEVEL[issue.priority],
+            "resolution_time": math.nan if issue.resolved is None else issue.resolved - issue.created,
+            "closed": 1.0 if issue.status == "Closed" else 0.0,
+            "priority": PRIORITIES.index(issue.priority),
+            "type_group": math.nan if issue.type_group is None else TYPE_GROUP_ORDER.index(issue.type_group),
+            "assignee_prev_comments": earlier(comments_by, issue.assignee, key),
+            "reporter_prev_comments": earlier(comments_by, issue.reporter, key),
+            "assignee_prev_issues": earlier(assigned_to, issue.assignee, key),
+            "reporter_prev_issues": earlier(reported_by, issue.reporter, key),
+        }
+        for name, value in values.items():
+            columns[name].append(value)
+    for name in sorted({name for issue in issues for name in issue.external_features}):
+        columns[name] = [issue.external_features.get(name, math.nan) for issue in issues]
+    return {name: np.array(values, dtype=float) for name, values in columns.items()}
+
+
+@pytest.fixture(scope="module")
+def crowded(planted_corpus):
+    """Planted issues on a few people and a few creation times, so that
+    creation ties, missing assignees and assignees who reported the issue are
+    common, and with external features that some issues lack."""
+    rng = random.Random(17)
+    people = ["ann", "bob", "cid", "dee", "eve"]
+    issues = []
+    for issue in planted_corpus[0][:400]:
+        reporter = rng.choice(people)
+        features = {key: value for key, value in issue.external_features.items() if rng.random() < 0.8}
+        if rng.random() < 0.1:
+            features["rare"] = rng.uniform(-1.0, 1.0)
+        issues.append(dataclasses.replace(
+            issue, created=rng.randrange(30), reporter=reporter,
+            assignee=rng.choice([*people, None, reporter, reporter]),
+            comments=tuple(dataclasses.replace(c, author=rng.choice(people)) for c in issue.comments),
+            external_features=features))
+    return issues
+
+
+def test_features_equal_per_issue_walk(crowded, synth_lexicon):
+    # ScoreTable equality ignores the features, and the rq3/rq4 design tests
+    # read the history from participant_history itself: this walk covers both
+    creations = [issue.created for issue in crowded]
+    assert len(set(creations)) < len(creations)
+    assert any(issue.assignee is None for issue in crowded)
+    assert any(issue.assignee == issue.reporter for issue in crowded)
+    expected = reference_features(crowded)
+    assert all(np.count_nonzero(expected[name]) for name in HISTORY_COLUMNS)
+    assert np.isnan(expected["rare"]).any() and not np.isnan(expected["rare"]).all()
+
+    features = score_corpus(crowded, synth_lexicon).features
+    assert list(features) == list(expected)
+    for name, column in features.items():
+        assert column.dtype == np.float64 and column.shape == (len(crowded),), name
+        assert column.tobytes() == expected[name].tobytes(), name
+
+
+def test_ids_belong_to_the_table(planted_corpus, table1_lexicon):
+    # a record's id string would keep the memory around it alive once the
+    # records are freed, so the table holds equal strings of its own
+    issues = planted_corpus[0][:50] + [dataclasses.replace(EDGE_ISSUES[0], id=name)
+                                       for name in ("PRJ-x\x00", "PRJ-\ud800", "PRJ-ü")]
+    table = score_corpus(issues, table1_lexicon)
+    assert table.ids.dtype == object
+    assert table.ids.tolist() == [issue.id for issue in issues]
+    assert not any(own is issue.id for own, issue in zip(table.ids, issues))

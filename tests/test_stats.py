@@ -175,6 +175,36 @@ def test_cohens_d_identical():
     assert cohens_d([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
 
+SCALES = [1e-161, 1.0, 1e200]
+
+
+@pytest.mark.parametrize("x", SCALES)
+def test_welch_and_cohens_d_scale_free(x):
+    # var([0, x]) = x**2/2: its square underflows to 0 at 1e-161 and the
+    # variance itself overflows at 1e200 unless the samples are rescaled
+    zeros = [0.0] * 200
+    result = welch_t_test([0.0, x], zeros)
+    assert result.t == pytest.approx(1.0, rel=1e-15)
+    assert result.d == pytest.approx(10.0, rel=1e-15)
+    assert result.p == pytest.approx(welch_t_test([0.0, 1.0], zeros).p, rel=1e-12)
+    assert result.mean_a == x / 2
+    assert cohens_d([0.0, x], zeros) == pytest.approx(10.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", SCALES)
+def test_paired_scale_free(d):
+    result = paired_t_test([0.0] * 3, [0.0, d, 2 * d])
+    assert result.t == pytest.approx(math.sqrt(3), rel=1e-15)
+    assert result.d == pytest.approx(1.0, rel=1e-15)
+    assert result.p == pytest.approx(paired_t_test([0.0] * 3, [0.0, 1.0, 2.0]).p, rel=1e-12)
+
+
+def test_scale_free_variance_is_not_constant():
+    # a variance below the smallest float is still a variance
+    result = welch_t_test([0.0, 1e-170], [0.0] * 200)
+    assert result.t == pytest.approx(1.0, rel=1e-15) and result.p > 0.4
+
+
 def test_effect_size_labels():
     assert label_effect_size(0.324) == "small"
     assert label_effect_size(-0.324) == "small"
