@@ -19,7 +19,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 from .analyses import AnalysisResults, ScoreTable, run_analyses, score_corpus
-from .corpus import Comment, IssueReport, load_corpus, role_of, write_corpus
+from .corpus import Comment, IssueReport, load_corpus, write_corpus
 from .lexicon import Lexicon, LexiconEntry, LexiconError, load_lexicon, write_lexicon
 from .synth import GeneratorConfig, generate_corpus, generate_lexicon
 from .textscore import VadScore, range_score, score_text, tokenize
@@ -41,7 +41,6 @@ __all__ = [
     "load_corpus",
     "load_lexicon",
     "range_score",
-    "role_of",
     "run_analyses",
     "score_corpus",
     "score_text",

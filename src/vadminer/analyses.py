@@ -33,7 +33,6 @@ from .corpus import (
     TYPE_GROUP_ORDER,
     VAD_COLUMNS,
     VAD_ELEMENT_KEYS,
-    role_of,
 )
 from .lexicon import DIMENSIONS, Lexicon
 from .models import (
@@ -89,10 +88,15 @@ class ScoreTable:
     Issue ``i`` has id ``ids[i]``; ``elements[i, e, k]`` scores its element
     ``ELEMENTS[e]`` on ``DIMENSIONS[k]``. Issue ``i``'s comments are rows
     ``offsets[i]:offsets[i + 1]`` of ``comments`` (their scores) and of
-    ``roles`` (index into ``ROLES``, from ``role_of``). ``features`` maps
-    each name of ``ATTRIBUTE_COLUMNS`` and ``HISTORY_COLUMNS`` (see
-    ``corpus``), then each external feature, to a float column over the
-    issues; an external column is NaN where the issue lacks the key.
+    ``roles`` (index into ``ROLES``). ``features`` maps each name of
+    ``ATTRIBUTE_COLUMNS`` and ``HISTORY_COLUMNS`` (see ``corpus``), then each
+    external feature, to a float column over the issues; an external column
+    is NaN where the issue lacks the key.
+
+    A name is one person in every role. A comment's role is Assignee when its
+    author is the issue's assignee, else Reporter when they reported it, else
+    Other. A history count is the person's comments, reports or assignments
+    on issues of a lower (created, id) rank, so the issue's own are excluded.
 
     The table keeps no issue records, and the id strings belong to the table:
     they are copies, not the records' own strings. Equal tables hold the same
@@ -164,6 +168,10 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     the ids and nothing else of the records, so they can be freed once it is
     built. ``jobs`` is accepted for compatibility and has no effect; scoring
     runs in this process.
+
+    Roles and history counts compare one integer code per name, under the
+    rules of ``ScoreTable``: Assignee wins over Reporter, "prior" means a
+    lower (created, id) rank, and the issue's own activity is excluded.
     """
     issues = tuple(issues)
     n = len(issues)
@@ -184,13 +192,31 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
     del lo, hi  # the per-comment extremes go before the feature columns are built
-    role_code = {role: code for code, role in enumerate(ROLES)}
-    roles = np.fromiter((role_code[role_of(c, issue)] for issue in issues for c in issue.comments),
-                        dtype=np.int8, count=offsets[-1])
+
+    # one code per name (-1: no assignee); the only place that matches names
+    people: dict[str, int] = {}
+    reporters = np.fromiter((people.setdefault(issue.reporter, len(people)) for issue in issues),
+                            dtype=np.int64, count=n)
+    assignees = np.fromiter((-1 if issue.assignee is None else people.setdefault(issue.assignee, len(people))
+                             for issue in issues), dtype=np.int64, count=n)
+    authors = np.fromiter((people.setdefault(c.author, len(people)) for issue in issues for c in issue.comments),
+                          dtype=np.int64, count=offsets[-1])
+    owner = np.repeat(np.arange(n), counts)
+    roles = np.full(offsets[-1], ROLES.index("Other"), dtype=np.int8)
+    roles[authors == reporters[owner]] = ROLES.index("Reporter")
+    roles[authors == assignees[owner]] = ROLES.index("Assignee")  # Assignee wins
 
     features = {name: np.fromiter(map(_ATTRIBUTES[name], issues), dtype=float, count=n)
                 for name in ATTRIBUTE_COLUMNS}
-    features.update(participant_history(issues))
+    # each issue's rank in (created, id) order, the inverse of the sorting permutation
+    rank = np.argsort(sorted(range(n), key=lambda row: (issues[row].created, issues[row].id)))
+    assigned = assignees >= 0
+    features.update(zip(HISTORY_COLUMNS, (
+        _prior(authors, rank[owner], assignees, rank),
+        _prior(authors, rank[owner], reporters, rank),
+        _prior(assignees[assigned], rank[assigned], assignees, rank),
+        _prior(reporters, rank, reporters, rank),
+    )))
     external: dict[str, np.ndarray] = {}
     for row, issue in enumerate(issues):
         for key, value in issue.external_features.items():
@@ -210,32 +236,14 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     return ScoreTable(ids, elements, comments, offsets, roles, features)
 
 
-def participant_history(issues) -> dict[str, np.ndarray]:
-    """Prior comment and issue counts of each issue's assignee/reporter: one
-    float column per name of HISTORY_COLUMNS, row-aligned with ``issues``.
-
-    "Prior" is by issue creation order (ties broken by id); the current
-    issue's own activity is excluded.
-    """
-    issues = tuple(issues)
-    comments_by: dict[str, int] = {}
-    reported_by: dict[str, int] = {}
-    assigned_to: dict[str, int] = {}
-    counts = np.zeros((len(issues), len(HISTORY_COLUMNS)))
-    for row in sorted(range(len(issues)), key=lambda row: (issues[row].created, issues[row].id)):
-        issue = issues[row]
-        counts[row] = (
-            comments_by.get(issue.assignee, 0) if issue.assignee else 0,
-            comments_by.get(issue.reporter, 0),
-            assigned_to.get(issue.assignee, 0) if issue.assignee else 0,
-            reported_by.get(issue.reporter, 0),
-        )
-        for comment in issue.comments:
-            comments_by[comment.author] = comments_by.get(comment.author, 0) + 1
-        reported_by[issue.reporter] = reported_by.get(issue.reporter, 0) + 1
-        if issue.assignee:
-            assigned_to[issue.assignee] = assigned_to.get(issue.assignee, 0) + 1
-    return dict(zip(HISTORY_COLUMNS, counts.T.copy()))
+def _prior(codes, ranks, people, at) -> np.ndarray:
+    """For each person ``people[i]`` and rank ``at[i]``, the number of events
+    (person ``codes[j]`` at issue rank ``ranks[j]``) that are theirs at a
+    lower rank, as floats. Ranks lie below ``len(at)``, the issue count, and
+    event codes are not negative, so person -1 (no assignee) counts 0."""
+    n = len(at)
+    keys = np.sort(codes * n + ranks)  # by person, then rank
+    return (np.searchsorted(keys, people * n + at) - np.searchsorted(keys, people * n)).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Issue-tracker data model, validated JSONL ingestion, and commenter roles.
+"""Issue-tracker data model and validated JSONL ingestion.
 
 Loading checks every line: bytes that are not UTF-8, a JSON string escape
 that leaves an unpaired surrogate (no UTF-8 text can hold one), invalid JSON
@@ -62,7 +62,7 @@ ATTRIBUTE_COLUMNS = (
     "n_comments", "n_watchers", "n_developers", "n_changes", "votes", "priority_level",
     "resolution_time", "closed", "priority", "type_group",
 )
-# prior activity of an issue's assignee and reporter (analyses.participant_history)
+# prior activity of an issue's assignee and reporter (analyses.score_corpus)
 HISTORY_COLUMNS = (
     "assignee_prev_comments", "reporter_prev_comments", "assignee_prev_issues", "reporter_prev_issues",
 )
@@ -132,15 +132,6 @@ class IssueReport:
     def type_group(self) -> str | None:
         """Bug / All Tasks / Future Dev grouping; None for type Other."""
         return TYPE_GROUPS.get(self.issue_type)
-
-
-def role_of(comment: Comment, issue: IssueReport) -> str:
-    """Assignee wins over Reporter when one person holds both roles."""
-    if issue.assignee is not None and comment.author == issue.assignee:
-        return "Assignee"
-    if comment.author == issue.reporter:
-        return "Reporter"
-    return "Other"
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +250,11 @@ def parse_issue(obj: dict) -> IssueReport:
     # out-of-order comments are sorted, not rejected
     comments.sort(key=_CREATED)
 
-    features = obj.get("external_features") or {}
-    if not isinstance(features, dict):
+    features = obj.get("external_features")  # missing or null: no features
+    if features is not None and not isinstance(features, dict):
         raise ValueError("field external_features must be an object")
     parsed_features: dict[str, float] = {}
-    for key, value in features.items():
+    for key, value in (features or {}).items():
         if key in _RESERVED:
             raise ValueError(f"field external_features.{key} takes the name of a built-in column")
         if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -123,3 +123,36 @@ def auc_oracle(scores, labels):
         np.asarray(scores)[np.asarray(labels) == 1],
         np.asarray(scores)[np.asarray(labels) == 0],
     ).statistic) / (int(np.sum(labels == 1)) * int(np.sum(labels == 0)))
+
+
+def commenter_role(author, issue) -> str:
+    """A comment author's role on an issue; Assignee wins over Reporter."""
+    if issue.assignee is not None and author == issue.assignee:
+        return "Assignee"
+    return "Reporter" if author == issue.reporter else "Other"
+
+
+def prior_activity(issues) -> dict[str, list[int]]:
+    """The history columns by a walk over the records, keyed by name: each
+    count is the number of the person's events on issues that come earlier in
+    (created, id) order, so an issue's own activity does not count."""
+    comments_by, reported_by, assigned_to = {}, {}, {}  # person -> (created, id) of each event
+    for issue in issues:
+        key = (issue.created, issue.id)
+        for comment in issue.comments:
+            comments_by.setdefault(comment.author, []).append(key)
+        reported_by.setdefault(issue.reporter, []).append(key)
+        assigned_to.setdefault(issue.assignee, []).append(key)
+
+    def earlier(events, person, key):
+        return 0 if person is None else sum(event < key for event in events.get(person, []))
+
+    history = {"assignee_prev_comments": [], "reporter_prev_comments": [],
+               "assignee_prev_issues": [], "reporter_prev_issues": []}
+    for issue in issues:
+        key = (issue.created, issue.id)
+        history["assignee_prev_comments"].append(earlier(comments_by, issue.assignee, key))
+        history["reporter_prev_comments"].append(earlier(comments_by, issue.reporter, key))
+        history["assignee_prev_issues"].append(earlier(assigned_to, issue.assignee, key))
+        history["reporter_prev_issues"].append(earlier(reported_by, issue.reporter, key))
+    return history

@@ -6,7 +6,7 @@ import pytest
 
 from vadminer import analyses
 from vadminer.analyses import (
-    participant_history,
+    AnalysisResults,
     rq1_dominance_time,
     rq1_priority_arousal,
     rq1_summary,
@@ -17,11 +17,15 @@ from vadminer.analyses import (
     run_analyses,
     score_corpus,
 )
-from vadminer.corpus import PRIORITY_LEVEL, ROLES, Comment, IssueReport, role_of
+from vadminer.corpus import HISTORY_COLUMNS, PRIORITY_LEVEL, ROLES, Comment, IssueReport
 from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
+from vadminer.models import binarize_outcome
+from vadminer.report import write_reports
 from vadminer.stats import paired_t_test, welch_t_test
 from vadminer.synth import EffectConfig, GeneratorConfig, generate_corpus, u_shape_config
 from vadminer.textscore import score_text
+
+import oracles
 
 
 def make_issue(i=1, **overrides):
@@ -264,6 +268,35 @@ def test_rq3_deterministic(planted_scored):
     assert first == second
 
 
+@pytest.mark.parametrize("case,notice", [
+    ("title_d = title_v", "dropped title_d (|r|=1.000 with title_v)"),
+    ("constant n_developers", "stage controls failed: singular design; collinear columns: ['n_developers']"),
+    ("avg_politeness = Long", "stage controls+affective: fit did not converge (possible separation)"),
+    ("avg_politeness = 1 on one issue", "stage controls+affective: cross-validation skipped "
+                                        "(singular design; collinear columns: ['avg_politeness'])"),
+])
+def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
+    table, features = planted_scored, dict(planted_scored.features)
+    used = np.flatnonzero(~np.isnan(features["resolution_time"]) & ~np.isnan(table.elements).any(axis=(1, 2)))
+    if case == "title_d = title_v":
+        elements = table.elements.copy()
+        elements[:, 0, 2] = elements[:, 0, 0]
+        table = dataclasses.replace(table, elements=elements)
+    elif case == "constant n_developers":
+        features["n_developers"] = np.ones(len(table))
+    else:
+        features["avg_politeness"] = np.zeros(len(table))
+        if case == "avg_politeness = Long":
+            features["avg_politeness"][used] = binarize_outcome(features["resolution_time"][used])
+        else:
+            features["avg_politeness"][used[0]] = 1.0
+    report = rq3_resolution_model(dataclasses.replace(table, features=features))
+    assert notice in report.notices
+    assert (report.stages == ()) == (case == "constant n_developers")
+    write_reports(AnalysisResults(n_issues=len(table), n_scored=len(table), rq3=report), tmp_path)
+    assert f"\n  note: {notice}\n" in (tmp_path / "report.txt").read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # sign tables
 # ---------------------------------------------------------------------------
@@ -359,7 +392,7 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
                 thread = list(issue.comments) if len(issue.comments) >= 4 else []
             else:
                 role = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}[cell.scope]
-                thread = [c for c in issue.comments if role_of(c, issue) == role]
+                thread = [c for c in issue.comments if oracles.commenter_role(c.author, issue) == role]
                 thread = thread if len(thread) >= 2 else []
             if thread:
                 first = score_text(thread[0].body, lexicon).get(cell.dimension)
@@ -381,7 +414,7 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
     issues, lexicon, table = jittered
     rq4_sign_tables(table)
 
-    history = participant_history(issues)
+    history = oracles.prior_activity(issues)
     comment_scores = {id(c): score_text(c.body, lexicon) for issue in issues for c in issue.comments}
     long_means = 0
     assert len(fitted) == len(ROLES) * len(DIMENSIONS)
@@ -393,7 +426,8 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
                 if issue.resolution_time is None or issue.type_group is None:
                     continue
                 values = [comment_scores[id(c)].get(dim) for c in issue.comments
-                          if role_of(c, issue) == role and comment_scores[id(c)].get(dim) is not None]
+                          if oracles.commenter_role(c.author, issue) == role
+                          and comment_scores[id(c)].get(dim) is not None]
                 if not values:
                     continue
                 long_means += len(values) >= 8
@@ -419,7 +453,7 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
     issues, lexicon, table = jittered
     report = rq3_resolution_model(table)
 
-    history = participant_history(issues)
+    history = oracles.prior_activity(issues)
     affective = ["avg_politeness", "avg_sentiment"]
     rows, times = [], []
     for row, issue in enumerate(issues):
@@ -456,7 +490,7 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def test_participant_history_counts():
+def test_history_counts(table1_lexicon):
     issues = [
         make_issue(1, created=100, reporter="ann", assignee="bob",
                    comments=_comments(["a", "b"], authors=["bob", "ann"], start=110)),
@@ -464,29 +498,14 @@ def test_participant_history_counts():
                    comments=_comments(["c"], authors=["cid"], start=210)),
         make_issue(3, created=300, reporter="bob", assignee="ann", comments=()),
     ]
-    history = participant_history(issues)
-    assert {name: column[0] for name, column in history.items()} == {
+    history = score_corpus(issues, table1_lexicon).features
+    assert {name: history[name][0] for name in HISTORY_COLUMNS} == {
         "assignee_prev_comments": 0, "reporter_prev_comments": 0,
         "assignee_prev_issues": 0, "reporter_prev_issues": 0}
     assert history["reporter_prev_issues"][1] == 1    # ann reported PRJ-1
     assert history["reporter_prev_comments"][1] == 1  # ann commented on PRJ-1
     assert history["assignee_prev_comments"][2] == 1  # ann, before PRJ-3
     assert history["reporter_prev_issues"][2] == 0    # bob reported nothing before
-
-
-def test_participant_history_runs_once_per_run(planted_corpus, synth_lexicon, monkeypatch):
-    calls = []
-    original = analyses.participant_history
-
-    def counted(issues):
-        calls.append(len(issues))
-        return original(issues)
-
-    monkeypatch.setattr(analyses, "participant_history", counted)
-    issues, _ = planted_corpus
-    results = run_analyses(score_corpus(issues, synth_lexicon), seed=0)
-    assert results.rq3.n_used > 0 and sum(results.rq4.n_designs.values()) > 0
-    assert calls == [len(issues)]
 
 
 def test_score_corpus_parallel_matches_serial(planted_corpus, synth_lexicon):

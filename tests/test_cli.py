@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from vadminer.analyses import ELEMENTS, RQ2_SCOPES, TIME_GROUPS
 from vadminer.cli import main
-from vadminer.corpus import load_corpus
-from vadminer.lexicon import load_lexicon
+from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, load_corpus
+from vadminer.lexicon import DIMENSIONS, load_lexicon
 from vadminer.synth import GeneratorConfig, config_to_dict
 
 from conftest import TABLE1_CSV
@@ -303,6 +305,26 @@ def test_analyze_rq3_without_resolved_issues(tmp_path, capsys, synth_paths):
     assert f"skipped {len(open_only)} unresolved" in printed
     perf = (out / "rq3_performance.csv").read_text(encoding="utf-8")
     assert perf.strip().splitlines() == ["classifier,class,precision,recall,f1,auc"]
+
+
+def test_analyze_empty_corpus_notes(tmp_path, lexicon_file):
+    # the run behind the benchmark's setup_s: no issue reaches any pipeline
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_bytes(b"")
+    out = tmp_path / "rpt"
+    assert main(["analyze", "--lexicon", str(lexicon_file), "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == 13
+    lines = Counter((out / "report.txt").read_text(encoding="utf-8").splitlines())
+    for groups in (PRIORITIES, TYPE_GROUP_ORDER, TIME_GROUPS):
+        for left, right in zip(groups, groups[1:]):
+            assert lines[f"         {left} vs {right}: insufficient data"] == len(ELEMENTS)
+    for dim in DIMENSIONS:
+        for scope in RQ2_SCOPES:
+            assert lines[f"  {dim[0].upper()}/{scope}: insufficient data"] == 1
+    assert lines["  too few distinct points for curvature fits"] == 1
+    for role in ROLES:
+        for dim in DIMENSIONS:
+            assert lines[f"  note: {role}/{dim}: insufficient rows (0); column left blank"] == 1
 
 
 def test_analyze_missing_inputs(tmp_path, capsys, lexicon_file):

@@ -13,11 +13,11 @@ from vadminer.corpus import (
     ISSUE_TYPES,
     IssueReport,
     PRIORITIES,
+    ROLES,
     STATUSES,
     corpus_histograms,
     load_corpus,
     parse_issue,
-    role_of,
     write_corpus,
 )
 from vadminer.textscore import tokenize
@@ -130,6 +130,42 @@ def test_reserved_external_feature_rejected(key):
     with pytest.raises(CorpusFormatError) as info:
         load_corpus(io.StringIO(good + "\n" + bad + "\n"))
     assert info.value.errors == [(2, f"field external_features.{key} takes the name of a built-in column")]
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "line is not a JSON object"),
+    ({"id": ""}, "field id must be a non-empty string"),
+    ({"reporter": 7}, "field reporter must be a non-empty string"),
+    ({"assignee": ""}, "field assignee must be null or a non-empty string"),
+    ({"description": None}, "fields title and description must be strings"),
+    ({"comments": {}}, "field comments must be a list"),
+    ({"external_features": [1]}, "field external_features must be an object"),
+    ({"external_features": "x"}, "field external_features must be an object"),
+    ({"external_features": {"k": "1"}}, "field external_features.k must be numeric"),
+    ({"votes": "3"}, "field votes must be an integer, got '3'"),
+    ({"watchers": "3"}, "field watchers must be an integer, got '3'"),
+    ({"changes": "3"}, "field changes must be an integer, got '3'"),
+    ({"developers": "3"}, "field developers must be an integer, got '3'"),
+    # falsy, yet not an object: only a missing key or null means no features
+    ({"external_features": []}, "field external_features must be an object"),
+    ({"external_features": 0}, "field external_features must be an object"),
+    ({"external_features": False}, "field external_features must be an object"),
+    ({"external_features": ""}, "field external_features must be an object"),
+], ids=lambda value: json.dumps(value) if isinstance(value, dict) else None)
+def test_loader_messages(line, message):
+    if isinstance(line, dict):
+        line = json.dumps(issue_json(**{"id": "PRJ-2", **line}))
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(io.StringIO(json.dumps(issue_json()) + "\n" + line + "\n"))
+    assert info.value.errors == [(2, message)]
+
+
+def test_null_or_missing_external_features_load():
+    missing = issue_json(id="PRJ-2")
+    del missing["external_features"]
+    lines = [json.dumps(issue_json(external_features=None)), json.dumps(missing)]
+    issues = load_corpus(io.StringIO("\n".join(lines) + "\n"))
+    assert [issue.external_features for issue in issues] == [{}, {}]
 
 
 @pytest.mark.parametrize("project", [None, 7, {"a": 1}, "", ["PRJ"]])
@@ -285,14 +321,16 @@ def test_serialize_then_load_is_identity():
     assert reloaded == issues
 
 
-def test_role_of_precedence():
-    issue = make_issue(assignee="same", reporter="same")
-    assert role_of(Comment(author="same", created=1, body=""), issue) == "Assignee"
-    issue2 = make_issue(assignee="other")
-    assert role_of(Comment(author="rep", created=1, body=""), issue2) == "Reporter"
-    assert role_of(Comment(author="nobody", created=1, body=""), issue2) == "Other"
-    no_assignee = make_issue(assignee=None, resolved=None, status="Open")
-    assert role_of(Comment(author="rep", created=1, body=""), no_assignee) == "Reporter"
+def test_role_precedence(table1_lexicon):
+    def roles(**overrides):
+        authors = ("same", "rep", "nobody")
+        comments = tuple(Comment(author=name, created=k, body="") for k, name in enumerate(authors))
+        table = score_corpus([make_issue(comments=comments, **overrides)], table1_lexicon)
+        return [ROLES[code] for code in table.roles]
+
+    assert roles(assignee="same", reporter="same") == ["Assignee", "Other", "Other"]
+    assert roles(assignee="other") == ["Other", "Reporter", "Other"]
+    assert roles(assignee=None, resolved=None, status="Open") == ["Other", "Reporter", "Other"]
 
 
 def score_elements(issue, lexicon):

@@ -20,9 +20,10 @@ from vadminer.corpus import (
     TYPE_GROUP_ORDER,
     Comment,
     IssueReport,
-    role_of,
 )
 from vadminer.textscore import score_text
+
+import oracles
 
 NAN_ROW = [math.nan] * 3
 
@@ -56,7 +57,7 @@ def assert_table_matches_kernel(table, issues, lexicon):
         assert np.array_equal(table.comments[start:end].reshape(-1, 3),
                               np.array(comment_rows).reshape(-1, 3), equal_nan=True)
         assert [ROLES[code] for code in table.roles[start:end]] == [
-            role_of(c, issue) for c in issue.comments]
+            oracles.commenter_role(c.author, issue) for c in issue.comments]
 
 
 def test_planted_corpus_rows_equal_kernel(planted_corpus, synth_lexicon, planted_scored):
@@ -95,6 +96,8 @@ def test_empty_corpus(table1_lexicon):
     assert len(table) == 0
     assert table.elements.shape == (0, 5, 3) and table.comments.shape == (0, 3)
     assert list(table.offsets) == [0]
+    assert table.roles.shape == (0,)
+    assert all(table.features[name].shape == (0,) for name in HISTORY_COLUMNS)
 
 
 def test_comment_fold_invariant_to_permutation_and_duplication(planted_corpus, synth_lexicon):
@@ -158,23 +161,11 @@ def test_equality_sees_every_column(planted_corpus, synth_lexicon):
 
 
 def reference_features(issues):
-    """Every feature column by a walk over the records. A history count is the
-    number of the person's events on issues that come earlier in (created, id)
-    order; an external column is NaN where the issue lacks the key."""
-    comments_by, reported_by, assigned_to = {}, {}, {}  # person -> (created, id) of each event
+    """Every feature column by a walk over the records, with the history
+    columns of ``oracles.prior_activity``; an external column is NaN where
+    the issue lacks the key."""
+    columns = {name: [] for name in ATTRIBUTE_COLUMNS}
     for issue in issues:
-        key = (issue.created, issue.id)
-        for comment in issue.comments:
-            comments_by.setdefault(comment.author, []).append(key)
-        reported_by.setdefault(issue.reporter, []).append(key)
-        assigned_to.setdefault(issue.assignee, []).append(key)
-
-    def earlier(events, person, key):
-        return 0 if person is None else sum(event < key for event in events.get(person, []))
-
-    columns = {name: [] for name in ATTRIBUTE_COLUMNS + HISTORY_COLUMNS}
-    for issue in issues:
-        key = (issue.created, issue.id)
         values = {
             "n_comments": len(issue.comments),
             "n_watchers": issue.watchers,
@@ -186,13 +177,10 @@ def reference_features(issues):
             "closed": 1.0 if issue.status == "Closed" else 0.0,
             "priority": PRIORITIES.index(issue.priority),
             "type_group": math.nan if issue.type_group is None else TYPE_GROUP_ORDER.index(issue.type_group),
-            "assignee_prev_comments": earlier(comments_by, issue.assignee, key),
-            "reporter_prev_comments": earlier(comments_by, issue.reporter, key),
-            "assignee_prev_issues": earlier(assigned_to, issue.assignee, key),
-            "reporter_prev_issues": earlier(reported_by, issue.reporter, key),
         }
         for name, value in values.items():
             columns[name].append(value)
+    columns.update(oracles.prior_activity(issues))
     for name in sorted({name for issue in issues for name in issue.external_features}):
         columns[name] = [issue.external_features.get(name, math.nan) for issue in issues]
     return {name: np.array(values, dtype=float) for name, values in columns.items()}
@@ -220,8 +208,7 @@ def crowded(planted_corpus):
 
 
 def test_features_equal_per_issue_walk(crowded, synth_lexicon):
-    # ScoreTable equality ignores the features, and the rq3/rq4 design tests
-    # read the history from participant_history itself: this walk covers both
+    # ScoreTable equality ignores the features: this walk covers them
     creations = [issue.created for issue in crowded]
     assert len(set(creations)) < len(creations)
     assert any(issue.assignee is None for issue in crowded)
@@ -235,6 +222,33 @@ def test_features_equal_per_issue_walk(crowded, synth_lexicon):
     for name, column in features.items():
         assert column.dtype == np.float64 and column.shape == (len(crowded),), name
         assert column.tobytes() == expected[name].tobytes(), name
+
+
+def test_history_equals_reference(planted_corpus, planted_scored, table1_lexicon):
+    tables = [(planted_corpus[0], planted_scored),
+              *((issues, score_corpus(issues, table1_lexicon)) for issues in (EDGE_ISSUES, []))]
+    for issues, table in tables:
+        expected = oracles.prior_activity(issues)
+        for name in HISTORY_COLUMNS:
+            assert table.features[name].tobytes() == np.array(expected[name], dtype=float).tobytes(), name
+
+
+def test_roles_equal_per_comment_reference(crowded, synth_lexicon):
+    roles = [oracles.commenter_role(c.author, issue) for issue in crowded for c in issue.comments]
+    assert set(roles) == set(ROLES)
+    assert any(issue.assignee == issue.reporter and issue.comments for issue in crowded)
+    assert [ROLES[code] for code in score_corpus(crowded, synth_lexicon).roles] == roles
+
+
+def test_shuffled_records_only_move_rows(crowded, synth_lexicon):
+    # history follows (created, id), not the order of the records
+    order = list(range(len(crowded)))
+    random.Random(5).shuffle(order)
+    table = score_corpus(crowded, synth_lexicon)
+    shuffled = score_corpus([crowded[row] for row in order], synth_lexicon)
+    assert shuffled == table.select(order)
+    for name in HISTORY_COLUMNS:
+        assert shuffled.features[name].tobytes() == table.features[name][order].tobytes(), name
 
 
 def test_ids_belong_to_the_table(planted_corpus, table1_lexicon):
