@@ -36,6 +36,7 @@ from .corpus import (
 )
 from .lexicon import DIMENSIONS, Lexicon
 from .models import (
+    CV_FOLDS,
     CvReport,
     DesignMatrix,
     FilterDecision,
@@ -59,6 +60,8 @@ RQ2_SCOPES = ("All", "Assignees'", "Reporters'", "Others'")
 _SCOPE_ROLE = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}
 
 TIME_GROUPS = ("Short time", "High time")
+PRUNE_ALPHA = 0.01  # rq3 keeps final-model coefficients below it
+SIGN_ALPHA = 0.001  # rq4 shows a sign below it
 
 SIGN_TABLE_ROWS = (
     "Priority", "Issue Type", "Resolution Time", "# votes", "# comments",
@@ -488,11 +491,9 @@ class Rq3Report:
     final_model: FittedModel | None
     impacts: tuple[ImpactEntry, ...]
     notices: tuple[str, ...]
-    prune_alpha: float = 0.01
 
 
-def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
-                         prune_alpha: float = 0.01) -> Rq3Report:
+def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     """Hierarchical logistic models of the Short/Long resolution-time split.
 
     Stage 1 uses issue controls, stage 2 adds external affective columns when
@@ -500,7 +501,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
     columns after dropping any dominance column correlating > 0.7 with its
     element's valence. Emits likelihood-ratio p-values between stages,
     cross-validated metrics per stage, the majority baseline, and impact
-    sizes of the final model pruned to coefficients with p < prune_alpha.
+    sizes of the final model pruned to coefficients with p < ``PRUNE_ALPHA``.
     """
     notices: list[str] = []
     features = table.features
@@ -520,7 +521,6 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
             n_skipped_incomplete=n_skipped_incomplete,
             long_share=None, zero_r=None, stages=(), filter_decisions=(),
             pruned=(), final_model=None, impacts=(), notices=tuple(notices),
-            prune_alpha=prune_alpha,
         )
 
     # external columns that every used issue carries (none when no issue is used)
@@ -529,7 +529,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
     if not affective_keys:
         notices.append("no shared affective columns; stage 2 skipped")
 
-    min_rows = max(2 * folds, len(CONTROL_COLUMNS) + len(affective_keys) + len(VAD_COLUMNS) + 2)
+    min_rows = max(2 * CV_FOLDS, len(CONTROL_COLUMNS) + len(affective_keys) + len(VAD_COLUMNS) + 2)
     if len(rows) < min_rows:
         return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})")
 
@@ -543,7 +543,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
 
     design = DesignMatrix(names, np.column_stack([columns[name][rows] for name in names]), labels)
     filter_pairs = [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS]
-    design, decisions = correlation_filter(design, filter_pairs, threshold=0.7)
+    design, decisions = correlation_filter(design, filter_pairs)
     kept_vad = [name for name in VAD_COLUMNS if name in design.columns]
     for decision in decisions:
         if decision.dropped:
@@ -568,7 +568,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
         if not model.converged:
             notices.append(f"stage {name}: fit did not converge (possible separation)")
         try:
-            cv = crossval(stage_design, folds=folds, seed=seed)
+            cv = crossval(stage_design, seed=seed)
         except ValueError as exc:
             cv = None
             notices.append(f"stage {name}: cross-validation skipped ({exc})")
@@ -577,7 +577,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
         previous = model
 
     final_stage = stages[-1]
-    keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < prune_alpha]
+    keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < PRUNE_ALPHA]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
     final_design = design.subset(keep)
     try:
@@ -595,7 +595,6 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0, folds: int = 10,
         long_share=long_share, zero_r=baseline, stages=tuple(stages),
         filter_decisions=tuple(decisions), pruned=pruned,
         final_model=final_model, impacts=impacts, notices=tuple(notices),
-        prune_alpha=prune_alpha,
     )
 
 
@@ -608,15 +607,14 @@ class SignTable:
     rows: tuple[str, ...]
     columns: tuple[tuple[str, str], ...]  # (role, dimension) pairs
     cells: dict[tuple[str, str, str], str]  # (row, role, dimension) -> "+" | "-" | ""
-    alpha: float
     n_designs: dict[tuple[str, str], int]
     notices: tuple[str, ...]
 
 
-def rq4_sign_tables(table: ScoreTable, alpha: float = 0.001) -> SignTable:
+def rq4_sign_tables(table: ScoreTable) -> SignTable:
     """Nine linear regressions (role x dimension) of the role's mean comment
     score on issue characteristics; cells show the coefficient sign when
-    p < alpha, blank otherwise.
+    p < ``SIGN_ALPHA``, blank otherwise.
 
     The Issue Type row carries the Bug-indicator sign (All Tasks reference,
     Future Dev entering as the second indicator). Uses resolved issues whose
@@ -663,11 +661,11 @@ def rq4_sign_tables(table: ScoreTable, alpha: float = 0.001) -> SignTable:
             notices.append(f"{role}/{dim}: {exc}; column left blank")
             continue
         for row, column in _SIGN_ROW_COLUMN.items():
-            if model.p_value(column) < alpha:
+            if model.p_value(column) < SIGN_ALPHA:
                 cells[(row, role, dim)] = "+" if model.coefficient(column) > 0 else "-"
 
     return SignTable(
-        rows=SIGN_TABLE_ROWS, columns=columns, cells=cells, alpha=alpha,
+        rows=SIGN_TABLE_ROWS, columns=columns, cells=cells,
         n_designs=n_designs, notices=tuple(notices),
     )
 

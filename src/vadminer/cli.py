@@ -28,7 +28,7 @@ EXIT_SCHEMA = 3
 
 LEXICON_ENV_VAR = "VADMINER_LEXICON"
 
-CONFIG_KEYS = ("lexicon", "corpus", "out", "seed", "alpha", "analyses", "jobs")
+CONFIG_KEYS = ("lexicon", "corpus", "out", "seed", "alpha", "analyses")
 
 
 class CliError(Exception):
@@ -99,14 +99,11 @@ def _load_corpus_checked(path: str):
 
 
 def _resolve_lexicon_path(flag_value: str | None, config: dict[str, str]) -> str:
-    if flag_value:
-        return flag_value
-    if "lexicon" in config:
-        return config["lexicon"]
-    env = os.environ.get(LEXICON_ENV_VAR)
-    if env:
-        return env
-    raise CliError(f"no lexicon given (use --lexicon, a config file, or ${LEXICON_ENV_VAR})")
+    # an empty flag or key is an error, not a fall-through; an empty variable counts as unset
+    path = flag_value if flag_value is not None else config.get("lexicon", os.environ.get(LEXICON_ENV_VAR))
+    if not path:
+        raise CliError(f"no lexicon given (use --lexicon, a config file, or ${LEXICON_ENV_VAR})")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,9 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int)
     analyze.add_argument("--alpha", type=float)
     analyze.add_argument("--analyses", help="comma-separated subset of rq1,rq2,rq3,rq4,summary")
-    analyze.add_argument("--jobs", type=int,
-                         help="accepted for compatibility; no effect: the whole run, scoring "
-                              "and model fits included, uses one core")
     return parser
 
 
@@ -170,7 +164,7 @@ def _run_score(args) -> int:
 
 
 def _run_synth(args) -> int:
-    if args.spec:
+    if args.spec is not None:
         spec_path = _existing_file(args.spec, "generator spec")
         try:
             config = config_from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
@@ -210,7 +204,7 @@ def _run_ingest(args) -> int:
 
 
 def _run_analyze(args) -> int:
-    file_config = _read_config_file(args.config) if args.config else {}
+    file_config = _read_config_file(args.config) if args.config is not None else {}
 
     def pick(flag_value, key: str, default=None):
         if flag_value is not None:
@@ -221,27 +215,24 @@ def _run_analyze(args) -> int:
 
     lexicon_path = _resolve_lexicon_path(args.lexicon, file_config)
     corpus_path = pick(args.corpus, "corpus")
-    if corpus_path is None:
+    if not corpus_path:
         raise CliError("no corpus given (use --corpus or a config file)")
     out_dir = pick(args.out, "out")
-    if out_dir is None:
+    if not out_dir:
         raise CliError("no output directory given (use --out or a config file)")
 
     try:
         seed = int(pick(args.seed, "seed", 0))
         alpha = float(pick(args.alpha, "alpha", 0.05))
-        jobs = int(pick(args.jobs, "jobs", 1))
     except ValueError as exc:
         raise CliError(f"invalid numeric option: {exc}") from None
     if not 0.0 < alpha <= 1.0:
         raise CliError(f"alpha must be in (0, 1], got {alpha}")
     if seed < 0:
         raise CliError(f"seed must be >= 0, got {seed}")
-    if jobs < 1:
-        raise CliError(f"jobs must be >= 1, got {jobs}")
 
     raw_analyses = pick(args.analyses, "analyses")
-    if raw_analyses:
+    if raw_analyses is not None:
         selected = tuple(name.strip() for name in str(raw_analyses).split(",") if name.strip())
         unknown = set(selected) - set(ANALYSIS_NAMES)
         if unknown:

@@ -28,6 +28,8 @@ from .stats import chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
 _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
 _MU_CLIP = 1e-10
+CV_FOLDS = 10
+CORRELATION_THRESHOLD = 0.7
 
 
 def binarize_outcome(resolution_times) -> np.ndarray:
@@ -351,28 +353,28 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
     )
 
 
-def crossval(design: DesignMatrix, folds: int = 10, seed: int = 0) -> CvReport:
-    """Stratified k-fold logistic cross-validation, deterministic per seed.
+def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
+    """Stratified ``CV_FOLDS``-fold logistic cross-validation, deterministic per seed.
 
     Class metrics are computed on the pooled out-of-fold predictions at a 0.5
     threshold; AUC is the rank statistic over the pooled probabilities.
     """
     y = design.outcome
     _check_labels(y)
-    if design.n < folds:
-        raise ValueError(f"need at least {folds} rows for {folds}-fold cross-validation")
+    if design.n < CV_FOLDS:
+        raise ValueError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold cross-validation")
     rng = np.random.default_rng(seed)
 
     fold_of = np.empty(design.n, dtype=int)
     for cls in (0.0, 1.0):
         members = np.flatnonzero(y == cls)
-        if len(members) < folds:
+        if len(members) < CV_FOLDS:
             raise ValueError(f"class {'Long' if cls else 'Short'} has fewer members ({len(members)}) than folds")
         rng.shuffle(members)
-        fold_of[members] = np.arange(len(members)) % folds
+        fold_of[members] = np.arange(len(members)) % CV_FOLDS
 
     probabilities = np.empty(design.n)
-    for fold in range(folds):
+    for fold in range(CV_FOLDS):
         test = fold_of == fold
         model = fit_logistic(design.take_rows(~test))
         probabilities[test] = model.predict_proba(design.X[test])
@@ -418,13 +420,13 @@ def impact_sizes(model: FittedModel, design: DesignMatrix) -> list[ImpactEntry]:
     return entries
 
 
-def correlation_filter(design: DesignMatrix, pairs, threshold: float = 0.7) -> tuple[DesignMatrix, list[FilterDecision]]:
-    """Drop the second column of each (keep, drop) pair when |r| > threshold."""
+def correlation_filter(design: DesignMatrix, pairs) -> tuple[DesignMatrix, list[FilterDecision]]:
+    """Drop the second column of each (keep, drop) pair when |r| > ``CORRELATION_THRESHOLD``."""
     decisions = []
     dropped = set()
     for keep, drop in pairs:
         r = pearson_r(design.X[:, design.columns.index(keep)], design.X[:, design.columns.index(drop)])
-        exceeded = abs(r) > threshold
+        exceeded = abs(r) > CORRELATION_THRESHOLD
         decisions.append(FilterDecision(keep=keep, drop=drop, r=r, dropped=exceeded))
         if exceeded:
             dropped.add(drop)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .analyses import AnalysisResults, GroupTable, PairedDeltaTable, SignTable
+from .analyses import PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, SignTable
 
 
 def _fmt(value) -> str:
@@ -245,7 +245,7 @@ def render_text_report(results: AnalysisResults) -> str:
                 parts.append(f"lr p vs previous={_fmt(stage.lr_p_vs_previous)}")
             lines.append(" ".join(parts))
         if report.pruned:
-            lines.append(f"  pruned (p >= {_fmt(report.prune_alpha)}): {', '.join(report.pruned)}")
+            lines.append(f"  pruned (p >= {_fmt(PRUNE_ALPHA)}): {', '.join(report.pruned)}")
         for entry in report.impacts:
             lines.append(f"  impact {entry.feature}: {_fmt(entry.impact)}%")
         for notice in report.notices:
@@ -254,7 +254,7 @@ def render_text_report(results: AnalysisResults) -> str:
 
     if results.rq4 is not None:
         table = results.rq4
-        lines.append(f"Issue characteristics vs role scores (signs at p < {_fmt(table.alpha)})")
+        lines.append(f"Issue characteristics vs role scores (signs at p < {_fmt(SIGN_ALPHA)})")
         header = "  " + " ".join(f"{role[:3]}/{dim[0].upper()}" for role, dim in table.columns)
         lines.append(f"  {'':<26}{header}")
         for row in table.rows:

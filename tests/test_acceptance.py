@@ -323,8 +323,8 @@ def test_criterion_6_nested_model_behavior(planted_run):
     names_n = [f"v{i}" for i in range(5)]
     base_design = DesignMatrix(names_c, controls, y)
     full_design = DesignMatrix(names_c + names_n, np.column_stack([controls, noise]), y)
-    auc_base = crossval(base_design, folds=10, seed=5).auc
-    auc_full = crossval(full_design, folds=10, seed=5).auc
+    auc_base = crossval(base_design, seed=5).auc
+    auc_full = crossval(full_design, seed=5).auc
     noise_gain = auc_full - auc_base
     checks.append((f"noise VAD columns give AUC gain {noise_gain:.4f} <= 0.01", noise_gain <= 0.01))
 

@@ -304,7 +304,7 @@ def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
 def test_rq4_planted_priority_arousal(planted_scored):
     table = rq4_sign_tables(planted_scored)
     assert table.cells[("Priority", "Assignee", "arousal")] == "+"
-    assert table.alpha == 0.001
+    assert analyses.SIGN_ALPHA == 0.001
 
 
 def test_rq4_constant_response_blanks_with_notice(synth_lexicon):

@@ -267,7 +267,7 @@ def test_analyze_end_to_end_deterministic(tmp_path, synth_paths):
     out_b = tmp_path / "rpt_b"
     for out in (out_a, out_b):
         code = main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
-                     "--out", str(out), "--seed", "7", "--jobs", "1"])
+                     "--out", str(out), "--seed", "7"])
         assert code == 0
     assert (corpus_path.read_bytes(), lexicon_path.read_bytes()) == input_bytes
     files_a = sorted(p.name for p in out_a.iterdir())
@@ -395,6 +395,61 @@ def test_analyze_negative_seed_and_empty_selection_exit_2(tmp_path, synth_paths,
         assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
     assert main(base + ["--seed", "0", "--analyses", "rq3"]) == 0
+
+
+@pytest.mark.parametrize("key,where", [(key, where) for key in ("out", "analyses", "lexicon", "corpus")
+                                       for where in ("flag", "config")])
+def test_analyze_empty_value_exit_2(tmp_path, synth_paths, capsys, monkeypatch, key, where):
+    corpus_path, lexicon_path, _ = synth_paths
+    messages = {"out": "no output directory given (use --out or a config file)",
+                "analyses": "analyses '' selects none; choose from ('rq1', 'rq2', 'rq3', 'rq4', 'summary')",
+                "lexicon": "no lexicon given (use --lexicon, a config file, or $VADMINER_LEXICON)",
+                "corpus": "no corpus given (use --corpus or a config file)"}
+    # an empty value must not fall back to the variable or to the working directory
+    monkeypatch.setenv("VADMINER_LEXICON", str(lexicon_path))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    values = {"lexicon": str(lexicon_path), "corpus": str(corpus_path), "out": str(tmp_path / "rpt"), key: ""}
+    if where == "flag":
+        argv = ["analyze"] + [arg for name, value in values.items() for arg in (f"--{name}", value)]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{name}={value}\n" for name, value in values.items()), encoding="utf-8")
+        argv = ["analyze", "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {messages[key]}\n"
+    assert list(cwd.iterdir()) == [] and not (tmp_path / "rpt").exists()
+
+
+@pytest.mark.parametrize("argv,files,code,message", [
+    (["analyze", "--config", "{tmp}/none.cfg"], {}, 2, "config file not found: {tmp}/none.cfg"),
+    (["analyze", "--config", ""], {}, 2, "config file not found: "),
+    (["synth", "--spec", "", "--out", "{tmp}/c.jsonl"], {}, 2, "generator spec not found: "),
+    (["analyze", "--config", "{tmp}/run.cfg"], {"run.cfg": "# settings\nseed 9\n"}, 2,
+     "config line 2 is not key=value: 'seed 9'"),
+    (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"], {"spec.json": "not json"}, 3,
+     "generator spec is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["analyze", "--lexicon", "{lexicon}", "--out", "{tmp}/rpt"], {}, 2,
+     "no corpus given (use --corpus or a config file)"),
+    (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}"], {}, 2,
+     "no output directory given (use --out or a config file)"),
+    (["analyze", "--config", "{tmp}/run.cfg"],
+     {"run.cfg": "lexicon={lexicon}\ncorpus={corpus}\nout={tmp}/rpt\nseed=abc\n"}, 2,
+     "invalid numeric option: invalid literal for int() with base 10: 'abc'"),
+    (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}", "--out", "{tmp}/rpt", "--analyses", "rq1,rq9"],
+     {}, 2, "unknown analyses ['rq9']; choose from ('rq1', 'rq2', 'rq3', 'rq4', 'summary')"),
+], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json", "no corpus",
+        "no out", "seed not numeric", "unknown analysis"])
+def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, message):
+    corpus_path, lexicon_path, _ = synth_paths
+    places = {"tmp": str(tmp_path), "lexicon": str(lexicon_path), "corpus": str(corpus_path)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text.format(**places), encoding="utf-8")
+    assert main([arg.format(**places) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(**places)}\n"
+    assert not (tmp_path / "rpt").exists() and not (tmp_path / "c.jsonl").exists()
 
 
 def test_analyze_corrupt_lexicon_exit_3(tmp_path, synth_paths):

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from vadminer import models
 from vadminer.models import (
     DesignMatrix,
+    FittedModel,
     binarize_outcome,
     correlation_filter,
     crossval,
@@ -111,6 +114,28 @@ def test_logistic_separation_flagged():
     assert not model.converged
 
 
+def test_logistic_step_halving_on_near_separated_design(monkeypatch):
+    # a separable design on which a full IRLS step raises the deviance
+    X = [[-4.0, -4.0], [-1.0, -3.0], [5.0, 2.0], [-4.0, 2.0], [-5.0, -4.0], [4.0, -4.0]]
+    design = binary_design(X, [1.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+    null_deviance = fit_logistic(design.subset([])).deviance
+    deviances = []
+    binomial_deviance = models._binomial_deviance
+
+    def recorded(y, mu):
+        deviances.append(binomial_deviance(y, mu))
+        return deviances[-1]
+
+    monkeypatch.setattr(models, "_binomial_deviance", recorded)
+    model = fit_logistic(design)
+    assert not model.converged
+    assert model.deviance < null_deviance
+    # each call follows the accepted deviance, so a rise is a rejected full step
+    assert any(later > earlier + 1e-10 for earlier, later in zip(deviances, deviances[1:]))
+    # without halving there is one call before the loop and one per iteration
+    assert len(deviances) > models._MAX_IRLS_ITER + 1
+
+
 def test_logistic_singular_design_names_columns():
     rng = np.random.RandomState(1)
     x = rng.normal(0, 1, size=50)
@@ -124,7 +149,7 @@ def test_logistic_singular_design_names_columns():
         with pytest.raises(ValueError, match=labels):
             fit_logistic(binary_design(X, outcome, names=["x0", "x1"]))
         with pytest.raises(ValueError, match=labels):
-            crossval(binary_design(X, outcome, names=["x0", "x1"]), folds=10, seed=0)
+            crossval(binary_design(X, outcome, names=["x0", "x1"]), seed=0)
     with pytest.raises(ValueError, match=labels):
         fit_logistic(binary_design(X[:3], y[:3] + 2.0, names=["x0", "x1"]))
     with pytest.raises(ValueError, match=r"need more observations \(3\) than parameters \(3\)"):
@@ -206,7 +231,7 @@ def test_crossval_null_auc_near_half():
     rng = np.random.RandomState(12)
     X = rng.normal(0, 1, size=(10_000, 3))
     y = (rng.uniform(size=10_000) < 0.5).astype(float)
-    report = crossval(binary_design(X, y), folds=10, seed=0)
+    report = crossval(binary_design(X, y), seed=0)
     assert abs(report.auc - 0.5) < 0.02
 
 
@@ -214,7 +239,7 @@ def test_crossval_separable_auc():
     rng = np.random.RandomState(13)
     x = np.concatenate([rng.uniform(-3, -0.5, 300), rng.uniform(0.5, 3, 300)])
     y = (x > 0).astype(float)
-    report = crossval(binary_design(x, y), folds=10, seed=1)
+    report = crossval(binary_design(x, y), seed=1)
     assert report.auc > 0.99
 
 
@@ -223,15 +248,15 @@ def test_crossval_deterministic():
     X = rng.normal(0, 1, size=(300, 2))
     y = (rng.uniform(size=300) < sps.logistic.cdf(X[:, 0])).astype(float)
     design = binary_design(X, y)
-    assert crossval(design, folds=10, seed=5) == crossval(design, folds=10, seed=5)
-    assert crossval(design, folds=10, seed=5) != crossval(design, folds=10, seed=6)
+    assert crossval(design, seed=5) == crossval(design, seed=5)
+    assert crossval(design, seed=5) != crossval(design, seed=6)
 
 
 def test_crossval_requires_class_support():
     x = np.arange(20.0)
     y = np.array([1.0] * 15 + [0.0] * 5)
     with pytest.raises(ValueError, match="fewer members"):
-        crossval(binary_design(x, y), folds=10, seed=0)
+        crossval(binary_design(x, y), seed=0)
 
 
 def test_rank_auc_matches_scipy():
@@ -422,7 +447,7 @@ def test_filter_boundary_exactly_point_seven_retained():
     x = np.array([-6.0, -2.0, 4.0, 4.0]) + 10.0
     y = np.array([-6.0, 3.0, 1.0, 2.0]) + 10.0
     design = DesignMatrix(["v", "d"], np.column_stack([x, y]), [0.0, 1.0, 0.0, 1.0])
-    filtered, decisions = correlation_filter(design, [("v", "d")], threshold=0.7)
+    filtered, decisions = correlation_filter(design, [("v", "d")])
     assert decisions[0].r == 0.7
     assert not decisions[0].dropped
     assert filtered.columns == ["v", "d"]
@@ -495,3 +520,28 @@ def test_linear_degenerate_and_singular():
         fit_linear(DesignMatrix(["a", "b"], X[:3], np.full(3, 3.0)))
     with pytest.raises(ValueError, match="degenerate variance: response is constant"):
         fit_linear(DesignMatrix(["a", "b"], X, np.full(10, 3.0)))
+
+
+_FIT = FittedModel(kind="logistic", columns=(), coefficients=(0.0,), std_errors=(1.0,),
+                   p_values=(1.0,), deviance=1.0, converged=True, n_obs=3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: DesignMatrix(["a", "a"], np.zeros((2, 2)), [0.0, 1.0]), "duplicate column names in design matrix"),
+    (lambda: DesignMatrix(["a"], np.zeros((2, 2)), [0.0, 1.0]), "design matrix shape (2, 2) does not match 1 columns"),
+    (lambda: DesignMatrix(["a"], [[math.nan], [1.0]], [0.0, 1.0]),
+     "design matrix contains missing or non-finite cells"),
+    (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, 1.0, 1.0]), "outcome length does not match design rows"),
+    (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, math.inf]), "outcome contains non-finite values"),
+    (lambda: lr_test(_FIT, dataclasses.replace(_FIT, kind="linear")), "models are of different kinds"),
+    (lambda: lr_test(_FIT, dataclasses.replace(_FIT, n_obs=4)), "models were fitted on different numbers of rows"),
+    (lambda: rank_auc([0.2, 0.7], [1.0, 1.0]), "AUC needs both classes present"),
+    (lambda: zero_r([]), "no labels"),
+    (lambda: crossval(binary_design(np.arange(9.0), [0.0, 1.0] * 4 + [1.0]), seed=0),
+     "need at least 10 rows for 10-fold cross-validation"),
+], ids=["duplicate columns", "shape", "non-finite cell", "outcome length", "non-finite outcome",
+        "lr kinds", "lr rows", "auc one class", "zero_r empty", "crossval rows"])
+def test_model_input_messages(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
