@@ -49,6 +49,7 @@ from .models import (
     fit_logistic,
     impact_sizes,
     lr_test,
+    standardize,
     zero_r,
 )
 from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
@@ -502,6 +503,8 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     element's valence. Emits likelihood-ratio p-values between stages,
     cross-validated metrics per stage, the majority baseline, and impact
     sizes of the final model pruned to coefficients with p < ``PRUNE_ALPHA``.
+    The design is standardized once, and each stage and its folds are fitted
+    on a column prefix of it.
     """
     notices: list[str] = []
     features = table.features
@@ -541,9 +544,14 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     long_share = np.count_nonzero(labels) / len(labels)
     baseline = zero_r(labels)
 
-    design = DesignMatrix(names, np.column_stack([columns[name][rows] for name in names]), labels)
+    def raw_design(names) -> DesignMatrix:
+        X = np.empty((len(rows), len(names)))
+        for j, name in enumerate(names):
+            X[:, j] = columns[name][rows]
+        return DesignMatrix(names, X, labels)
+
     filter_pairs = [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS]
-    design, decisions = correlation_filter(design, filter_pairs)
+    design, decisions = correlation_filter(raw_design(names), filter_pairs)
     kept_vad = [name for name in VAD_COLUMNS if name in design.columns]
     for decision in decisions:
         if decision.dropped:
@@ -557,10 +565,14 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         list(CONTROL_COLUMNS) + affective_keys + kept_vad,
     ))
 
+    # the stages are column prefixes of one standardized design, which is
+    # all of the design that stays alive while they are fitted
+    standardized = standardize(design)
+    del design
     stages: list[StageResult] = []
     previous: FittedModel | None = None
     for name, cols in stage_columns:
-        stage_design = design.subset(cols)
+        stage_design = standardized.prefix(len(cols))
         try:
             model = fit_logistic(stage_design)
         except ValueError as exc:
@@ -575,11 +587,12 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         lr_p = lr_test(previous, model) if previous is not None else None
         stages.append(StageResult(name=name, columns=tuple(cols), model=model, cv=cv, lr_p_vs_previous=lr_p))
         previous = model
+    del standardized, stage_design
 
     final_stage = stages[-1]
     keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < PRUNE_ALPHA]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
-    final_design = design.subset(keep)
+    final_design = raw_design(keep)
     try:
         final_model = fit_logistic(final_design)
         impacts = tuple(impact_sizes(final_model, final_design))

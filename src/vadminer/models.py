@@ -6,15 +6,31 @@ sizes for comparing features measured in different units.
 Outcomes are float arrays. The Short/Long resolution split is 0/1 (1.0 for
 Long, as ``binarize_outcome`` labels it); the logistic fit and
 cross-validation reject any other value, and the linear fit takes any finite
-response. Both fits open with one checked-design prologue: enough rows for
-the parameters, an intercept column, and a rank check that names the
-collinear columns.
+response.
+
+Both fits open with one checked-design prologue: enough rows for the
+parameters, then ``standardize``, which builds the design as it is fitted, an
+intercept column of ones followed by every feature column centered on its
+mean and divided by its sd (a constant column is only centered, so it stays
+dependent and is named below). The rank check takes the eigenvalues of that
+matrix's (p+1)x(p+1) Gram matrix and counts one at or below ``RANK_RTOL`` of
+the largest as zero; only a failed check looks for the collinear columns to
+name. No step takes an SVD of the n-row design. The fits solve on the
+standardized columns and map the coefficients, the intercept and the
+covariance back to raw units (``T cov T'``), so a fit does not depend on the
+scale or the offset of a column: multiplying one by 1e6 scales its slope by
+1e-6 and leaves every p-value and the deviance as they were.
+
+Cross-validation standardizes once and fits each fold on a row selection of
+that matrix, and a caller that fits several nested models of one design
+(rq3's stages) standardizes once and passes column prefixes of the
+``StandardizedDesign`` to ``fit_logistic`` and ``crossval``.
 
 The fits do no work twice: IRLS carries the fitted probabilities of each
-accepted step into the next iteration and into the covariance, and the
-sigmoid and the AUC midranks are whole-array numpy expressions, equal bit
-for bit to their masked and looped forms (the tests keep those as
-references).
+accepted step into the next iteration and into the covariance, forms the
+weighted design in one work buffer per fit, and the sigmoid and the AUC
+midranks are whole-array numpy expressions, equal bit for bit to their
+masked and looped forms (the tests keep those as references).
 """
 from __future__ import annotations
 
@@ -28,6 +44,7 @@ from .stats import chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
 _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
 _MU_CLIP = 1e-10
+RANK_RTOL = 1e-10  # Gram eigenvalues at or below this share of the largest count as zero
 CV_FOLDS = 10
 CORRELATION_THRESHOLD = 0.7
 
@@ -75,8 +92,43 @@ class DesignMatrix:
         idx = [self.columns.index(n) for n in names]
         return DesignMatrix(names, self.X[:, idx], self.outcome)
 
-    def take_rows(self, index) -> "DesignMatrix":
-        return DesignMatrix(self.columns, self.X[index], self.outcome[index])
+
+@dataclass(frozen=True, eq=False)
+class StandardizedDesign:
+    """A design as the fits see it: ``Z`` holds an intercept column of ones,
+    then each feature column minus ``center``, divided by ``scale`` (its sd,
+    or 1.0 for a constant column)."""
+
+    columns: tuple[str, ...]
+    Z: np.ndarray
+    center: np.ndarray
+    scale: np.ndarray
+    outcome: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.Z.shape[0]
+
+    def prefix(self, k: int) -> "StandardizedDesign":
+        """The first ``k`` feature columns, as views of this design's arrays."""
+        return StandardizedDesign(self.columns[:k], self.Z[:, :k + 1], self.center[:k], self.scale[:k],
+                                  self.outcome)
+
+
+def standardize(design: DesignMatrix | StandardizedDesign) -> StandardizedDesign:
+    """The intercept-prefixed standardized form of ``design``, built in one
+    n x (p+1) array; a ``StandardizedDesign`` is returned as it is."""
+    if isinstance(design, StandardizedDesign):
+        return design
+    n, p = design.X.shape
+    Z = np.empty((n, p + 1))
+    Z[:, 0] = 1.0
+    center = design.X.mean(axis=0)
+    centered = np.subtract(design.X, center, out=Z[:, 1:])
+    sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / n)
+    scale = np.where(sd > 0.0, sd, 1.0)
+    centered /= scale
+    return StandardizedDesign(tuple(design.columns), Z, center, scale, design.outcome)
 
 
 @dataclass(frozen=True)
@@ -156,15 +208,30 @@ def _binomial_deviance(y: np.ndarray, mu: np.ndarray) -> float:
     return float(-2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
 
 
-def _collinear_columns(X1: np.ndarray, names: list[str]) -> list[str]:
+def _gram_rank(gram: np.ndarray) -> int:
+    eigenvalues = np.linalg.eigvalsh(gram)  # ascending
+    return int(np.count_nonzero(eigenvalues > RANK_RTOL * eigenvalues[-1]))
+
+
+def _collinear_columns(gram: np.ndarray, names) -> list[str]:
     # columns whose removal does not lower the rank are linearly dependent
-    rank = np.linalg.matrix_rank(X1)
-    culprits = []
-    for j in range(1, X1.shape[1]):  # never blame the intercept
-        reduced = np.delete(X1, j, axis=1)
-        if np.linalg.matrix_rank(reduced) == rank:
-            culprits.append(names[j - 1])
-    return culprits
+    rank = _gram_rank(gram)
+    return [name for j, name in enumerate(names, start=1)  # never blame the intercept
+            if _gram_rank(np.delete(np.delete(gram, j, axis=0), j, axis=1)) == rank]
+
+
+def _check_rows(n: int, p: int) -> None:
+    if n <= p + 1:
+        raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
+
+
+def _checked_gram(Z: np.ndarray, names) -> np.ndarray:
+    """The Gram matrix Z'Z of an intercept-prefixed design of full column
+    rank; otherwise ValueError naming the collinear columns."""
+    gram = Z.T @ Z
+    if _gram_rank(gram) < gram.shape[0]:
+        raise ValueError(f"singular design; collinear columns: {_collinear_columns(gram, names)}")
+    return gram
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -172,43 +239,35 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValueError("binary outcome must contain only Short/Long (0/1) values")
 
 
-def _checked_design(design: DesignMatrix, constant_response_ok: bool) -> np.ndarray:
-    """The design with an intercept column first, once it has more rows than
-    parameters, a response that varies unless ``constant_response_ok``, and
-    full column rank; otherwise ValueError, in that order of checks."""
-    n, p = design.n, len(design.columns)
-    if n <= p + 1:
-        raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
+def _checked_design(design: DesignMatrix | StandardizedDesign,
+                    constant_response_ok: bool) -> tuple[StandardizedDesign, np.ndarray]:
+    """The standardized design and its Gram matrix, once it has more rows
+    than parameters, a response that varies unless ``constant_response_ok``,
+    and full column rank; otherwise ValueError, in that order of checks."""
+    _check_rows(design.n, len(design.columns))
     if not constant_response_ok and float(np.var(design.outcome)) == 0.0:
         raise ValueError("degenerate variance: response is constant")
-    X1 = np.column_stack([np.ones(n), design.X])
-    if np.linalg.matrix_rank(X1) < X1.shape[1]:
-        culprits = _collinear_columns(X1, design.columns)
-        raise ValueError(f"singular design; collinear columns: {culprits}")
-    return X1
+    design = standardize(design)
+    return design, _checked_gram(design.Z, design.columns)
 
 
-def fit_logistic(design: DesignMatrix) -> FittedModel:
-    """Maximum-likelihood logistic regression via IRLS with step halving.
+def _weighted_gram(Z: np.ndarray, mu: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Z'WZ for the IRLS weights of ``mu``, with W·Z formed in ``work``."""
+    w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
+    return Z.T @ np.multiply(Z, w[:, None], out=work)
 
-    The outcome must be 0/1. Converges when the largest coefficient change
-    drops below 1e-8 (at most 100 iterations). Perfect separation never
-    converges and is reported via ``converged=False``; a singular design
-    raises, naming the dependent columns.
-    """
-    y = design.outcome
-    _check_labels(y)
-    # one class only is complete separation, which the fit reports
-    X1 = _checked_design(design, constant_response_ok=True)
 
-    beta = np.zeros(X1.shape[1])
-    mu = _sigmoid(X1 @ beta)  # always the fitted probabilities of beta
+def _irls(Z: np.ndarray, y: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Logistic maximum likelihood on an intercept-prefixed design of full
+    rank: the coefficients, their fitted probabilities, the deviance and
+    whether the fit converged. ``work`` is scratch of Z's shape."""
+    beta = np.zeros(Z.shape[1])
+    mu = _sigmoid(Z @ beta)  # always the fitted probabilities of beta
     deviance = _binomial_deviance(y, mu)
     converged = False
     for _ in range(_MAX_IRLS_ITER):
-        w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
-        xtwx = X1.T @ (w[:, None] * X1)
-        score = X1.T @ (y - mu)
+        xtwx = _weighted_gram(Z, mu, work)
+        score = Z.T @ (y - mu)
         try:
             delta = np.linalg.solve(xtwx, score)
         except np.linalg.LinAlgError:
@@ -216,12 +275,12 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
 
         step = 1.0
         trial = beta + delta
-        trial_mu = _sigmoid(X1 @ trial)
+        trial_mu = _sigmoid(Z @ trial)
         trial_dev = _binomial_deviance(y, trial_mu)
         while trial_dev > deviance + 1e-10 and step > 1e-10:
             step *= 0.5
             trial = beta + step * delta
-            trial_mu = _sigmoid(X1 @ trial)
+            trial_mu = _sigmoid(Z @ trial)
             trial_dev = _binomial_deviance(y, trial_mu)
 
         change = float(np.max(np.abs(trial - beta)))
@@ -231,14 +290,39 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
             break
         if np.max(np.abs(beta)) > 1e8:  # diverging: separation
             break
+    return beta, mu, deviance, converged
 
-    w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
-    xtwx = X1.T @ (w[:, None] * X1)
+
+def _raw_units(design: StandardizedDesign, beta: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and standard errors on the raw columns from those on the
+    standardized ones: beta_raw = T beta, cov_raw = T cov T'."""
+    T = np.diag(np.concatenate(([1.0], 1.0 / design.scale)))
+    T[0, 1:] = -design.center / design.scale
+    return T @ beta, np.sqrt(np.clip(np.diag(T @ cov @ T.T), 0.0, None))
+
+
+def fit_logistic(design: DesignMatrix | StandardizedDesign) -> FittedModel:
+    """Maximum-likelihood logistic regression via IRLS with step halving.
+
+    The outcome must be 0/1. IRLS runs on the standardized design and
+    converges when the largest coefficient change there drops below 1e-8
+    (at most 100 iterations). Perfect separation never converges and is
+    reported via ``converged=False``; a singular design raises, naming the
+    dependent columns. A ``StandardizedDesign`` is fitted as it is.
+    """
+    y = design.outcome
+    _check_labels(y)
+    # one class only is complete separation, which the fit reports
+    design, _ = _checked_design(design, constant_response_ok=True)
+
+    work = np.empty_like(design.Z)
+    beta, mu, deviance, converged = _irls(design.Z, y, work)
+    xtwx = _weighted_gram(design.Z, mu, work)
     try:
         cov = np.linalg.inv(xtwx)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(xtwx)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    beta, se = _raw_units(design, beta, cov)
     p_values = []
     for b, s in zip(beta, se):
         if s == 0.0 or not math.isfinite(s):
@@ -258,18 +342,19 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
     )
 
 
-def fit_linear(design: DesignMatrix) -> FittedModel:
-    """Ordinary least squares with t-statistics and two-sided p-values."""
+def fit_linear(design: DesignMatrix | StandardizedDesign) -> FittedModel:
+    """Ordinary least squares with t-statistics and two-sided p-values,
+    solved on the Gram matrix of the standardized design."""
     y = design.outcome
-    X1 = _checked_design(design, constant_response_ok=False)
+    design, gram = _checked_design(design, constant_response_ok=False)
 
-    beta, _, _, _ = np.linalg.lstsq(X1, y, rcond=None)
-    residuals = y - X1 @ beta
+    Z = design.Z
+    beta = np.linalg.solve(gram, Z.T @ y)
+    residuals = y - Z @ beta
     rss = float(residuals @ residuals)
-    df = design.n - X1.shape[1]
+    df = design.n - Z.shape[1]
     sigma2 = rss / df
-    cov = sigma2 * np.linalg.inv(X1.T @ X1)
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    beta, se = _raw_units(design, beta, sigma2 * np.linalg.inv(gram))
     p_values = []
     for b, s in zip(beta, se):
         if s == 0.0:
@@ -353,11 +438,13 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
     )
 
 
-def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
+def crossval(design: DesignMatrix | StandardizedDesign, seed: int = 0) -> CvReport:
     """Stratified ``CV_FOLDS``-fold logistic cross-validation, deterministic per seed.
 
-    Class metrics are computed on the pooled out-of-fold predictions at a 0.5
-    threshold; AUC is the rank statistic over the pooled probabilities.
+    The design is standardized once; each fold is fitted on a row selection
+    of it, after its own row-count and rank checks. Class metrics are
+    computed on the pooled out-of-fold predictions at a 0.5 threshold; AUC
+    is the rank statistic over the pooled probabilities.
     """
     y = design.outcome
     _check_labels(y)
@@ -373,11 +460,21 @@ def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % CV_FOLDS
 
+    design = standardize(design)
+    Z = design.Z
+    # one buffer for the training rows and one for IRLS, shared by the folds
+    n_train = design.n - np.bincount(fold_of, minlength=CV_FOLDS)
+    rows = np.empty((int(n_train.max()), Z.shape[1]))
+    work = np.empty_like(rows)
     probabilities = np.empty(design.n)
     for fold in range(CV_FOLDS):
         test = fold_of == fold
-        model = fit_logistic(design.take_rows(~test))
-        probabilities[test] = model.predict_proba(design.X[test])
+        _check_rows(int(n_train[fold]), len(design.columns))
+        # mode="clip" lets take write straight into ``out``; the indices are in range
+        train = np.take(Z, np.flatnonzero(~test), axis=0, out=rows[:n_train[fold]], mode="clip")
+        _checked_gram(train, design.columns)
+        beta = _irls(train, y[~test], work[:n_train[fold]])[0]
+        probabilities[test] = _sigmoid(Z[test] @ beta)
 
     predictions = (probabilities >= 0.5).astype(float)
     return _classification_report(y, predictions, rank_auc(probabilities, y))

@@ -1,7 +1,9 @@
 """Deterministic CSV and plain-text rendering of analysis results.
 
 Float formatting is fixed (12 significant digits, '' for absent values) so
-reruns with identical inputs produce byte-identical files.
+reruns with identical inputs produce byte-identical files. A run into an
+existing directory deletes the files of ``REPORT_FILES`` that it does not
+write, so the directory never mixes two runs, and leaves every other file.
 """
 from __future__ import annotations
 
@@ -9,6 +11,17 @@ import csv
 from pathlib import Path
 
 from .analyses import PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, SignTable
+
+
+REPORT_FILES = (
+    "rq1_priority_arousal.csv", "rq1_type_valence.csv", "rq1_dominance_time.csv",
+    "rq1_summary_points.csv", "rq1_summary_fits.csv",
+    "rq2_first_last.csv",
+    "rq3_coefficients.csv", "rq3_performance.csv", "rq3_model_comparison.csv",
+    "rq3_correlation_filter.csv", "rq3_impacts.csv",
+    "rq4_sign_table.csv",
+    "report.txt",
+)
 
 
 def _fmt(value) -> str:
@@ -71,7 +84,8 @@ def sign_table_rows(table: SignTable) -> tuple[list[str], list[list]]:
 
 
 def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
-    """Write one CSV per produced table plus a combined report.txt."""
+    """Write one CSV per produced table plus a combined report.txt, and
+    delete the other ``REPORT_FILES`` that an earlier run left in ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -154,6 +168,10 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
     report_path = outdir / "report.txt"
     report_path.write_text(text, encoding="utf-8")
     written.append(report_path)
+    kept = {path.name for path in written}
+    for name in REPORT_FILES:
+        if name not in kept and (outdir / name).is_file():
+            (outdir / name).unlink()
     return written
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from vadminer import analyses
 from vadminer.analyses import (
+    SIGN_TABLE_ROWS,
     AnalysisResults,
     rq1_dominance_time,
     rq1_priority_arousal,
@@ -22,7 +23,7 @@ from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
 from vadminer.models import binarize_outcome
 from vadminer.report import write_reports
 from vadminer.stats import paired_t_test, welch_t_test
-from vadminer.synth import EffectConfig, GeneratorConfig, generate_corpus, u_shape_config
+from vadminer.synth import EffectConfig, GeneratorConfig, generate_corpus, planted_config, u_shape_config
 from vadminer.textscore import score_text
 
 import oracles
@@ -297,6 +298,24 @@ def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
     assert f"\n  note: {notice}\n" in (tmp_path / "report.txt").read_text(encoding="utf-8")
 
 
+@pytest.fixture(scope="module")
+def planted_3000(synth_lexicon):
+    issues, _ = generate_corpus(planted_config(3000), seed=3)
+    return score_corpus(issues, synth_lexicon)
+
+
+def test_rq3_external_feature_scale_does_not_change_the_fits(planted_3000):
+    # an external column times 1e12 was once declared collinear at stage 2
+    base = rq3_resolution_model(planted_3000, seed=0)
+    features = {**planted_3000.features, "avg_politeness": planted_3000.features["avg_politeness"] * 1e12}
+    scaled = rq3_resolution_model(dataclasses.replace(planted_3000, features=features), seed=0)
+    assert [s.name for s in scaled.stages] == ["controls", "controls+affective", "controls+affective+vad"]
+    assert scaled.notices == base.notices
+    for before, after in zip(base.stages, scaled.stages):
+        assert after.model.p_values == pytest.approx(before.model.p_values, rel=1e-9, abs=0.0)
+    assert scaled.pruned == base.pruned
+
+
 # ---------------------------------------------------------------------------
 # sign tables
 # ---------------------------------------------------------------------------
@@ -305,6 +324,17 @@ def test_rq4_planted_priority_arousal(planted_scored):
     table = rq4_sign_tables(planted_scored)
     assert table.cells[("Priority", "Assignee", "arousal")] == "+"
     assert analyses.SIGN_ALPHA == 0.001
+
+
+def test_rq4_huge_votes_on_one_issue_blank_nothing(planted_3000):
+    # a votes count of 2**52 passes the loader; it once made six designs singular
+    votes = planted_3000.features["votes"].copy()
+    votes[0] = 2.0 ** 52
+    table = rq4_sign_tables(dataclasses.replace(planted_3000, features={**planted_3000.features, "votes": votes}))
+    assert table.notices == ()  # no "singular design" notice
+    assert len(table.columns) == 9 and all(n > len(SIGN_TABLE_ROWS) + 2 for n in table.n_designs.values())
+    # every column is computed: the planted priority effect shows in each role's arousal
+    assert all(table.cells[("Priority", role, "arousal")] == "+" for role in ROLES)
 
 
 def test_rq4_constant_response_blanks_with_notice(synth_lexicon):

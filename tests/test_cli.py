@@ -290,6 +290,32 @@ def test_analyze_subset_selection(tmp_path, synth_paths):
     assert "rq3_performance.csv" not in names
 
 
+REPORT_FILES = {
+    "report.txt", "rq1_priority_arousal.csv", "rq1_type_valence.csv", "rq1_dominance_time.csv",
+    "rq1_summary_points.csv", "rq1_summary_fits.csv", "rq2_first_last.csv", "rq3_coefficients.csv",
+    "rq3_performance.csv", "rq3_model_comparison.csv", "rq3_correlation_filter.csv", "rq3_impacts.csv",
+    "rq4_sign_table.csv",
+}
+
+
+def test_analyze_into_an_earlier_report_leaves_no_stale_files(tmp_path, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    out = tmp_path / "rpt"
+    argv = ["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path), "--out", str(out)]
+    assert main(argv) == 0
+    assert {p.name for p in out.iterdir()} == REPORT_FILES
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    (out / "rq9_extra.csv").write_text("kept\n", encoding="utf-8")
+    assert main(argv + ["--analyses", "rq1"]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "rq1_priority_arousal.csv", "rq1_type_valence.csv", "rq1_dominance_time.csv", "report.txt",
+        "notes.txt", "rq9_extra.csv"}
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
+    # a later full run writes every report file again
+    assert main(argv) == 0
+    assert {p.name for p in out.iterdir()} == {*REPORT_FILES, "notes.txt", "rq9_extra.csv"}
+
+
 def test_analyze_rq3_without_resolved_issues(tmp_path, capsys, synth_paths):
     corpus_path, lexicon_path, _ = synth_paths
     issues = load_corpus(corpus_path)

@@ -522,6 +522,105 @@ def test_linear_degenerate_and_singular():
         fit_linear(DesignMatrix(["a", "b"], X, np.full(10, 3.0)))
 
 
+# ---------------------------------------------------------------------------
+# standardized fits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear])
+def test_fits_invariant_to_column_scale_and_shift(fit):
+    rng = np.random.RandomState(61)
+    X = rng.normal(0, 1, size=(500, 3))
+    eta = 0.2 + X @ np.array([0.8, -0.5, 0.3])
+    if fit is fit_logistic:
+        y = (rng.uniform(size=500) < sps.logistic.cdf(eta)).astype(float)
+    else:
+        y = eta + rng.normal(0, 1, size=500)
+    base = fit(binary_design(X, y))
+    moved = X.copy()
+    moved[:, 1] = moved[:, 1] * 1e6 + 1e3
+    model = fit(binary_design(moved, y))
+    # slopes and the deviance do not move; the intercept moves with the offset
+    assert model.p_values[1:] == pytest.approx(base.p_values[1:], rel=1e-9, abs=0.0)
+    assert model.deviance == pytest.approx(base.deviance, rel=1e-9, abs=0.0)
+    assert model.coefficient("x1") == pytest.approx(base.coefficient("x1") * 1e-6, rel=1e-9, abs=0.0)
+    assert model.std_errors[2] == pytest.approx(base.std_errors[2] * 1e-6, rel=1e-9, abs=0.0)
+    assert model.coefficient("x0") == pytest.approx(base.coefficient("x0"), rel=1e-9, abs=0.0)
+    assert model.intercept == pytest.approx(base.intercept - 1e3 * model.coefficient("x1"), rel=1e-9, abs=0.0)
+
+
+def test_standardized_design_and_prefix():
+    X = np.column_stack([np.arange(6.0), np.full(6, 4.0), [1e12, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    design = models.standardize(DesignMatrix(["a", "c", "big"], X, [0.0, 1.0] * 3))
+    assert design.Z.shape == (6, 4)
+    assert np.array_equal(design.Z[:, 0], np.ones(6))
+    assert np.allclose(design.Z[:, [1, 3]].mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(design.Z[:, [1, 3]].std(axis=0), 1.0, rtol=1e-12)
+    # a constant column is centered but not scaled
+    assert design.scale[1] == 1.0 and np.array_equal(design.Z[:, 2], np.zeros(6))
+    first = design.prefix(1)
+    assert first.columns == ("a",) and np.shares_memory(first.Z, design.Z)
+    assert first.Z.shape == (6, 2) and first.center.shape == first.scale.shape == (1,)
+    # a fit of the standardized design equals a fit of the raw one
+    rng = np.random.RandomState(62)
+    X = rng.normal(5, 3, size=(200, 2))
+    y = (rng.uniform(size=200) < sps.logistic.cdf(X[:, 0] - 5)).astype(float)
+    raw = DesignMatrix(["a", "b"], X, y)
+    assert fit_logistic(models.standardize(raw)) == fit_logistic(raw)
+    assert crossval(models.standardize(raw), seed=3) == crossval(raw, seed=3)
+
+
+@pytest.mark.parametrize("fit", [fit_logistic, fit_linear])
+def test_singular_design_names_columns_at_any_scale(fit):
+    rng = np.random.RandomState(63)
+    x = rng.normal(0, 1, size=80)
+    y = (rng.uniform(size=80) < 0.5).astype(float)
+    for scale in (1e-9, 1.0, 1e12):
+        X = np.column_stack([x * scale, rng.normal(0, 1, size=80), 3.0 * x * scale + 7.0])
+        with pytest.raises(ValueError) as raised:
+            fit(binary_design(X, y, names=["a", "b", "c"]))
+        assert str(raised.value) == "singular design; collinear columns: ['a', 'c']"
+    # a huge constant column is still the one named
+    X = np.column_stack([x, np.full(80, 1e15)])
+    with pytest.raises(ValueError, match=r"collinear columns: \['c'\]$"):
+        fit(binary_design(X, y, names=["a", "c"]))
+
+
+def test_crossval_fold_rank_check_names_the_fold_columns():
+    # one row carries the only nonzero value of "rare": the fold that holds
+    # it out of training sees a constant column
+    rng = np.random.RandomState(64)
+    X = np.column_stack([rng.normal(0, 1, size=200), np.zeros(200)])
+    X[0, 1] = 1.0
+    y = (rng.uniform(size=200) < 0.5).astype(float)
+    design = binary_design(X, y, names=["x", "rare"])
+    fit_logistic(design)  # the full design has full rank
+    with pytest.raises(ValueError) as raised:
+        crossval(design, seed=0)
+    assert str(raised.value) == "singular design; collinear columns: ['rare']"
+
+
+def test_rq3_and_rq4_take_no_svd_of_an_n_row_matrix(planted_scored, monkeypatch):
+    from vadminer.analyses import rq3_resolution_model, rq4_sign_tables
+
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    # matrix_rank and pinv call the svd of the module that defines them
+    monkeypatch.setattr(getattr(np.linalg, "_linalg", None) or np.linalg.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert np.linalg.matrix_rank(np.eye(3)) == 3 and shapes == [(3, 3)]
+    shapes.clear()
+    rq3 = rq3_resolution_model(planted_scored, seed=4)
+    rq4 = rq4_sign_tables(planted_scored)
+    assert len(rq3.stages) == 3 and rq3.n_used > 1000
+    assert min(rq4.n_designs.values()) > 100 and not rq4.notices
+    assert [shape for shape in shapes if max(shape[-2:]) > 100] == []
+
+
 _FIT = FittedModel(kind="logistic", columns=(), coefficients=(0.0,), std_errors=(1.0,),
                    p_values=(1.0,), deviance=1.0, converged=True, n_obs=3)
 
