@@ -43,7 +43,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     config_path = Path(path)
     if not config_path.is_file():
         raise CliError(f"config file not found: {path}")
-    text = config_path.read_text(encoding="utf-8", errors="surrogateescape")
+    text = config_path.read_text(encoding="utf-8-sig", errors="surrogateescape")
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped.isascii() and UNDECODED.search(stripped):

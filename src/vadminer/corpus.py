@@ -2,11 +2,22 @@
 
 Loading checks every line: bytes that are not UTF-8, a JSON string escape
 that leaves an unpaired surrogate (no UTF-8 text can hold one), invalid JSON
-and every schema violation are collected with their line numbers. Comments,
-the bulk of a corpus, first take a fast check of exact types; one that fails
-it goes through the full validation, which names the fault. An external
-feature may not take the name of a column that the analyses build
+and every schema violation are collected with their line numbers. An
+external feature may not take the name of a column that the analyses build
 (RESERVED_FEATURES).
+
+``parse_issue`` validates an issue in one pass of exact-type checks
+(``type(v) is int`` and the like; JSON decodes to the exact built-in types,
+and an exact ``int`` excludes ``bool``). It fetches the required fields with
+one ``itemgetter`` and names the first missing one only when that fails.
+Comments, the bulk of a corpus, take the same exact-type check; only a
+comment that fails it has its fault worked out, to name it.
+
+The records are plain slotted dataclasses, not frozen ones: a frozen
+dataclass's ``__init__`` sets each field through ``object.__setattr__``, which
+makes building a record three to seven times slower, and a corpus holds
+hundreds of thousands of them. Nothing assigns to a record or hashes one, and
+``dataclasses.replace`` works on both kinds.
 
 Loaded records share their repeated values. ``type``, ``priority`` and
 ``status`` are the module's own constants (ISSUE_TYPES, PRIORITIES,
@@ -23,10 +34,10 @@ import gc
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from sys import intern
 from typing import IO, Iterable, Sequence
 
 from .lexicon import UNDECODED
@@ -94,14 +105,14 @@ class CorpusFormatError(ValueError):
         super().__init__(f"{len(errors)} invalid corpus line(s): {preview}{more}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Comment:
     author: str
     created: int
     body: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IssueReport:
     id: str
     project: str
@@ -147,7 +158,8 @@ _REQUIRED_FIELDS = (
     "id", "project", "type", "priority", "created", "status", "reporter",
     "votes", "watchers", "changes", "developers", "title", "description", "comments",
 )
-
+_REQUIRED = itemgetter(*_REQUIRED_FIELDS)
+_COUNT_FIELDS = ("votes", "watchers", "changes", "developers")
 
 _CREATED = attrgetter("created")
 
@@ -161,130 +173,109 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _one_of(constants: dict[str, str], value, name: str) -> str:
-    # only a string can be a member; another value may not even be hashable
-    if isinstance(value, str) and value in constants:
-        return constants[value]
-    raise ValueError(f"field {name} must be one of {tuple(constants)}, got {value!r}")
-
-
-def _as_nonneg_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"field {name} must be an integer, got {value!r}")
-    if not 0 <= value <= _MAX_INT:
-        raise ValueError(f"field {name} must be between 0 and 2**53")
-    return value
-
-
-def _parse_comment(obj, index: int) -> Comment:
-    if not isinstance(obj, dict):
-        raise ValueError(f"comments[{index}] must be an object")
+def _comment_fault(obj, index: int) -> ValueError:
+    """The error for a comment that failed parse_issue's check, naming its fault."""
+    if type(obj) is not dict:
+        return ValueError(f"comments[{index}] must be an object")
     for name in ("author", "created", "body"):
         if name not in obj:
-            raise ValueError(f"missing field comments[{index}].{name}")
-    author, created, body = obj["author"], obj["created"], obj["body"]
-    if not isinstance(author, str) or not author:
-        raise ValueError(f"field comments[{index}].author must be a non-empty string")
-    if isinstance(created, bool) or not isinstance(created, int):
-        raise ValueError(f"field comments[{index}].created must be an integer timestamp")
-    if not isinstance(body, str):
-        raise ValueError(f"field comments[{index}].body must be a string")
-    return Comment(author=sys.intern(author), created=created, body=body)
+            return ValueError(f"missing field comments[{index}].{name}")
+    author, created = obj["author"], obj["created"]
+    if type(author) is not str or not author:
+        return ValueError(f"field comments[{index}].author must be a non-empty string")
+    if type(created) is not int:
+        return ValueError(f"field comments[{index}].created must be an integer timestamp")
+    return ValueError(f"field comments[{index}].body must be a string")  # all that is left
 
 
 def parse_issue(obj: dict) -> IssueReport:
     """Validate one decoded JSON object against the issue schema."""
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
-            raise ValueError(f"missing field {name}")
+    try:
+        (issue_id, project, issue_type, priority, created, status, reporter,
+         votes, watchers, changes, developers, title, description, raw_comments) = _REQUIRED(obj)
+    except KeyError:
+        missing = next(name for name in _REQUIRED_FIELDS if name not in obj)
+        raise ValueError(f"missing field {missing}") from None
 
-    issue_type = _one_of(_ISSUE_TYPE, obj["type"], "type")
-    priority = _one_of(_PRIORITY, obj["priority"], "priority")
-    status = _one_of(_STATUS, obj["status"], "status")
+    # only a string can be a member; another value may not even be hashable
+    kind = _ISSUE_TYPE.get(issue_type) if type(issue_type) is str else None
+    if kind is None:
+        raise ValueError(f"field type must be one of {ISSUE_TYPES}, got {issue_type!r}")
+    level = _PRIORITY.get(priority) if type(priority) is str else None
+    if level is None:
+        raise ValueError(f"field priority must be one of {PRIORITIES}, got {priority!r}")
+    state = _STATUS.get(status) if type(status) is str else None
+    if state is None:
+        raise ValueError(f"field status must be one of {STATUSES}, got {status!r}")
 
-    issue_id = obj["id"]
-    if not isinstance(issue_id, str) or not issue_id:
+    if type(issue_id) is not str or not issue_id:
         raise ValueError("field id must be a non-empty string")
-    project = obj["project"]
-    if not isinstance(project, str) or not project:
+    if type(project) is not str or not project:
         raise ValueError("field project must be a non-empty string")
-    reporter = obj["reporter"]
-    if not isinstance(reporter, str) or not reporter:
+    if type(reporter) is not str or not reporter:
         raise ValueError("field reporter must be a non-empty string")
     assignee = obj.get("assignee")
     if assignee is not None:
-        if not isinstance(assignee, str) or not assignee:
+        if type(assignee) is not str or not assignee:
             raise ValueError("field assignee must be null or a non-empty string")
-        assignee = sys.intern(assignee)
+        assignee = intern(assignee)
 
-    created = obj["created"]
-    if isinstance(created, bool) or not isinstance(created, int) or abs(created) > _MAX_INT:
+    if type(created) is not int or not -_MAX_INT <= created <= _MAX_INT:
         raise ValueError("field created must be an integer timestamp between -2**53 and 2**53")
     resolved = obj.get("resolved")
     if resolved is not None:
-        if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved > _MAX_INT:
+        if type(resolved) is not int or resolved > _MAX_INT:
             raise ValueError("field resolved must be null or an integer timestamp up to 2**53")
         if resolved < created:
             raise ValueError(f"field resolved ({resolved}) precedes created ({created})")
-        if status != "Closed":
+        if state != "Closed":
             raise ValueError("field resolved present but status is not Closed")
 
-    title = obj["title"]
-    description = obj["description"]
-    if not isinstance(title, str) or not isinstance(description, str):
+    if type(title) is not str or type(description) is not str:
         raise ValueError("fields title and description must be strings")
 
-    raw_comments = obj["comments"]
-    if not isinstance(raw_comments, list):
+    if type(raw_comments) is not list:
         raise ValueError("field comments must be a list")
     comments = []
     for index, raw in enumerate(raw_comments):
-        # a well-formed comment passes these checks; any other takes
-        # _parse_comment's, which raise the message for its fault
         if type(raw) is dict:
             author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
             if type(author) is str and author and type(posted) is int and type(body) is str:
-                comments.append(Comment(sys.intern(author), posted, body))
+                comments.append(Comment(intern(author), posted, body))
                 continue
-        comments.append(_parse_comment(raw, index))
+        raise _comment_fault(raw, index)
     # out-of-order comments are sorted, not rejected
     comments.sort(key=_CREATED)
 
     features = obj.get("external_features")  # missing or null: no features
-    if features is not None and not isinstance(features, dict):
+    if features is not None and type(features) is not dict:
         raise ValueError("field external_features must be an object")
     parsed_features: dict[str, float] = {}
     for key, value in (features or {}).items():
         if key in _RESERVED:
             raise ValueError(f"field external_features.{key} takes the name of a built-in column")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if type(value) is float:
+            number = value
+        elif type(value) is int:
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.inf
+        else:
             raise ValueError(f"field external_features.{key} must be numeric")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
         if not math.isfinite(number):
             raise ValueError(f"field external_features.{key} must be finite, got {value!r}")
-        parsed_features[sys.intern(str(key))] = number
+        parsed_features[intern(str(key))] = number
+
+    for name, count in zip(_COUNT_FIELDS, (votes, watchers, changes, developers)):
+        if type(count) is not int:
+            raise ValueError(f"field {name} must be an integer, got {count!r}")
+        if not 0 <= count <= _MAX_INT:
+            raise ValueError(f"field {name} must be between 0 and 2**53")
 
     return IssueReport(
-        id=issue_id,
-        project=sys.intern(project),
-        issue_type=issue_type,
-        priority=priority,
-        created=created,
-        resolved=resolved,
-        status=status,
-        reporter=sys.intern(reporter),
-        assignee=assignee,
-        votes=_as_nonneg_int(obj["votes"], "votes"),
-        watchers=_as_nonneg_int(obj["watchers"], "watchers"),
-        change_count=_as_nonneg_int(obj["changes"], "changes"),
-        developer_count=_as_nonneg_int(obj["developers"], "developers"),
-        title=title,
-        description=description,
-        comments=tuple(comments),
-        external_features=parsed_features,
+        issue_id, intern(project), kind, level, created, resolved, state, intern(reporter), assignee,
+        votes, watchers, changes, developers, title, description, tuple(comments), parsed_features,
     )
 
 
@@ -295,10 +286,10 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     CorpusFormatError so callers can report the first few: bytes that are
     not UTF-8, an escaped unpaired surrogate, invalid JSON, schema
     violations, and an issue id seen before, which is an error on the line
-    that repeats it.
+    that repeats it. A file may start with a UTF-8 byte-order mark.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
             return load_corpus(handle)
 
     issues: list[IssueReport] = []

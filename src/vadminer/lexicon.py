@@ -124,10 +124,11 @@ def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
 
     Words are lowercased; bytes that are not UTF-8, duplicate words,
     non-numeric scores, scores outside [1, 9] and rows of the wrong width
-    are rejected with their line number.
+    are rejected with their line number. A file may start with a UTF-8
+    byte-order mark, as spreadsheet exports often do.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
             return load_lexicon(handle)
 
     reader = csv.reader(source)

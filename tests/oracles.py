@@ -7,10 +7,15 @@ closed-form statistics are spelled out from their textbook definitions.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import optimize
 from scipy import stats as sps
+
+from vadminer.corpus import (
+    ISSUE_TYPES, PRIORITIES, RESERVED_FEATURES, STATUSES, Comment, IssueReport,
+)
 
 
 def one_pass_mean(values) -> float:
@@ -156,3 +161,132 @@ def prior_activity(issues) -> dict[str, list[int]]:
         history["assignee_prev_issues"].append(earlier(assigned_to, issue.assignee, key))
         history["reporter_prev_issues"].append(earlier(reported_by, issue.reporter, key))
     return history
+
+
+# The issue validator as it was written with ``isinstance`` checks, one helper
+# per field kind and keyword-built records: the reference that
+# ``corpus.parse_issue`` must match record for record and message for message.
+_ISSUE_TYPE = {name: name for name in ISSUE_TYPES}
+_PRIORITY = {name: name for name in PRIORITIES}
+_STATUS = {name: name for name in STATUSES}
+_REQUIRED_FIELDS = (
+    "id", "project", "type", "priority", "created", "status", "reporter",
+    "votes", "watchers", "changes", "developers", "title", "description", "comments",
+)
+_RESERVED = frozenset(RESERVED_FEATURES)
+_MAX_INT = 2**53
+
+
+def _one_of(constants: dict[str, str], value, name: str) -> str:
+    if isinstance(value, str) and value in constants:
+        return constants[value]
+    raise ValueError(f"field {name} must be one of {tuple(constants)}, got {value!r}")
+
+
+def _as_nonneg_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {name} must be an integer, got {value!r}")
+    if not 0 <= value <= _MAX_INT:
+        raise ValueError(f"field {name} must be between 0 and 2**53")
+    return value
+
+
+def parse_comment_oracle(obj, index: int) -> Comment:
+    if not isinstance(obj, dict):
+        raise ValueError(f"comments[{index}] must be an object")
+    for name in ("author", "created", "body"):
+        if name not in obj:
+            raise ValueError(f"missing field comments[{index}].{name}")
+    author, created, body = obj["author"], obj["created"], obj["body"]
+    if not isinstance(author, str) or not author:
+        raise ValueError(f"field comments[{index}].author must be a non-empty string")
+    if isinstance(created, bool) or not isinstance(created, int):
+        raise ValueError(f"field comments[{index}].created must be an integer timestamp")
+    if not isinstance(body, str):
+        raise ValueError(f"field comments[{index}].body must be a string")
+    return Comment(author=sys.intern(author), created=created, body=body)
+
+
+def parse_issue_oracle(obj: dict) -> IssueReport:
+    for name in _REQUIRED_FIELDS:
+        if name not in obj:
+            raise ValueError(f"missing field {name}")
+
+    issue_type = _one_of(_ISSUE_TYPE, obj["type"], "type")
+    priority = _one_of(_PRIORITY, obj["priority"], "priority")
+    status = _one_of(_STATUS, obj["status"], "status")
+
+    issue_id = obj["id"]
+    if not isinstance(issue_id, str) or not issue_id:
+        raise ValueError("field id must be a non-empty string")
+    project = obj["project"]
+    if not isinstance(project, str) or not project:
+        raise ValueError("field project must be a non-empty string")
+    reporter = obj["reporter"]
+    if not isinstance(reporter, str) or not reporter:
+        raise ValueError("field reporter must be a non-empty string")
+    assignee = obj.get("assignee")
+    if assignee is not None:
+        if not isinstance(assignee, str) or not assignee:
+            raise ValueError("field assignee must be null or a non-empty string")
+        assignee = sys.intern(assignee)
+
+    created = obj["created"]
+    if isinstance(created, bool) or not isinstance(created, int) or abs(created) > _MAX_INT:
+        raise ValueError("field created must be an integer timestamp between -2**53 and 2**53")
+    resolved = obj.get("resolved")
+    if resolved is not None:
+        if isinstance(resolved, bool) or not isinstance(resolved, int) or resolved > _MAX_INT:
+            raise ValueError("field resolved must be null or an integer timestamp up to 2**53")
+        if resolved < created:
+            raise ValueError(f"field resolved ({resolved}) precedes created ({created})")
+        if status != "Closed":
+            raise ValueError("field resolved present but status is not Closed")
+
+    title = obj["title"]
+    description = obj["description"]
+    if not isinstance(title, str) or not isinstance(description, str):
+        raise ValueError("fields title and description must be strings")
+
+    raw_comments = obj["comments"]
+    if not isinstance(raw_comments, list):
+        raise ValueError("field comments must be a list")
+    comments = [parse_comment_oracle(raw, index) for index, raw in enumerate(raw_comments)]
+    comments.sort(key=lambda comment: comment.created)
+
+    features = obj.get("external_features")
+    if features is not None and not isinstance(features, dict):
+        raise ValueError("field external_features must be an object")
+    parsed_features: dict[str, float] = {}
+    for key, value in (features or {}).items():
+        if key in _RESERVED:
+            raise ValueError(f"field external_features.{key} takes the name of a built-in column")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"field external_features.{key} must be numeric")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"field external_features.{key} must be finite, got {value!r}")
+        parsed_features[sys.intern(str(key))] = number
+
+    return IssueReport(
+        id=issue_id,
+        project=sys.intern(project),
+        issue_type=issue_type,
+        priority=priority,
+        created=created,
+        resolved=resolved,
+        status=status,
+        reporter=sys.intern(reporter),
+        assignee=assignee,
+        votes=_as_nonneg_int(obj["votes"], "votes"),
+        watchers=_as_nonneg_int(obj["watchers"], "watchers"),
+        change_count=_as_nonneg_int(obj["changes"], "changes"),
+        developer_count=_as_nonneg_int(obj["developers"], "developers"),
+        title=title,
+        description=description,
+        comments=tuple(comments),
+        external_features=parsed_features,
+    )

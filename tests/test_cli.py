@@ -523,6 +523,37 @@ def test_non_utf8_config_exit_2_and_stdin_exit_3(tmp_path, capsys, monkeypatch, 
     assert "error: standard input is not valid UTF-8" in captured.err
 
 
+@pytest.mark.parametrize("marked", ["corpus", "lexicon", "config"])
+def test_byte_order_mark_at_file_start_accepted(tmp_path, capsys, synth_paths, marked):
+    # a run whose input file starts with a UTF-8 BOM prints and writes what the unmarked run does
+    corpus_path, lexicon_path, _ = synth_paths
+    bom = b"\xef\xbb\xbf"
+    inputs = {"corpus": corpus_path, "lexicon": lexicon_path}
+    if marked in inputs:
+        inputs[marked] = tmp_path / f"bom_{inputs[marked].name}"
+        inputs[marked].write_bytes(bom + (corpus_path if marked == "corpus" else lexicon_path).read_bytes())
+    config = tmp_path / "run.cfg"
+    settings = f"seed=9\nlexicon={inputs['lexicon']}\ncorpus={inputs['corpus']}\n".encode()
+    config.write_bytes((bom if marked == "config" else b"") + settings)
+    capsys.readouterr()  # what synth printed
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        return captured.out
+
+    assert (run(["ingest", "--corpus", str(inputs["corpus"])])
+            == run(["ingest", "--corpus", str(corpus_path)]))
+    assert (run(["score", "--lexicon", str(inputs["lexicon"]), "--text", "joy"])
+            == run(["score", "--lexicon", str(lexicon_path), "--text", "joy"]))
+    run(["analyze", "--config", str(config), "--out", str(tmp_path / "marked")])
+    run(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path), "--seed", "9",
+         "--out", str(tmp_path / "plain")])
+    for report in (tmp_path / "plain").iterdir():
+        assert (tmp_path / "marked" / report.name).read_bytes() == report.read_bytes(), report.name
+
+
 def test_score_text_not_utf8_exit_3(capsys, lexicon_file):
     # how Python hands over the argument bytes b"caf\xe9joy" on a UTF-8 system
     assert main(["score", "--lexicon", str(lexicon_file), "--text", "caf\udce9joy"]) == 3

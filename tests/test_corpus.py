@@ -22,6 +22,8 @@ from vadminer.corpus import (
 )
 from vadminer.textscore import tokenize
 
+import oracles
+
 
 def make_issue(**overrides):
     base = dict(
@@ -263,6 +265,18 @@ def test_non_utf8_lines_reported(tmp_path):
     assert load_corpus(path)[1].comments[0].body == "café"
 
 
+def test_byte_order_mark_at_file_start_skipped(tmp_path):
+    lines = [json.dumps(issue_json()).encode(), json.dumps(issue_json(id="PRJ-2")).encode()]
+    path = tmp_path / "marked.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines) + b"\n")
+    assert load_corpus(path) == load_corpus(io.StringIO(b"\n".join(lines).decode()))
+    # a mark anywhere but the start of the file is not JSON
+    path.write_bytes(b"\xef\xbb\xbf" + lines[0] + b"\n\xef\xbb\xbf" + lines[1] + b"\n")
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.errors == [(2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
+
+
 @pytest.mark.parametrize("overrides", [
     {"id": "PRJ-\ud800"},
     {"reporter": "x\ud800y"},
@@ -307,6 +321,59 @@ def test_resolved_invariants_enforced():
         parse_issue(issue_json(status="Open"))
     open_issue = parse_issue(issue_json(resolved=None, status="Open"))
     assert open_issue.resolution_time is None
+
+
+ODD_VALUES = (None, True, False, 0, -1, 1.5, 2**53, 2**53 + 1, -2**53, -2**53 - 1, "", "x", [], {})
+SECOND_COMMENT = {"author": "rep", "created": 200, "body": "second"}
+
+
+def _without(obj, name):
+    return {key: value for key, value in obj.items() if key != name}
+
+
+def _with_second_comment(comment):
+    # the varied comment is the second, so its index shows in the message
+    return issue_json(comments=[{"author": "asg", "created": 150, "body": "first"}, comment])
+
+
+def _validator_cases():
+    base = issue_json(external_features={"avg_sentiment": 0.5})
+    for name in base:
+        yield pytest.param(_without(base, name), id=f"missing {name}")
+        for value in ODD_VALUES:
+            yield pytest.param({**base, name: value}, id=f"{name}={value!r}")
+    yield pytest.param(issue_json(resolved=50), id="resolved before created")
+    yield pytest.param(issue_json(status="Open"), id="resolved while Open")
+    for name in SECOND_COMMENT:
+        yield pytest.param(_with_second_comment(_without(SECOND_COMMENT, name)), id=f"comment missing {name}")
+        for value in ODD_VALUES:
+            yield pytest.param(_with_second_comment({**SECOND_COMMENT, name: value}), id=f"comment {name}={value!r}")
+    for value in ("x", 1, None, True, [], [1, "a", "x"]):
+        yield pytest.param(_with_second_comment(value), id=f"comment {value!r}")
+    for value in (True, "1", float("nan"), float("inf"), -float("inf"), 10**400, 3, -2**70, 0.25):
+        yield pytest.param(issue_json(external_features={"k": value}), id=f"feature {value!r}")
+    yield pytest.param(issue_json(external_features={"k": 1.0, "title_v": 1.0}), id="reserved feature")
+
+
+def _outcome(validate, obj):
+    try:
+        return validate(obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("obj", _validator_cases())
+def test_validator_matches_reference(obj):
+    decoded = json.loads(json.dumps(obj))  # the exact types that json gives
+    assert _outcome(parse_issue, decoded) == _outcome(oracles.parse_issue_oracle, decoded)
+
+
+def test_planted_corpus_loads_as_the_reference_does(planted_corpus):
+    buffer = io.StringIO()
+    write_corpus(planted_corpus[0], buffer)
+    lines = buffer.getvalue().splitlines()
+    assert load_corpus(io.StringIO(buffer.getvalue())) == [oracles.parse_issue_oracle(json.loads(line))
+                                                           for line in lines]
 
 
 def test_serialize_then_load_is_identity():

@@ -139,6 +139,19 @@ def test_load_from_path(tmp_path):
     assert load_lexicon(path).size == 4
 
 
+def test_byte_order_mark_at_file_start_skipped(tmp_path):
+    # spreadsheet programs write a UTF-8 BOM before the header
+    path = tmp_path / "lex.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + TABLE1_CSV.encode())
+    lexicon = load_lexicon(path)
+    assert [entry.word for entry in lexicon] == ["anger", "joy", "sadness", "love"]
+    assert lexicon.baseline("valence") == load_lexicon(io.StringIO(TABLE1_CSV)).baseline("valence")
+    # only the first mark is the file's: a second one is part of the header cell
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + TABLE1_CSV.encode())
+    with pytest.raises(LexiconError, match=r"missing \['word'\]"):
+        load_lexicon(path)
+
+
 def test_canonical_dimension():
     assert canonical_dimension("v") == "valence"
     assert canonical_dimension("A") == "arousal"
