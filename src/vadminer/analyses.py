@@ -49,7 +49,6 @@ from .models import (
     fit_logistic,
     impact_sizes,
     lr_test,
-    standardize,
     zero_r,
 )
 from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
@@ -503,8 +502,8 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     element's valence. Emits likelihood-ratio p-values between stages,
     cross-validated metrics per stage, the majority baseline, and impact
     sizes of the final model pruned to coefficients with p < ``PRUNE_ALPHA``.
-    The design is standardized once, and each stage and its folds are fitted
-    on a column prefix of it.
+    One design of the final stage's columns is built, and each stage and its
+    folds are fitted on a column prefix of it.
     """
     notices: list[str] = []
     features = table.features
@@ -539,20 +538,25 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     # VAD_COLUMNS are element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
     columns = {**features, **dict(zip(VAD_COLUMNS, table.elements.reshape(len(table), -1).T)),
                **{name: features["priority"] == PRIORITIES.index(name) for name in PRIORITIES[1:]}}
-    names = [*CONTROL_COLUMNS, *affective_keys, *VAD_COLUMNS]
     labels = binarize_outcome(features["resolution_time"][rows])
     long_share = np.count_nonzero(labels) / len(labels)
     baseline = zero_r(labels)
 
-    def raw_design(names) -> DesignMatrix:
-        X = np.empty((len(rows), len(names)))
+    def used(names) -> dict[str, np.ndarray]:
+        return {name: columns[name][rows] for name in names}
+
+    # X's layout decides how its column means are summed, and so the last
+    # bits of every fit: the stages' design is column-major and the pruned
+    # model's row-major, the layouts that the golden reports pin
+    def design_of(names, order) -> DesignMatrix:
+        X = np.empty((len(rows), len(names)), order=order)
         for j, name in enumerate(names):
             X[:, j] = columns[name][rows]
         return DesignMatrix(names, X, labels)
 
-    filter_pairs = [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS]
-    design, decisions = correlation_filter(raw_design(names), filter_pairs)
-    kept_vad = [name for name in VAD_COLUMNS if name in design.columns]
+    decisions = correlation_filter(used(VAD_COLUMNS), [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS])
+    dropped = {decision.drop for decision in decisions if decision.dropped}
+    kept_vad = [name for name in VAD_COLUMNS if name not in dropped]
     for decision in decisions:
         if decision.dropped:
             notices.append(f"dropped {decision.drop} (|r|={abs(decision.r):.3f} with {decision.keep})")
@@ -565,14 +569,12 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         list(CONTROL_COLUMNS) + affective_keys + kept_vad,
     ))
 
-    # the stages are column prefixes of one standardized design, which is
-    # all of the design that stays alive while they are fitted
-    standardized = standardize(design)
-    del design
+    # the stages are column prefixes of one design
+    design = design_of(stage_columns[-1][1], "F")
     stages: list[StageResult] = []
     previous: FittedModel | None = None
     for name, cols in stage_columns:
-        stage_design = standardized.prefix(len(cols))
+        stage_design = design.prefix(len(cols))
         try:
             model = fit_logistic(stage_design)
         except ValueError as exc:
@@ -587,15 +589,14 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         lr_p = lr_test(previous, model) if previous is not None else None
         stages.append(StageResult(name=name, columns=tuple(cols), model=model, cv=cv, lr_p_vs_previous=lr_p))
         previous = model
-    del standardized, stage_design
+    del design, stage_design
 
     final_stage = stages[-1]
     keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < PRUNE_ALPHA]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
-    final_design = raw_design(keep)
     try:
-        final_model = fit_logistic(final_design)
-        impacts = tuple(impact_sizes(final_model, final_design))
+        final_model = fit_logistic(design_of(keep, "C"))
+        impacts = tuple(impact_sizes(final_model, used(keep)))
     except ValueError as exc:
         final_model = None
         impacts = ()
@@ -668,8 +669,7 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
             notices.append(f"{role}/{dim}: insufficient rows ({len(response)}); column left blank")
             continue
         try:
-            design = DesignMatrix(predictor_names, X[has_values], response)
-            model = fit_linear(design)
+            model = fit_linear(DesignMatrix(predictor_names, X[has_values], response))
         except ValueError as exc:
             notices.append(f"{role}/{dim}: {exc}; column left blank")
             continue

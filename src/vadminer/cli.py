@@ -167,11 +167,13 @@ def _run_synth(args) -> int:
     if args.spec is not None:
         spec_path = _existing_file(args.spec, "generator spec")
         try:
-            config = config_from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
+            spec = json.loads(spec_path.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError:
             raise CliError("generator spec is not valid UTF-8", EXIT_SCHEMA) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
             raise CliError(f"generator spec is not valid JSON: {exc}", EXIT_SCHEMA) from None
+        try:
+            config = config_from_dict(spec)
         except ConfigError as exc:
             raise CliError(f"invalid generator spec: {exc}") from None
     else:

@@ -308,8 +308,8 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
                 continue
             try:
                 obj = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                errors.append((line_no, f"invalid JSON: {exc.msg}"))
+            except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
+                errors.append((line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
                 continue
             if not isinstance(obj, dict):
                 errors.append((line_no, "line is not a JSON object"))

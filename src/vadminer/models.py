@@ -8,23 +8,24 @@ Long, as ``binarize_outcome`` labels it); the logistic fit and
 cross-validation reject any other value, and the linear fit takes any finite
 response.
 
-Both fits open with one checked-design prologue: enough rows for the
-parameters, then ``standardize``, which builds the design as it is fitted, an
-intercept column of ones followed by every feature column centered on its
-mean and divided by its sd (a constant column is only centered, so it stays
-dependent and is named below). The rank check takes the eigenvalues of that
-matrix's (p+1)x(p+1) Gram matrix and counts one at or below ``RANK_RTOL`` of
-the largest as zero; only a failed check looks for the collinear columns to
-name. No step takes an SVD of the n-row design. The fits solve on the
-standardized columns and map the coefficients, the intercept and the
-covariance back to raw units (``T cov T'``), so a fit does not depend on the
-scale or the offset of a column: multiplying one by 1e6 scales its slope by
-1e-6 and leaves every p-value and the deviance as they were.
+A ``DesignMatrix`` holds its columns as the fits use them, built once at
+construction: an intercept column of ones followed by every feature column
+centered on its mean and divided by its sd (a constant column is only
+centered, so it stays dependent and is named below). Both fits open with one
+checked-design prologue: enough rows for the parameters, then a rank check
+that takes the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at
+or below ``RANK_RTOL`` of the largest as zero; only a failed check looks for
+the collinear columns to name. No step takes an SVD of the n-row design. The
+fits map the coefficients, the intercept and the covariance back to raw
+units (``T cov T'``), so a fit does not depend on the scale or the offset of
+a column: multiplying one by 1e6 scales its slope by 1e-6 and leaves every
+p-value and the deviance as they were.
 
-Cross-validation standardizes once and fits each fold on a row selection of
-that matrix, and a caller that fits several nested models of one design
-(rq3's stages) standardizes once and passes column prefixes of the
-``StandardizedDesign`` to ``fit_logistic`` and ``crossval``.
+Cross-validation fits each fold on a row selection of the design's matrix,
+and a caller that fits several nested models of one design (rq3's stages)
+passes its column prefixes (``DesignMatrix.prefix``) to ``fit_logistic`` and
+``crossval``. The correlation filter and the impact sizes read raw values
+from a mapping of column names to arrays.
 
 The fits do no work twice: IRLS carries the fitted probabilities of each
 accepted step into the next iteration and into the covariance, forms the
@@ -62,73 +63,50 @@ def binarize_outcome(resolution_times) -> np.ndarray:
 
 
 class DesignMatrix:
-    """Named feature columns with an outcome, one float per row.
+    """Named feature columns with an outcome, one float per row, held as the
+    fits see them: ``Z`` is an intercept column of ones, then each feature
+    column minus ``center``, divided by ``scale`` (its sd, or 1.0 for a
+    constant column). The raw cells are not kept.
 
     Rows with missing values must be dropped before construction; every cell
     and every outcome value has to be finite.
     """
 
+    __slots__ = ("columns", "Z", "center", "scale", "outcome")
+
     def __init__(self, columns, X, outcome):
         self.columns = list(columns)
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names in design matrix")
-        self.X = np.asarray(X, dtype=float)
-        if self.X.ndim != 2 or self.X.shape[1] != len(self.columns):
-            raise ValueError(f"design matrix shape {self.X.shape} does not match {len(self.columns)} columns")
-        if not np.all(np.isfinite(self.X)):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != len(self.columns):
+            raise ValueError(f"design matrix shape {X.shape} does not match {len(self.columns)} columns")
+        if not np.all(np.isfinite(X)):
             raise ValueError("design matrix contains missing or non-finite cells")
         self.outcome = np.asarray(outcome, dtype=float)
-        if self.outcome.shape != (self.X.shape[0],):
+        if self.outcome.shape != (X.shape[0],):
             raise ValueError("outcome length does not match design rows")
         if not np.all(np.isfinite(self.outcome)):
             raise ValueError("outcome contains non-finite values")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    def subset(self, names) -> "DesignMatrix":
-        names = list(names)
-        idx = [self.columns.index(n) for n in names]
-        return DesignMatrix(names, self.X[:, idx], self.outcome)
-
-
-@dataclass(frozen=True, eq=False)
-class StandardizedDesign:
-    """A design as the fits see it: ``Z`` holds an intercept column of ones,
-    then each feature column minus ``center``, divided by ``scale`` (its sd,
-    or 1.0 for a constant column)."""
-
-    columns: tuple[str, ...]
-    Z: np.ndarray
-    center: np.ndarray
-    scale: np.ndarray
-    outcome: np.ndarray
+        n, p = X.shape
+        self.Z = np.empty((n, p + 1))
+        self.Z[:, 0] = 1.0
+        self.center = X.mean(axis=0) if n else np.zeros(p)  # no rows: the fits reject the design
+        centered = np.subtract(X, self.center, out=self.Z[:, 1:])
+        sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / max(n, 1))
+        self.scale = np.where(sd > 0.0, sd, 1.0)
+        centered /= self.scale
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
 
-    def prefix(self, k: int) -> "StandardizedDesign":
+    def prefix(self, k: int) -> "DesignMatrix":
         """The first ``k`` feature columns, as views of this design's arrays."""
-        return StandardizedDesign(self.columns[:k], self.Z[:, :k + 1], self.center[:k], self.scale[:k],
-                                  self.outcome)
-
-
-def standardize(design: DesignMatrix | StandardizedDesign) -> StandardizedDesign:
-    """The intercept-prefixed standardized form of ``design``, built in one
-    n x (p+1) array; a ``StandardizedDesign`` is returned as it is."""
-    if isinstance(design, StandardizedDesign):
-        return design
-    n, p = design.X.shape
-    Z = np.empty((n, p + 1))
-    Z[:, 0] = 1.0
-    center = design.X.mean(axis=0)
-    centered = np.subtract(design.X, center, out=Z[:, 1:])
-    sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / n)
-    scale = np.where(sd > 0.0, sd, 1.0)
-    centered /= scale
-    return StandardizedDesign(tuple(design.columns), Z, center, scale, design.outcome)
+        view = object.__new__(DesignMatrix)
+        view.columns, view.Z, view.center, view.scale, view.outcome = (
+            self.columns[:k], self.Z[:, :k + 1], self.center[:k], self.scale[:k], self.outcome)
+        return view
 
 
 @dataclass(frozen=True)
@@ -239,16 +217,14 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValueError("binary outcome must contain only Short/Long (0/1) values")
 
 
-def _checked_design(design: DesignMatrix | StandardizedDesign,
-                    constant_response_ok: bool) -> tuple[StandardizedDesign, np.ndarray]:
-    """The standardized design and its Gram matrix, once it has more rows
-    than parameters, a response that varies unless ``constant_response_ok``,
-    and full column rank; otherwise ValueError, in that order of checks."""
+def _checked_design(design: DesignMatrix, constant_response_ok: bool) -> np.ndarray:
+    """The Gram matrix of ``design.Z``, once the design has more rows than
+    parameters, a response that varies unless ``constant_response_ok``, and
+    full column rank; otherwise ValueError, in that order of checks."""
     _check_rows(design.n, len(design.columns))
     if not constant_response_ok and float(np.var(design.outcome)) == 0.0:
         raise ValueError("degenerate variance: response is constant")
-    design = standardize(design)
-    return design, _checked_gram(design.Z, design.columns)
+    return _checked_gram(design.Z, design.columns)
 
 
 def _weighted_gram(Z: np.ndarray, mu: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -293,7 +269,7 @@ def _irls(Z: np.ndarray, y: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, n
     return beta, mu, deviance, converged
 
 
-def _raw_units(design: StandardizedDesign, beta: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _raw_units(design: DesignMatrix, beta: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients and standard errors on the raw columns from those on the
     standardized ones: beta_raw = T beta, cov_raw = T cov T'."""
     T = np.diag(np.concatenate(([1.0], 1.0 / design.scale)))
@@ -301,19 +277,19 @@ def _raw_units(design: StandardizedDesign, beta: np.ndarray, cov: np.ndarray) ->
     return T @ beta, np.sqrt(np.clip(np.diag(T @ cov @ T.T), 0.0, None))
 
 
-def fit_logistic(design: DesignMatrix | StandardizedDesign) -> FittedModel:
+def fit_logistic(design: DesignMatrix) -> FittedModel:
     """Maximum-likelihood logistic regression via IRLS with step halving.
 
     The outcome must be 0/1. IRLS runs on the standardized design and
     converges when the largest coefficient change there drops below 1e-8
     (at most 100 iterations). Perfect separation never converges and is
     reported via ``converged=False``; a singular design raises, naming the
-    dependent columns. A ``StandardizedDesign`` is fitted as it is.
+    dependent columns.
     """
     y = design.outcome
     _check_labels(y)
     # one class only is complete separation, which the fit reports
-    design, _ = _checked_design(design, constant_response_ok=True)
+    _checked_design(design, constant_response_ok=True)
 
     work = np.empty_like(design.Z)
     beta, mu, deviance, converged = _irls(design.Z, y, work)
@@ -342,11 +318,11 @@ def fit_logistic(design: DesignMatrix | StandardizedDesign) -> FittedModel:
     )
 
 
-def fit_linear(design: DesignMatrix | StandardizedDesign) -> FittedModel:
+def fit_linear(design: DesignMatrix) -> FittedModel:
     """Ordinary least squares with t-statistics and two-sided p-values,
     solved on the Gram matrix of the standardized design."""
     y = design.outcome
-    design, gram = _checked_design(design, constant_response_ok=False)
+    gram = _checked_design(design, constant_response_ok=False)
 
     Z = design.Z
     beta = np.linalg.solve(gram, Z.T @ y)
@@ -438,11 +414,11 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
     )
 
 
-def crossval(design: DesignMatrix | StandardizedDesign, seed: int = 0) -> CvReport:
+def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
     """Stratified ``CV_FOLDS``-fold logistic cross-validation, deterministic per seed.
 
-    The design is standardized once; each fold is fitted on a row selection
-    of it, after its own row-count and rank checks. Class metrics are
+    Each fold is fitted on a row selection of the design's standardized
+    matrix, after its own row-count and rank checks. Class metrics are
     computed on the pooled out-of-fold predictions at a 0.5 threshold; AUC
     is the rank statistic over the pooled probabilities.
     """
@@ -460,7 +436,6 @@ def crossval(design: DesignMatrix | StandardizedDesign, seed: int = 0) -> CvRepo
         rng.shuffle(members)
         fold_of[members] = np.arange(len(members)) % CV_FOLDS
 
-    design = standardize(design)
     Z = design.Z
     # one buffer for the training rows and one for IRLS, shared by the folds
     n_train = design.n - np.bincount(fold_of, minlength=CV_FOLDS)
@@ -490,26 +465,28 @@ def zero_r(labels) -> CvReport:
     return _classification_report(y, predictions, 0.5)
 
 
-def impact_sizes(model: FittedModel, design: DesignMatrix) -> list[ImpactEntry]:
+def impact_sizes(model: FittedModel, columns) -> list[ImpactEntry]:
     """Percent probability change when one feature moves median -> median + sd.
 
+    ``columns`` maps each of the model's feature names to its raw values.
     All other features stay at their median; entries are ordered by
     descending magnitude.
     """
     if model.kind != "logistic":
         raise ValueError("impact sizes are defined for logistic models")
-    medians = np.median(design.X, axis=0) if design.n else np.zeros(len(design.columns))
-    sds = np.std(design.X, axis=0, ddof=1) if design.n > 1 else np.zeros(len(design.columns))
-    at = [design.columns.index(name) for name in model.columns]
+    p = len(model.columns)
+    X = np.column_stack([columns[name] for name in model.columns]).astype(float, copy=False) if p else np.empty((0, 0))
+    medians = np.median(X, axis=0) if len(X) else np.zeros(p)
+    sds = np.std(X, axis=0, ddof=1) if len(X) > 1 else np.zeros(p)
     base_eta = model.intercept
-    for name, j in zip(model.columns, at):
+    for j, name in enumerate(model.columns):
         base_eta += model.coefficient(name) * float(medians[j])
     base = float(_sigmoid(np.array([base_eta]))[0])
     if base < 1e-12:
         raise ValueError("degenerate base probability")
 
     entries = []
-    for name, j in zip(model.columns, at):
+    for j, name in enumerate(model.columns):
         dev_eta = base_eta + model.coefficient(name) * float(sds[j])
         dev = float(_sigmoid(np.array([dev_eta]))[0])
         entries.append(ImpactEntry(feature=name, impact=(dev - base) / base * 100.0))
@@ -517,14 +494,11 @@ def impact_sizes(model: FittedModel, design: DesignMatrix) -> list[ImpactEntry]:
     return entries
 
 
-def correlation_filter(design: DesignMatrix, pairs) -> tuple[DesignMatrix, list[FilterDecision]]:
-    """Drop the second column of each (keep, drop) pair when |r| > ``CORRELATION_THRESHOLD``."""
+def correlation_filter(columns, pairs) -> list[FilterDecision]:
+    """One decision per (keep, drop) pair of names in ``columns``, a mapping
+    of names to raw values: drop the second when |r| > ``CORRELATION_THRESHOLD``."""
     decisions = []
-    dropped = set()
     for keep, drop in pairs:
-        r = pearson_r(design.X[:, design.columns.index(keep)], design.X[:, design.columns.index(drop)])
-        exceeded = abs(r) > CORRELATION_THRESHOLD
-        decisions.append(FilterDecision(keep=keep, drop=drop, r=r, dropped=exceeded))
-        if exceeded:
-            dropped.add(drop)
-    return design.subset(name for name in design.columns if name not in dropped), decisions
+        r = pearson_r(columns[keep], columns[drop])
+        decisions.append(FilterDecision(keep=keep, drop=drop, r=r, dropped=abs(r) > CORRELATION_THRESHOLD))
+    return decisions

@@ -343,12 +343,11 @@ def test_criterion_6_nested_model_behavior(planted_run):
 
 
 def test_criterion_7_impact_size_closed_form():
-    design = DesignMatrix(["x", "zero"], np.column_stack([[-1.0, 0.0, 1.0], [4.0, 5.0, 6.0]]),
-                          [0.0, 1.0, 1.0])
+    columns = {"x": [-1.0, 0.0, 1.0], "zero": [4.0, 5.0, 6.0]}
     model = FittedModel(kind="logistic", columns=("x", "zero"),
                         coefficients=(0.0, 1.0, 0.0), std_errors=(0.1, 0.1, 0.1),
                         p_values=(0.5, 0.001, 0.9), deviance=1.0, converged=True, n_obs=3)
-    impacts = {e.feature: e.impact for e in impact_sizes(model, design)}
+    impacts = {e.feature: e.impact for e in impact_sizes(model, columns)}
     sigma_one = 1.0 / (1.0 + math.exp(-1.0))
     _report("criterion 7 (impact-size closed form)", [
         ("base probability is 0.5 and one-sd move gives +46.22% (+-0.01%)",

@@ -433,14 +433,23 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
         assert cell.result == paired_t_test(*zip(*pairs), alpha=paired.adjusted_alpha)
 
 
+def _record_designs(monkeypatch) -> list:
+    """(columns, raw matrix, design) of each DesignMatrix the pipelines build."""
+    built = []
+    design_matrix = analyses.DesignMatrix
+
+    def recorded(columns, X, outcome):
+        built.append((list(columns), X, design_matrix(columns, X, outcome)))
+        return built[-1][2]
+
+    monkeypatch.setattr(analyses, "DesignMatrix", recorded)
+    return built
+
+
 def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
     # reference: each design built issue by issue from score_text, the
     # response being np.mean of the role's scored comments
-    from vadminer import analyses
-
-    fitted = []
-    fit_linear = analyses.fit_linear
-    monkeypatch.setattr(analyses, "fit_linear", lambda design: fitted.append(design) or fit_linear(design))
+    fitted = _record_designs(monkeypatch)
     issues, lexicon, table = jittered
     rq4_sign_tables(table)
 
@@ -466,8 +475,8 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
                              history["assignee_prev_issues"][row], history["reporter_prev_issues"][row],
                              issue.type_group == "Future Dev"])
                 response.append(float(np.mean(values)))
-            design = next(designs)
-            assert np.array_equal(design.X, np.array(rows, dtype=float))
+            _, X, design = next(designs)
+            assert np.array_equal(X, np.array(rows, dtype=float))
             assert np.array_equal(design.outcome, np.array(response))
     assert long_means > 0  # the pairwise-summed np.mean case is covered
 
@@ -475,11 +484,7 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
 def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
     # reference: the control, affective and VAD columns built issue by issue
     # from the issue records and score_text
-    designs = []
-    correlation_filter = analyses.correlation_filter
-    monkeypatch.setattr(analyses, "correlation_filter",
-                        lambda design, *args, **kwargs: designs.append(design)
-                        or correlation_filter(design, *args, **kwargs))
+    designs = _record_designs(monkeypatch)
     issues, lexicon, table = jittered
     report = rq3_resolution_model(table)
 
@@ -497,12 +502,14 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
                      *(vad.get(dim) for vad in elements for dim in DIMENSIONS)])
         times.append(issue.resolution_time)
     median = sorted(times)[(len(times) - 1) // 2]
-    [design] = designs
-    assert design.columns == ["n_comments", "assignee_prev_comments", "reporter_prev_comments",
-                              "n_developers", "n_watchers", "n_changes", "Critical", "Major", "Minor",
-                              "Trivial", *affective,
-                              *(f"{el}_{d}" for el in ("title", "desc", "all", "first", "last") for d in "vad")]
-    assert np.array_equal(design.X, np.array(rows, dtype=float))
+    # the stages' design comes first; no column is dropped by the filter here
+    (columns, X, design), _ = designs
+    assert not any(decision.dropped for decision in report.filter_decisions)
+    assert columns == ["n_comments", "assignee_prev_comments", "reporter_prev_comments",
+                       "n_developers", "n_watchers", "n_changes", "Critical", "Major", "Minor",
+                       "Trivial", *affective,
+                       *(f"{el}_{d}" for el in ("title", "desc", "all", "first", "last") for d in "vad")]
+    assert np.array_equal(X, np.array(rows, dtype=float))
     assert np.array_equal(design.outcome, [float(time >= median) for time in times])
     assert report.n_used == len(rows) and report.stages[1].columns[-2:] == tuple(affective)
 
@@ -512,8 +519,9 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
     sentiment = table.features["avg_sentiment"].copy()
     sentiment[used_row] = np.nan
     partial = dataclasses.replace(table, features={**table.features, "avg_sentiment": sentiment})
+    designs.clear()
     rq3_resolution_model(partial)
-    assert designs[1].columns[10:12] == ["avg_politeness", "title_v"]
+    assert designs[0][0][10:12] == ["avg_politeness", "title_v"]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,16 @@ def test_synth_spec_value_types_exit_2(tmp_path, capsys, spec, message):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_synth_spec_byte_order_mark_accepted(tmp_path, capsys):
+    text = json.dumps(config_to_dict(GeneratorConfig(n_issues=40))).encode()
+    for name, data in (("plain", text), ("marked", b"\xef\xbb\xbf" + text)):
+        (tmp_path / f"{name}.json").write_bytes(data)
+        assert main(["synth", "--spec", str(tmp_path / f"{name}.json"), "--seed", "2",
+                     "--out", str(tmp_path / f"{name}.jsonl")]) == 0, capsys.readouterr().err
+    for suffix in (".jsonl", ".jsonl.manifest.json", ".jsonl.lexicon.csv"):
+        assert (tmp_path / f"marked{suffix}").read_bytes() == (tmp_path / f"plain{suffix}").read_bytes()
+
+
 def test_synth_out_must_be_a_file_path(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("", encoding="utf-8")
@@ -448,6 +458,10 @@ def test_analyze_empty_value_exit_2(tmp_path, synth_paths, capsys, monkeypatch, 
     assert list(cwd.iterdir()) == [] and not (tmp_path / "rpt").exists()
 
 
+_DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit")
+
+
 @pytest.mark.parametrize("argv,files,code,message", [
     (["analyze", "--config", "{tmp}/none.cfg"], {}, 2, "config file not found: {tmp}/none.cfg"),
     (["analyze", "--config", ""], {}, 2, "config file not found: "),
@@ -456,6 +470,11 @@ def test_analyze_empty_value_exit_2(tmp_path, synth_paths, capsys, monkeypatch, 
      "config line 2 is not key=value: 'seed 9'"),
     (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"], {"spec.json": "not json"}, 3,
      "generator spec is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for these
+    (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"],
+     {"spec.json": '{{"n_issues": ' + "1" * 5000 + "}}"}, 3, f"generator spec is not valid JSON: {_DIGIT_LIMIT}"),
+    (["ingest", "--corpus", "{tmp}/huge.jsonl"], {"huge.jsonl": '{{"id": "A-1", "votes": ' + "1" * 5000 + "}}\n"}, 3,
+     f"corpus schema errors:\n  line 1: invalid JSON: {_DIGIT_LIMIT}"),
     (["analyze", "--lexicon", "{lexicon}", "--out", "{tmp}/rpt"], {}, 2,
      "no corpus given (use --corpus or a config file)"),
     (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}"], {}, 2,
@@ -465,7 +484,8 @@ def test_analyze_empty_value_exit_2(tmp_path, synth_paths, capsys, monkeypatch, 
      "invalid numeric option: invalid literal for int() with base 10: 'abc'"),
     (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}", "--out", "{tmp}/rpt", "--analyses", "rq1,rq9"],
      {}, 2, "unknown analyses ['rq9']; choose from ('rq1', 'rq2', 'rq3', 'rq4', 'summary')"),
-], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json", "no corpus",
+], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json",
+        "spec int past digit limit", "corpus int past digit limit", "no corpus",
         "no out", "seed not numeric", "unknown analysis"])
 def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, message):
     corpus_path, lexicon_path, _ = synth_paths

@@ -277,6 +277,18 @@ def test_byte_order_mark_at_file_start_skipped(tmp_path):
     assert excinfo.value.errors == [(2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
 
 
+def test_integer_past_the_digit_limit_is_invalid_json():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an int
+    # literal of more digits than int() converts
+    huge = json.dumps(issue_json(id="PRJ-2")).replace('"votes": 2', '"votes": ' + "1" * 5000)
+    lines = [json.dumps(issue_json()), huge, '{"id": "PRJ-3",']
+    with pytest.raises(CorpusFormatError) as excinfo:
+        load_corpus(io.StringIO("\n".join(lines) + "\n"))
+    (line, message), unterminated = excinfo.value.errors
+    assert line == 2 and message.startswith("invalid JSON: Exceeds the limit (4300 digits) for integer string")
+    assert unterminated == (3, "invalid JSON: Expecting property name enclosed in double quotes")
+
+
 @pytest.mark.parametrize("overrides", [
     {"id": "PRJ-\ud800"},
     {"reporter": "x\ud800y"},

@@ -118,7 +118,7 @@ def test_logistic_step_halving_on_near_separated_design(monkeypatch):
     # a separable design on which a full IRLS step raises the deviance
     X = [[-4.0, -4.0], [-1.0, -3.0], [5.0, 2.0], [-4.0, 2.0], [-5.0, -4.0], [4.0, -4.0]]
     design = binary_design(X, [1.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    null_deviance = fit_logistic(design.subset([])).deviance
+    null_deviance = fit_logistic(DesignMatrix([], np.empty((6, 0)), design.outcome)).deviance
     deviances = []
     binomial_deviance = models._binomial_deviance
 
@@ -171,7 +171,7 @@ def test_logistic_nested_deviance_never_increases():
     y = (rng.uniform(size=300) < sps.logistic.cdf(0.5 * X[:, 0])).astype(float)
     design = binary_design(X, y, names=["a", "b", "c"])
     full = fit_logistic(design)
-    reduced = fit_logistic(design.subset(["a", "b"]))
+    reduced = fit_logistic(binary_design(X[:, :2], y, names=["a", "b"]))
     assert full.deviance <= reduced.deviance + 1e-9
 
 
@@ -193,7 +193,7 @@ def test_lr_test_planted_signal():
     signal = rng.normal(0, 1, size=10_000)
     y = (rng.uniform(size=10_000) < sps.logistic.cdf(signal)).astype(float)
     design = binary_design(np.column_stack([noise, signal]), y, names=["noise", "signal"])
-    reduced = fit_logistic(design.subset(["noise"]))
+    reduced = fit_logistic(binary_design(noise, y, names=["noise"]))
     full = fit_logistic(design)
     assert lr_test(reduced, full) < 1e-10
 
@@ -206,7 +206,7 @@ def test_lr_test_null_uniform():
         noise = rng.normal(0, 1, size=500)
         y = (rng.uniform(size=500) < sps.logistic.cdf(0.5 * x)).astype(float)
         design = binary_design(np.column_stack([x, noise]), y, names=["x", "noise"])
-        reduced = fit_logistic(design.subset(["x"]))
+        reduced = fit_logistic(binary_design(x, y, names=["x"]))
         full = fit_logistic(design)
         p_values.append(lr_test(reduced, full))
     assert sps.kstest(p_values, "uniform").pvalue > 0.01
@@ -216,9 +216,8 @@ def test_lr_test_non_nested_rejected():
     rng = np.random.RandomState(4)
     X = rng.normal(0, 1, size=(80, 2))
     y = (rng.uniform(size=80) < 0.5).astype(float)
-    design = binary_design(X, y, names=["a", "b"])
-    model_a = fit_logistic(design.subset(["a"]))
-    model_b = fit_logistic(design.subset(["b"]))
+    model_a = fit_logistic(binary_design(X[:, 0], y, names=["a"]))
+    model_b = fit_logistic(binary_design(X[:, 1], y, names=["b"]))
     with pytest.raises(ValueError, match="not nested"):
         lr_test(model_a, model_b)
 
@@ -354,19 +353,18 @@ def test_zero_r_all_long():
 # impact sizes
 # ---------------------------------------------------------------------------
 
-def _design_with_stats(medians, sds, names):
+def _columns_with_stats(medians, sds, names):
     # three rows are enough to pin median and sd exactly for symmetric data
-    columns = [[median - sd, median, median + sd] for median, sd in zip(medians, sds)]
-    return DesignMatrix(names, np.column_stack(columns), [0.0, 1.0, 1.0])
+    return {name: np.array([median - sd, median, median + sd]) for name, median, sd in zip(names, medians, sds)}
 
 
 def test_impact_closed_form():
     from vadminer.models import FittedModel
-    design = _design_with_stats([0.0], [1.0], ["x"])
+    columns = _columns_with_stats([0.0], [1.0], ["x"])
     model = FittedModel(kind="logistic", columns=("x",), coefficients=(0.0, 1.0),
                         std_errors=(0.1, 0.1), p_values=(1.0, 0.001), deviance=1.0,
                         converged=True, n_obs=3)
-    (entry,) = impact_sizes(model, design)
+    (entry,) = impact_sizes(model, columns)
     expected = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 0.5 * 100.0
     assert entry.impact == pytest.approx(expected, abs=1e-9)
     assert entry.impact == pytest.approx(46.2117157, abs=1e-4)
@@ -374,22 +372,22 @@ def test_impact_closed_form():
 
 def test_impact_zero_coefficient():
     from vadminer.models import FittedModel
-    design = _design_with_stats([2.0, 5.0], [1.0, 2.0], ["a", "b"])
+    columns = _columns_with_stats([2.0, 5.0], [1.0, 2.0], ["a", "b"])
     model = FittedModel(kind="logistic", columns=("a", "b"), coefficients=(-2.0, 1.0, 0.0),
                         std_errors=(0.1, 0.1, 0.1), p_values=(0.1, 0.1, 0.9), deviance=1.0,
                         converged=True, n_obs=3)
-    impacts = {e.feature: e.impact for e in impact_sizes(model, design)}
+    impacts = {e.feature: e.impact for e in impact_sizes(model, columns)}
     assert impacts["b"] == 0.0
 
 
 def test_impacts_are_one_at_a_time():
     # odds multiply when both features move, so impacts must not add
     from vadminer.models import FittedModel
-    design = _design_with_stats([0.0, 0.0], [1.0, 1.0], ["a", "b"])
+    columns = _columns_with_stats([0.0, 0.0], [1.0, 1.0], ["a", "b"])
     model = FittedModel(kind="logistic", columns=("a", "b"), coefficients=(0.0, 1.0, 1.0),
                         std_errors=(0.1, 0.1, 0.1), p_values=(0.001, 0.001, 0.001), deviance=1.0,
                         converged=True, n_obs=3)
-    impacts = {e.feature: e.impact for e in impact_sizes(model, design)}
+    impacts = {e.feature: e.impact for e in impact_sizes(model, columns)}
     single = (sps.logistic.cdf(1.0) - 0.5) / 0.5 * 100.0
     both = (sps.logistic.cdf(2.0) - 0.5) / 0.5 * 100.0
     assert impacts["a"] == pytest.approx(single, abs=1e-9)
@@ -401,9 +399,8 @@ def test_impact_sign_follows_coefficient():
     rng = np.random.RandomState(31)
     X = rng.normal(0, 1, size=(500, 3))
     y = (rng.uniform(size=500) < sps.logistic.cdf(X @ np.array([1.0, -0.7, 0.3]))).astype(float)
-    design = binary_design(X, y, names=["a", "b", "c"])
-    model = fit_logistic(design)
-    for entry in impact_sizes(model, design):
+    model = fit_logistic(binary_design(X, y, names=["a", "b", "c"]))
+    for entry in impact_sizes(model, dict(zip(["a", "b", "c"], X.T))):
         assert math.copysign(1.0, entry.impact) == math.copysign(1.0, model.coefficient(entry.feature))
 
 
@@ -411,9 +408,8 @@ def test_impacts_sorted_by_magnitude():
     rng = np.random.RandomState(37)
     X = rng.normal(0, 1, size=(400, 3))
     y = (rng.uniform(size=400) < sps.logistic.cdf(X @ np.array([2.0, 0.5, -1.0]))).astype(float)
-    design = binary_design(X, y, names=["a", "b", "c"])
-    model = fit_logistic(design)
-    impacts = impact_sizes(model, design)
+    model = fit_logistic(binary_design(X, y, names=["a", "b", "c"]))
+    impacts = impact_sizes(model, dict(zip(["a", "b", "c"], X.T)))
     magnitudes = [abs(e.impact) for e in impacts]
     assert magnitudes == sorted(magnitudes, reverse=True)
 
@@ -422,35 +418,37 @@ def test_impacts_sorted_by_magnitude():
 # correlation filter
 # ---------------------------------------------------------------------------
 
+def _kept(names, decisions):
+    dropped = {decision.drop for decision in decisions if decision.dropped}
+    return [name for name in names if name not in dropped]
+
+
 def test_filter_drops_identical_column():
     rng = np.random.RandomState(41)
     v = rng.normal(0, 1, size=100)
-    design = DesignMatrix(["v", "d"], np.column_stack([v, v.copy()]), [0.0] * 50 + [1.0] * 50)
-    filtered, decisions = correlation_filter(design, [("v", "d")])
+    decisions = correlation_filter({"v": v, "d": v.copy()}, [("v", "d")])
     assert decisions[0].dropped and decisions[0].r == pytest.approx(1.0)
-    assert filtered.columns == ["v"]
+    assert _kept(["v", "d"], decisions) == ["v"]
 
 
 def test_filter_keeps_independent_noise():
     rng = np.random.RandomState(43)
     a = rng.normal(0, 1, size=10_000)
     b = rng.normal(0, 1, size=10_000)
-    design = DesignMatrix(["a", "b"], np.column_stack([a, b]), [0.0, 1.0] * 5000)
-    filtered, decisions = correlation_filter(design, [("a", "b")])
+    decisions = correlation_filter({"a": a, "b": b}, [("a", "b")])
     assert not decisions[0].dropped
     assert abs(decisions[0].r) < 0.1
-    assert filtered.columns == ["a", "b"]
+    assert _kept(["a", "b"], decisions) == ["a", "b"]
 
 
 def test_filter_boundary_exactly_point_seven_retained():
     # integer vectors engineered so the sample r is exactly 0.7 in floats
     x = np.array([-6.0, -2.0, 4.0, 4.0]) + 10.0
     y = np.array([-6.0, 3.0, 1.0, 2.0]) + 10.0
-    design = DesignMatrix(["v", "d"], np.column_stack([x, y]), [0.0, 1.0, 0.0, 1.0])
-    filtered, decisions = correlation_filter(design, [("v", "d")])
+    decisions = correlation_filter({"v": x, "d": y}, [("v", "d")])
     assert decisions[0].r == 0.7
     assert not decisions[0].dropped
-    assert filtered.columns == ["v", "d"]
+    assert _kept(["v", "d"], decisions) == ["v", "d"]
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +546,9 @@ def test_fits_invariant_to_column_scale_and_shift(fit):
     assert model.intercept == pytest.approx(base.intercept - 1e3 * model.coefficient("x1"), rel=1e-9, abs=0.0)
 
 
-def test_standardized_design_and_prefix():
+def test_design_standardizes_once_and_prefix():
     X = np.column_stack([np.arange(6.0), np.full(6, 4.0), [1e12, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    design = models.standardize(DesignMatrix(["a", "c", "big"], X, [0.0, 1.0] * 3))
+    design = DesignMatrix(["a", "c", "big"], X, [0.0, 1.0] * 3)
     assert design.Z.shape == (6, 4)
     assert np.array_equal(design.Z[:, 0], np.ones(6))
     assert np.allclose(design.Z[:, [1, 3]].mean(axis=0), 0.0, atol=1e-12)
@@ -558,15 +556,28 @@ def test_standardized_design_and_prefix():
     # a constant column is centered but not scaled
     assert design.scale[1] == 1.0 and np.array_equal(design.Z[:, 2], np.zeros(6))
     first = design.prefix(1)
-    assert first.columns == ("a",) and np.shares_memory(first.Z, design.Z)
+    assert first.columns == ["a"] and np.shares_memory(first.Z, design.Z)
     assert first.Z.shape == (6, 2) and first.center.shape == first.scale.shape == (1,)
-    # a fit of the standardized design equals a fit of the raw one
+    # no array of the design is, or views, the raw matrix it was built from
+    held = [getattr(design, name) for name in DesignMatrix.__slots__]
+    assert not any(np.shares_memory(value, X) for value in held if isinstance(value, np.ndarray))
+    # a prefix is a fresh design of its columns, bit for bit, and fits as one;
+    # products over the strided view may round differently in the last bits
     rng = np.random.RandomState(62)
-    X = rng.normal(5, 3, size=(200, 2))
+    X = rng.normal(5, 3, size=(200, 3))
     y = (rng.uniform(size=200) < sps.logistic.cdf(X[:, 0] - 5)).astype(float)
-    raw = DesignMatrix(["a", "b"], X, y)
-    assert fit_logistic(models.standardize(raw)) == fit_logistic(raw)
-    assert crossval(models.standardize(raw), seed=3) == crossval(raw, seed=3)
+    design = DesignMatrix(["a", "b", "c"], X, y)
+    for k in range(4):
+        prefix, fresh = design.prefix(k), DesignMatrix(["a", "b", "c"][:k], X[:, :k], y)
+        assert prefix.columns == fresh.columns
+        assert all(np.array_equal(getattr(prefix, name), getattr(fresh, name))
+                   for name in ("Z", "center", "scale", "outcome"))
+        model, reference = fit_logistic(prefix), fit_logistic(fresh)
+        inference = ("coefficients", "std_errors", "p_values")
+        assert dataclasses.replace(model, **{name: getattr(reference, name) for name in inference}) == reference
+        for name in inference:
+            assert getattr(model, name) == pytest.approx(getattr(reference, name), rel=1e-12, abs=0.0)
+        assert crossval(prefix, seed=3) == crossval(fresh, seed=3)
 
 
 @pytest.mark.parametrize("fit", [fit_logistic, fit_linear])
@@ -632,6 +643,8 @@ _FIT = FittedModel(kind="logistic", columns=(), coefficients=(0.0,), std_errors=
      "design matrix contains missing or non-finite cells"),
     (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, 1.0, 1.0]), "outcome length does not match design rows"),
     (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, math.inf]), "outcome contains non-finite values"),
+    (lambda: fit_logistic(DesignMatrix(["a"], np.empty((0, 1)), [])), "need more observations (0) than parameters (2)"),
+    (lambda: fit_linear(DesignMatrix([], np.empty((0, 0)), [])), "need more observations (0) than parameters (1)"),
     (lambda: lr_test(_FIT, dataclasses.replace(_FIT, kind="linear")), "models are of different kinds"),
     (lambda: lr_test(_FIT, dataclasses.replace(_FIT, n_obs=4)), "models were fitted on different numbers of rows"),
     (lambda: rank_auc([0.2, 0.7], [1.0, 1.0]), "AUC needs both classes present"),
@@ -639,6 +652,7 @@ _FIT = FittedModel(kind="logistic", columns=(), coefficients=(0.0,), std_errors=
     (lambda: crossval(binary_design(np.arange(9.0), [0.0, 1.0] * 4 + [1.0]), seed=0),
      "need at least 10 rows for 10-fold cross-validation"),
 ], ids=["duplicate columns", "shape", "non-finite cell", "outcome length", "non-finite outcome",
+        "no rows, logistic", "no rows, linear",
         "lr kinds", "lr rows", "auc one class", "zero_r empty", "crossval rows"])
 def test_model_input_messages(call, message):
     with pytest.raises(ValueError) as raised:
