@@ -515,13 +515,15 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     rows = np.flatnonzero(resolved & ~np.isnan(table.elements).any(axis=(1, 2)))
     n_skipped_incomplete = n_resolved - len(rows)
 
+    decisions: list[FilterDecision] = []  # reported by a run that fails after the filter
+
     def empty_report(reason: str) -> Rq3Report:
         notices.append(reason)
         return Rq3Report(
             n_total=len(table), n_resolved=n_resolved, n_used=0,
             n_skipped_unresolved=n_skipped_unresolved,
             n_skipped_incomplete=n_skipped_incomplete,
-            long_share=None, zero_r=None, stages=(), filter_decisions=(),
+            long_share=None, zero_r=None, stages=(), filter_decisions=tuple(decisions),
             pruned=(), final_model=None, impacts=(), notices=tuple(notices),
         )
 
@@ -560,6 +562,9 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     for decision in decisions:
         if decision.dropped:
             notices.append(f"dropped {decision.drop} (|r|={abs(decision.r):.3f} with {decision.keep})")
+        elif decision.r is None:
+            constant = [name for name in (decision.keep, decision.drop) if np.ptp(columns[name][rows]) == 0]
+            notices.append(f"kept {decision.drop}: no r with {decision.keep}, constant: {constant}")
 
     stage_columns = [("controls", list(CONTROL_COLUMNS))]
     if affective_keys:

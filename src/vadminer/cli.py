@@ -3,7 +3,8 @@
 Subcommands: ``score`` one text, ``synth`` a seeded corpus, ``ingest``
 (validate) an issue JSONL file, and ``analyze`` a corpus into report tables.
 Exit codes are stable: 0 success, 2 missing file or invalid configuration,
-3 malformed corpus/lexicon content.
+3 malformed corpus/lexicon content. Commands run with the cyclic collector off
+(their objects hold no cycles), and ``main`` restores the caller's setting.
 """
 from __future__ import annotations
 
@@ -279,11 +280,16 @@ def main(argv=None) -> int:
         "ingest": _run_ingest,
         "analyze": _run_analyze,
     }
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

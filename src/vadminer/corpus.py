@@ -24,13 +24,11 @@ Loaded records share their repeated values. ``type``, ``priority`` and
 STATUSES), and each project, reporter, assignee, comment author and
 external-feature key goes through ``sys.intern``, so a name that recurs on
 many lines is one string object rather than a copy per line; ids and texts
-are kept as decoded. The cyclic garbage collector is paused while the
-records are built: they hold no reference cycles, so a collection frees
-nothing, yet each full one would walk every record built so far.
+are kept as decoded. The records hold no reference cycles: a collection frees
+none of them, yet walks them all, so the CLI runs with the collector off.
 """
 from __future__ import annotations
 
-import gc
 import json
 import math
 import re
@@ -286,7 +284,8 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     CorpusFormatError so callers can report the first few: bytes that are
     not UTF-8, an escaped unpaired surrogate, invalid JSON, schema
     violations, and an issue id seen before, which is an error on the line
-    that repeats it. A file may start with a UTF-8 byte-order mark.
+    that repeats it. A file may start with a UTF-8 byte-order mark. The
+    cyclic collector is left as the caller set it (the CLI turns it off).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -295,41 +294,34 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # issue id -> line it first appeared on
-    collecting = gc.isenabled()
-    if collecting:
-        gc.disable()
-    try:
-        for line_no, line in enumerate(source, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if not stripped.isascii() and UNDECODED.search(stripped):
-                errors.append((line_no, "not valid UTF-8"))
-                continue
-            try:
-                obj = json.loads(stripped)
-            except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
-                errors.append((line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
-                continue
-            if not isinstance(obj, dict):
-                errors.append((line_no, "line is not a JSON object"))
-                continue
-            if _SURROGATE_ESCAPE.search(stripped) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
-                errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
-                continue
-            try:
-                issue = parse_issue(obj)
-            except ValueError as exc:
-                errors.append((line_no, str(exc)))
-                continue
-            first = first_line.setdefault(issue.id, line_no)
-            if first != line_no:
-                errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
-                continue
-            issues.append(issue)
-    finally:
-        if collecting:
-            gc.enable()
+    for line_no, line in enumerate(source, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if not stripped.isascii() and UNDECODED.search(stripped):
+            errors.append((line_no, "not valid UTF-8"))
+            continue
+        try:
+            obj = json.loads(stripped)
+        except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
+            errors.append((line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+            continue
+        if not isinstance(obj, dict):
+            errors.append((line_no, "line is not a JSON object"))
+            continue
+        if _SURROGATE_ESCAPE.search(stripped) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
+            errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
+            continue
+        try:
+            issue = parse_issue(obj)
+        except ValueError as exc:
+            errors.append((line_no, str(exc)))
+            continue
+        first = first_line.setdefault(issue.id, line_no)
+        if first != line_no:
+            errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
+            continue
+        issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)
     return issues

@@ -170,7 +170,7 @@ class ImpactEntry:
 class FilterDecision:
     keep: str
     drop: str
-    r: float
+    r: float | None  # None when either column is constant
     dropped: bool
 
 
@@ -499,6 +499,7 @@ def correlation_filter(columns, pairs) -> list[FilterDecision]:
     of names to raw values: drop the second when |r| > ``CORRELATION_THRESHOLD``."""
     decisions = []
     for keep, drop in pairs:
-        r = pearson_r(columns[keep], columns[drop])
-        decisions.append(FilterDecision(keep=keep, drop=drop, r=r, dropped=abs(r) > CORRELATION_THRESHOLD))
+        x, y = columns[keep], columns[drop]
+        r = None if np.ptp(x) == 0 or np.ptp(y) == 0 else pearson_r(x, y)
+        decisions.append(FilterDecision(keep, drop, r, dropped=r is not None and abs(r) > CORRELATION_THRESHOLD))
     return decisions

@@ -10,22 +10,22 @@ folded at the lexicon-wide mean when all matched words sit on one side of it:
 Words absent from the lexicon contribute nothing, which also filters out
 code fragments, identifiers and stack traces.
 
-``scan_texts`` is the one kernel. It tokenizes each text of a batch once and
-looks each word up in the lexicon's word -> row dict, appending the rows
-that hit to a compact integer buffer; per-text minima and maxima are then
-taken over the lexicon's rows x 3 score array with ``np.minimum.reduceat``
-and ``np.maximum.reduceat``, about a thousand texts at a time so that the
-buffer stays small at any corpus size. The score depends on nothing but
-these extremes, so ``score_text`` folds the scan of a one-text batch, and
-the corpus score table folds the per-comment extremes to score a whole
-comment thread without scanning it again. ``tokenize`` and ``range_score``
-are thin wrappers for inspection.
+``scan_texts`` is the one kernel. It takes ``_BATCH`` texts at a time, so that
+their word lists stay small at any corpus size: it tokenizes each text once,
+looks every word of the batch up in the lexicon's word -> row dict in one
+``np.fromiter`` pass (row 0 is a miss) and counts each text's hits with
+``np.bincount``; per-text minima and maxima are then taken over the lexicon's
+rows x 3 score array with ``np.minimum.reduceat`` and ``np.maximum.reduceat``.
+The score depends on nothing but these extremes, so ``score_text`` folds the
+scan of a one-text batch, and the corpus score table folds the per-comment
+extremes to score a whole comment thread without scanning it again.
+``tokenize`` and ``range_score`` are thin wrappers for inspection.
 """
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -37,8 +37,8 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # ASCII letters to lowercase, every other ASCII character to a space
 _ASCII_WORDS = str.maketrans({chr(i): chr(i).lower() if chr(i).isalpha() else " " for i in range(128)})
 
-# texts per reduction: bounds the hit buffer, which holds about ten rows per text
-_BATCH = 1024
+# texts per batch: bounds the word lists held at once
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,17 @@ def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndar
     the lexicon, and the match counts.
     """
     n = len(texts)
-    lo = np.full((n, len(DIMENSIONS)), np.nan)
-    hi = np.full((n, len(DIMENSIONS)), np.nan)
+    lo, hi = np.full((2, n, len(DIMENSIONS)), np.nan)
     counts = np.zeros(n, dtype=np.int64)
-    row_of = lexicon.row_of
     for start in range(0, n, _BATCH):
-        hits, batch_counts = array("q"), array("q")
-        for text in texts[start:start + _BATCH]:
-            rows = list(filter(None, map(row_of, _words(text))))
-            hits.extend(rows)
-            batch_counts.append(len(rows))
-        batch = np.frombuffer(batch_counts, dtype=np.int64)
-        counts[start:start + len(batch)] = batch
+        words = list(map(_words, texts[start:start + _BATCH]))
+        rows = np.fromiter(map(lexicon.row_of, chain.from_iterable(words), repeat(0)), dtype=np.intp)
+        hit = rows > 0
+        batch = np.bincount(np.repeat(np.arange(len(words)), list(map(len, words)))[hit], minlength=len(words))
+        counts[start:start + len(words)] = batch
         matched = np.flatnonzero(batch)
         if len(matched):
-            values = lexicon.vad[np.frombuffer(hits, dtype=np.int64)]
+            values = lexicon.vad[rows[hit]]
             firsts = (np.cumsum(batch) - batch)[matched]
             lo[start + matched] = np.minimum.reduceat(values, firsts)
             hi[start + matched] = np.maximum.reduceat(values, firsts)

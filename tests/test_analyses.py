@@ -272,6 +272,7 @@ def test_rq3_deterministic(planted_scored):
 @pytest.mark.parametrize("case,notice", [
     ("title_d = title_v", "dropped title_d (|r|=1.000 with title_v)"),
     ("constant n_developers", "stage controls failed: singular design; collinear columns: ['n_developers']"),
+    ("constant title_d", "kept title_d: no r with title_v, constant: ['title_d']"),
     ("avg_politeness = Long", "stage controls+affective: fit did not converge (possible separation)"),
     ("avg_politeness = 1 on one issue", "stage controls+affective: cross-validation skipped "
                                         "(singular design; collinear columns: ['avg_politeness'])"),
@@ -279,9 +280,9 @@ def test_rq3_deterministic(planted_scored):
 def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
     table, features = planted_scored, dict(planted_scored.features)
     used = np.flatnonzero(~np.isnan(features["resolution_time"]) & ~np.isnan(table.elements).any(axis=(1, 2)))
-    if case == "title_d = title_v":
+    if case in ("title_d = title_v", "constant title_d"):
         elements = table.elements.copy()
-        elements[:, 0, 2] = elements[:, 0, 0]
+        elements[:, 0, 2] = 5.0 if case == "constant title_d" else elements[:, 0, 0]
         table = dataclasses.replace(table, elements=elements)
     elif case == "constant n_developers":
         features["n_developers"] = np.ones(len(table))
@@ -293,7 +294,7 @@ def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
             features["avg_politeness"][used[0]] = 1.0
     report = rq3_resolution_model(dataclasses.replace(table, features=features))
     assert notice in report.notices
-    assert (report.stages == ()) == (case == "constant n_developers")
+    assert (report.stages == ()) == case.startswith("constant")
     write_reports(AnalysisResults(n_issues=len(table), n_scored=len(table), rq3=report), tmp_path)
     assert f"\n  note: {notice}\n" in (tmp_path / "report.txt").read_text(encoding="utf-8")
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from vadminer import cli
 from vadminer.analyses import ELEMENTS, RQ2_SCOPES, TIME_GROUPS
 from vadminer.cli import main
-from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, load_corpus
+from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, VAD_ELEMENT_KEYS, load_corpus
 from vadminer.lexicon import DIMENSIONS, load_lexicon
 from vadminer.synth import GeneratorConfig, config_to_dict
 
@@ -343,6 +345,26 @@ def test_analyze_rq3_without_resolved_issues(tmp_path, capsys, synth_paths):
     assert perf.strip().splitlines() == ["classifier,class,precision,recall,f1,auc"]
 
 
+def test_analyze_rq3_constant_dominance_exit_0(tmp_path, capsys):
+    # every lexicon dominance 5: each *_d column is 0 on every issue, and has no r
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--seed", "1", "--out", str(corpus)]) == 0
+    rows = corpus.with_suffix(".jsonl.lexicon.csv").read_text(encoding="utf-8").splitlines()
+    lexicon = tmp_path / "d5.csv"
+    lexicon.write_text("\n".join([rows[0]] + [row.rsplit(",", 1)[0] + ",5" for row in rows[1:]]) + "\n",
+                       encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "rpt"
+    assert main(["analyze", "--lexicon", str(lexicon), "--corpus", str(corpus), "--out", str(out),
+                 "--analyses", "rq3"]) == 0
+    printed = capsys.readouterr().out
+    for element in VAD_ELEMENT_KEYS:
+        assert f"  rq3 note: kept {element}_d: no r with {element}_v, constant: ['{element}_d']\n" in printed
+    assert "  rq3 note: stage controls+vad failed: singular design; collinear columns: " in printed
+    kept = (out / "rq3_correlation_filter.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert kept == [f"{element}_v,{element}_d,,no" for element in VAD_ELEMENT_KEYS]
+
+
 def test_analyze_empty_corpus_notes(tmp_path, lexicon_file):
     # the run behind the benchmark's setup_s: no issue reaches any pipeline
     corpus = tmp_path / "empty.jsonl"
@@ -641,3 +663,52 @@ sys.exit(code)
     scoring, pipelines = map(int, proc.stdout.splitlines()[-1].split())
     assert scoring >= 150  # the count sees the records while they are scored
     assert pipelines == 0
+
+
+def test_commands_run_with_the_collector_off_and_restore_it(tmp_path, synth_paths, monkeypatch):
+    corpus_path, lexicon_path, _ = synth_paths
+    seen = []
+
+    def load(path):
+        seen.append(gc.isenabled())
+        return load_corpus(path)
+
+    monkeypatch.setattr(cli, "load_corpus", load)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not json\n", encoding="utf-8")
+    commands = (["ingest", "--corpus"],
+                ["analyze", "--lexicon", str(lexicon_path), "--out", str(tmp_path / "rpt"), "--analyses", "rq1",
+                 "--corpus"])
+    runs = [(command + [str(path)], code) for command in commands
+            for path, code in ((corpus_path, 0), (tmp_path / "missing.jsonl", 2), (bad, 3))]
+    assert gc.isenabled()
+    for argv, code in runs:
+        assert main(argv) == code
+        assert gc.isenabled()
+    assert seen == [False] * 4  # a missing file exits before the loader
+    gc.disable()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 8
+
+
+def test_analyze_makes_one_collection_the_explicit_full_one(tmp_path, synth_paths):
+    corpus_path, lexicon_path, _ = synth_paths
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        code = main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
+                     "--out", str(tmp_path / "rpt")])
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 0
+    assert started == [2]

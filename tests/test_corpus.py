@@ -1,4 +1,3 @@
-import gc
 import io
 import json
 from collections import Counter
@@ -205,30 +204,6 @@ def test_type_priority_status_are_module_constants():
         assert issue.issue_type is issue_type
         assert issue.priority is priority
         assert issue.status is status
-
-
-def test_collector_paused_during_load_and_restored():
-    seen = []
-
-    def lines():
-        for n in range(3):
-            seen.append(gc.isenabled())
-            yield json.dumps(issue_json(id=f"PRJ-{n}")) + "\n"
-
-    assert gc.isenabled()
-    assert len(load_corpus(lines())) == 3
-    assert seen == [False] * 3 and gc.isenabled()
-    with pytest.raises(CorpusFormatError):
-        load_corpus(io.StringIO("not json\n"))
-    assert gc.isenabled()
-    gc.disable()
-    try:
-        load_corpus(io.StringIO(json.dumps(issue_json()) + "\n"))
-        with pytest.raises(CorpusFormatError):
-            load_corpus(io.StringIO("not json\n"))
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
 
 
 @pytest.mark.parametrize("bad,message", [

@@ -451,6 +451,15 @@ def test_filter_boundary_exactly_point_seven_retained():
     assert _kept(["v", "d"], decisions) == ["v", "d"]
 
 
+def test_filter_constant_column_has_no_r_and_drops_nothing():
+    v = np.arange(10.0)
+    constant = np.full(10, 5.0)
+    decisions = correlation_filter({"v": v, "d": constant, "c": constant.copy()},
+                                   [("v", "d"), ("d", "v"), ("d", "c")])
+    assert [(d.r, d.dropped) for d in decisions] == [(None, False)] * 3
+    assert _kept(["v", "d", "c"], decisions) == ["v", "d", "c"]
+
+
 # ---------------------------------------------------------------------------
 # linear fits
 # ---------------------------------------------------------------------------

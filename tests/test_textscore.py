@@ -213,7 +213,7 @@ def assert_kernel_equals_loop(texts, lexicon):
 KERNEL_TEXTS = [
     "", "   ", "no match here", "joy", "JOY joy Joy jOy", "joy sadness joy sadness",
     "anger\njoy\r\nlove", "joy_sadness love4anger", "İstanbul joy", "Straße sadness",
-    "ΟΔΟΣ anger — «love»", "naïve joy", "STRASSE İİİ joy",
+    "ΟΔΟΣ anger — «love»", "naïve joy", "STRASSE İİİ joy", "joy\x00sadness",
 ]
 
 
@@ -222,8 +222,10 @@ def test_kernel_equals_loop_on_edge_texts(table1_lexicon):
 
 
 def test_kernel_equals_loop_across_batches(table1_lexicon):
-    # a first batch with no match at all, then batches with hits on their edges
+    # a first batch with no match at all, then batches with hits on their edges,
+    # then one that starts with empty texts and ends on a hit
     texts = ["no match here"] * _BATCH + ["joy"] + ["zzz"] * (_BATCH - 2) + ["anger love"]
+    texts += [""] * (_BATCH - 1) + ["sadness joy"]
     texts += KERNEL_TEXTS * 3
     assert_kernel_equals_loop(texts, table1_lexicon)
 
