@@ -40,6 +40,7 @@ from .models import (
     CvReport,
     DesignMatrix,
     FilterDecision,
+    FitResult,
     FittedModel,
     ImpactEntry,
     binarize_outcome,
@@ -49,9 +50,10 @@ from .models import (
     fit_logistic,
     impact_sizes,
     lr_test,
+    polyfit,
     zero_r,
 )
-from .stats import ComparisonResult, FitResult, bonferroni_alpha, paired_t_test, polyfit, welch_t_test
+from .stats import ComparisonResult, bonferroni_alpha, paired_t_test, welch_t_test
 from .textscore import fold, scan_texts
 
 ELEMENTS = ("Title", "Desc", "All", "First", "Last")
@@ -517,10 +519,10 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
 
     decisions: list[FilterDecision] = []  # reported by a run that fails after the filter
 
-    def empty_report(reason: str) -> Rq3Report:
+    def empty_report(reason: str, n_used: int) -> Rq3Report:
         notices.append(reason)
         return Rq3Report(
-            n_total=len(table), n_resolved=n_resolved, n_used=0,
+            n_total=len(table), n_resolved=n_resolved, n_used=n_used,
             n_skipped_unresolved=n_skipped_unresolved,
             n_skipped_incomplete=n_skipped_incomplete,
             long_share=None, zero_r=None, stages=(), filter_decisions=tuple(decisions),
@@ -535,7 +537,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
 
     min_rows = max(2 * CV_FOLDS, len(CONTROL_COLUMNS) + len(affective_keys) + len(VAD_COLUMNS) + 2)
     if len(rows) < min_rows:
-        return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})")
+        return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})", 0)
 
     # VAD_COLUMNS are element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
     columns = {**features, **dict(zip(VAD_COLUMNS, table.elements.reshape(len(table), -1).T)),
@@ -547,11 +549,9 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     def used(names) -> dict[str, np.ndarray]:
         return {name: columns[name][rows] for name in names}
 
-    # X's layout decides how its column means are summed, and so the last
-    # bits of every fit: the stages' design is column-major and the pruned
-    # model's row-major, the layouts that the golden reports pin
-    def design_of(names, order) -> DesignMatrix:
-        X = np.empty((len(rows), len(names)), order=order)
+    # column-major, so that each column's mean is summed over that column alone
+    def design_of(names) -> DesignMatrix:
+        X = np.empty((len(rows), len(names)), order="F")
         for j, name in enumerate(names):
             X[:, j] = columns[name][rows]
         return DesignMatrix(names, X, labels)
@@ -575,7 +575,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     ))
 
     # the stages are column prefixes of one design
-    design = design_of(stage_columns[-1][1], "F")
+    design = design_of(stage_columns[-1][1])
     stages: list[StageResult] = []
     previous: FittedModel | None = None
     for name, cols in stage_columns:
@@ -583,7 +583,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         try:
             model = fit_logistic(stage_design)
         except ValueError as exc:
-            return empty_report(f"stage {name} failed: {exc}")
+            return empty_report(f"stage {name} failed: {exc}", len(rows))
         if not model.converged:
             notices.append(f"stage {name}: fit did not converge (possible separation)")
         try:
@@ -600,7 +600,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < PRUNE_ALPHA]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
     try:
-        final_model = fit_logistic(design_of(keep, "C"))
+        final_model = fit_logistic(design_of(keep))
         impacts = tuple(impact_sizes(final_model, used(keep)))
     except ValueError as exc:
         final_model = None

@@ -1,7 +1,7 @@
-"""Regression models with inference: logistic (IRLS) and linear (OLS) fits,
-nested-model likelihood-ratio comparison, stratified cross-validation with a
-rank-statistic AUC, the majority-class baseline, and median+one-sd impact
-sizes for comparing features measured in different units.
+"""Regression models with inference: logistic (IRLS), linear (OLS) and
+polynomial fits, nested-model likelihood-ratio comparison, stratified
+cross-validation with a rank-statistic AUC, the majority-class baseline, and
+median+one-sd impact sizes for comparing features measured in different units.
 
 Outcomes are float arrays. The Short/Long resolution split is 0/1 (1.0 for
 Long, as ``binarize_outcome`` labels it); the logistic fit and
@@ -19,7 +19,8 @@ the collinear columns to name. No step takes an SVD of the n-row design. The
 fits map the coefficients, the intercept and the covariance back to raw
 units (``T cov T'``), so a fit does not depend on the scale or the offset of
 a column: multiplying one by 1e6 scales its slope by 1e-6 and leaves every
-p-value and the deviance as they were.
+p-value and the deviance as they were. ``polyfit`` is ``fit_linear`` on the
+powers of x minus its mean, so one rank rule decides every fit.
 
 Cross-validation fits each fold on a row selection of the design's matrix,
 and a caller that fits several nested models of one design (rq3's stages)
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
+from .stats import _as_sample, chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
 
 _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
@@ -348,6 +349,50 @@ def fit_linear(design: DesignMatrix) -> FittedModel:
         converged=True,
         n_obs=design.n,
     )
+
+
+@dataclass(frozen=True)
+class FitResult:
+    coefficients: tuple[float, ...]  # ascending powers: intercept first
+    r_squared: float
+    residual_ss: float
+
+    def predict(self, x):
+        return np.polyval(self.coefficients[::-1], np.asarray(x, dtype=float))
+
+
+def polyfit(x, y, degree: int) -> FitResult:
+    """Least-squares polynomial fit of degree 1 or 2 with R-squared, by
+    ``fit_linear`` on the powers of x minus its mean, mapped back to powers of
+    x. Constant y has nothing to explain: the fit is the intercept alone and
+    R-squared is defined as 0.
+    """
+    if degree not in (1, 2):
+        raise ValueError(f"degree must be 1 or 2, got {degree}")
+    x = _as_sample(x, "x", min_len=degree + 2)
+    y = _as_sample(y, "y", min_len=degree + 2)
+    if len(x) != len(y):
+        raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
+    if np.all(x == x[0]):
+        raise ValueError("x values are all identical; polynomial fit undefined")
+
+    total_ss = float(np.sum((y - np.mean(y)) ** 2))
+    if total_ss == 0.0:
+        coefficients = tuple([float(y[0])] + [0.0] * degree)
+        return FitResult(coefficients=coefficients, r_squared=0.0, residual_ss=0.0)
+
+    center = float(np.mean(x))
+    u = x - center
+    try:  # the checks above leave a singular design as the one way to fail
+        fit = fit_linear(DesignMatrix(["x", "x^2"][:degree], np.column_stack([u, u * u][:degree]), y))
+    except ValueError as exc:
+        raise ValueError(f"rank-deficient design for degree {degree} fit") from exc
+    # b(x - center) expanded in powers of x; poly1d lists the highest first
+    coef = np.polyval(fit.coefficients[::-1], np.poly1d([1.0, -center])).coeffs[::-1]
+    r_squared = 1.0 - fit.deviance / total_ss
+    return FitResult(coefficients=tuple(float(c) for c in coef) + (0.0,) * (degree + 1 - len(coef)),
+                     r_squared=max(0.0, min(1.0, r_squared)),
+                     residual_ss=fit.deviance)
 
 
 def lr_test(reduced: FittedModel, full: FittedModel) -> float:

@@ -1,5 +1,5 @@
 """Statistical primitives: Welch and paired t-tests, Cohen's d, Bonferroni
-adjustment, Pearson correlation, and polynomial least squares with R-squared.
+adjustment, Pearson correlation, and tail probabilities; fits are in ``models``.
 
 Tail probabilities come from in-module incomplete beta/gamma evaluations
 (continued fractions, ~1e-14), so no statistics library is required at
@@ -174,20 +174,6 @@ class ComparisonResult:
     significant: bool
 
 
-@dataclass(frozen=True)
-class FitResult:
-    coefficients: tuple[float, ...]  # ascending powers: intercept first
-    r_squared: float
-    residual_ss: float
-
-    def predict(self, x):
-        x = np.asarray(x, dtype=float)
-        y = np.zeros_like(x)
-        for power, coef in enumerate(self.coefficients):
-            y += coef * x**power
-        return y
-
-
 def label_effect_size(d: float) -> str:
     """Interpret |d| on the conventional trivial/small/medium/large scale."""
     magnitude = abs(d)
@@ -330,35 +316,3 @@ def pearson_r(x, y) -> float:
         raise ValueError("zero variance: correlation undefined")
     r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
-
-
-def polyfit(x, y, degree: int) -> FitResult:
-    """Least-squares polynomial fit of degree 1 or 2 with R-squared.
-
-    Constant y has nothing to explain: the fit is the intercept alone and
-    R-squared is defined as 0.
-    """
-    if degree not in (1, 2):
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
-    x = _as_sample(x, "x", min_len=degree + 2)
-    y = _as_sample(y, "y", min_len=degree + 2)
-    if len(x) != len(y):
-        raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
-    if np.all(x == x[0]):
-        raise ValueError("x values are all identical; polynomial fit undefined")
-
-    total_ss = float(np.sum((y - np.mean(y)) ** 2))
-    if total_ss == 0.0:
-        coefficients = tuple([float(y[0])] + [0.0] * degree)
-        return FitResult(coefficients=coefficients, r_squared=0.0, residual_ss=0.0)
-
-    design = np.vander(x, degree + 1, increasing=True)
-    if np.linalg.matrix_rank(design) < degree + 1:
-        raise ValueError(f"rank-deficient design for degree {degree} fit")
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    residual_ss = float(np.dot(residuals, residuals))
-    r_squared = 1.0 - residual_ss / total_ss
-    return FitResult(coefficients=tuple(float(c) for c in coef),
-                     r_squared=max(0.0, min(1.0, r_squared)),
-                     residual_ss=residual_ss)

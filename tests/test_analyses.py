@@ -295,6 +295,9 @@ def test_rq3_notices_reach_the_report(planted_scored, tmp_path, case, notice):
     report = rq3_resolution_model(dataclasses.replace(table, features=features))
     assert notice in report.notices
     assert (report.stages == ()) == case.startswith("constant")
+    # a failed stage fit still counts the rows that reached it
+    assert report.n_used == len(used)
+    assert report.n_used + report.n_skipped_incomplete == report.n_resolved
     write_reports(AnalysisResults(n_issues=len(table), n_scored=len(table), rq3=report), tmp_path)
     assert f"\n  note: {notice}\n" in (tmp_path / "report.txt").read_text(encoding="utf-8")
 

@@ -361,6 +361,8 @@ def test_analyze_rq3_constant_dominance_exit_0(tmp_path, capsys):
     for element in VAD_ELEMENT_KEYS:
         assert f"  rq3 note: kept {element}_d: no r with {element}_v, constant: ['{element}_d']\n" in printed
     assert "  rq3 note: stage controls+vad failed: singular design; collinear columns: " in printed
+    # the rows that reached the failed fit are counted as used
+    assert "  rq3 used 688 issues (skipped 169 unresolved, 143 with incomplete scores)\n" in printed
     kept = (out / "rq3_correlation_filter.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert kept == [f"{element}_v,{element}_d,,no" for element in VAD_ELEMENT_KEYS]
 

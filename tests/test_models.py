@@ -619,8 +619,8 @@ def test_crossval_fold_rank_check_names_the_fold_columns():
     assert str(raised.value) == "singular design; collinear columns: ['rare']"
 
 
-def test_rq3_and_rq4_take_no_svd_of_an_n_row_matrix(planted_scored, monkeypatch):
-    from vadminer.analyses import rq3_resolution_model, rq4_sign_tables
+def test_run_analyses_takes_no_svd_of_an_n_row_matrix(planted_scored, monkeypatch):
+    from vadminer.analyses import run_analyses
 
     shapes = []
     svd = np.linalg.svd
@@ -634,8 +634,9 @@ def test_rq3_and_rq4_take_no_svd_of_an_n_row_matrix(planted_scored, monkeypatch)
     monkeypatch.setattr(np.linalg, "svd", recorded)
     assert np.linalg.matrix_rank(np.eye(3)) == 3 and shapes == [(3, 3)]
     shapes.clear()
-    rq3 = rq3_resolution_model(planted_scored, seed=4)
-    rq4 = rq4_sign_tables(planted_scored)
+    results = run_analyses(planted_scored, seed=4)
+    rq3, rq4 = results.rq3, results.rq4
+    assert results.summary.quadratic is not None and len(results.summary.valence) > 1000
     assert len(rq3.stages) == 3 and rq3.n_used > 1000
     assert min(rq4.n_designs.values()) > 100 and not rq4.notices
     assert [shape for shape in shapes if max(shape[-2:]) > 100] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from vadminer.models import polyfit
 from vadminer.stats import (
     DegenerateVarianceWarning,
     bonferroni_alpha,
@@ -13,7 +14,6 @@ from vadminer.stats import (
     normal_two_sided_p,
     paired_t_test,
     pearson_r,
-    polyfit,
     student_t_two_sided_p,
     welch_t_test,
 )
@@ -323,6 +323,17 @@ def test_polyfit_u_shape_prefers_quadratic():
     linear = polyfit(x, y, 1)
     quadratic = polyfit(x, y, 2)
     assert quadratic.r_squared > linear.r_squared + 0.5
+
+
+def test_polyfit_does_not_depend_on_the_offset_or_scale_of_x():
+    # shifting or scaling x leaves the residuals, and so R-squared, as they are
+    rng = np.random.RandomState(8)
+    x = np.linspace(0.0, 8.0, 50)
+    y = 3.0 + 0.6 * x - 0.2 * x**2 + rng.normal(0, 0.3, size=50)
+    for degree in (1, 2):
+        r2 = polyfit(x, y, degree).r_squared
+        for moved in (x + 1e4, x + 1e5, x * 1e-9, x * 1e9):
+            assert polyfit(moved, y, degree).r_squared == pytest.approx(r2, abs=1e-12)
 
 
 def test_polyfit_constant_y():
