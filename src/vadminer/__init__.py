@@ -6,9 +6,15 @@ Importing the package sets each of ``OPENBLAS_NUM_THREADS``,
 kept: to give BLAS more threads, set the variable of the BLAS that numpy links
 (``OPENBLAS_NUM_THREADS`` for numpy's wheels). A program that imports numpy
 before vadminer keeps the BLAS threads numpy started with.
+
+Importing the package loads none of its submodules. Each name in ``__all__``
+imports its home submodule on first use (``vadminer.load_corpus`` imports
+``vadminer.corpus`` alone), so a caller of the numpy-free corpus layer never
+imports numpy.
 """
 
 import os
+from importlib import import_module
 
 # A multi-threaded BLAS splits the rq3 fits' sums by thread, so reports
 # would differ in their last digits between machines with different core
@@ -18,34 +24,42 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name
 
-from .analyses import AnalysisResults, ScoreTable, run_analyses, score_corpus
-from .corpus import Comment, IssueReport, load_corpus, write_corpus
-from .lexicon import Lexicon, LexiconEntry, LexiconError, load_lexicon, write_lexicon
-from .synth import GeneratorConfig, generate_corpus, generate_lexicon
-from .textscore import VadScore, range_score, score_text, tokenize
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisResults",
-    "Comment",
-    "GeneratorConfig",
-    "IssueReport",
-    "Lexicon",
-    "LexiconEntry",
-    "LexiconError",
-    "ScoreTable",
-    "VadScore",
-    "generate_corpus",
-    "generate_lexicon",
-    "load_corpus",
-    "load_lexicon",
-    "range_score",
-    "run_analyses",
-    "score_corpus",
-    "score_text",
-    "tokenize",
-    "write_corpus",
-    "write_lexicon",
-    "__version__",
-]
+# each exported name -> the submodule it is defined in
+_HOMES = {
+    "AnalysisResults": "analyses",
+    "Comment": "corpus",
+    "GeneratorConfig": "synth",
+    "IssueReport": "corpus",
+    "Lexicon": "lexicon",
+    "LexiconEntry": "lexicon",
+    "LexiconError": "lexicon",
+    "ScoreTable": "analyses",
+    "VadScore": "textscore",
+    "generate_corpus": "synth",
+    "generate_lexicon": "synth",
+    "load_corpus": "corpus",
+    "load_lexicon": "lexicon",
+    "range_score": "textscore",
+    "run_analyses": "analyses",
+    "score_corpus": "analyses",
+    "score_text": "textscore",
+    "tokenize": "textscore",
+    "write_corpus": "corpus",
+    "write_lexicon": "lexicon",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

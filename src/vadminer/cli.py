@@ -5,6 +5,14 @@ Subcommands: ``score`` one text, ``synth`` a seeded corpus, ``ingest``
 Exit codes are stable: 0 success, 2 missing file or invalid configuration,
 3 malformed corpus/lexicon content. Commands run with the cyclic collector off
 (their objects hold no cycles), and ``main`` restores the caller's setting.
+
+Each command loads only the layers it runs: the corpus layer is the one
+eager import, so ``ingest`` never imports numpy. Every other name the
+handlers use is listed in ``LAZY_NAMES`` and bound as a module global on
+first use, by the module ``__getattr__`` or by ``main`` for the chosen
+command, once the collector is off. A name already set on the module is kept,
+so a caller that replaces ``cli.load_lexicon`` (say, to time it) before
+``main`` runs has its value called.
 """
 from __future__ import annotations
 
@@ -13,15 +21,39 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from . import analyses
-from .analyses import ANALYSIS_NAMES, run_analyses
-from .corpus import CorpusFormatError, corpus_histograms, load_corpus, write_corpus
-from .lexicon import UNDECODED, LexiconError, canonical_dimension, load_lexicon, write_lexicon
-from .report import write_reports
-from .synth import ConfigError, GeneratorConfig, Vocabulary, config_from_dict, generate_corpus
-from .textscore import score_text
+from .corpus import UNDECODED, CorpusFormatError, corpus_histograms, load_corpus, write_corpus
+
+# name -> the module it comes from; a name equal to its module is the module
+LAZY_NAMES = {
+    "analyses": "analyses",
+    "ANALYSIS_NAMES": "analyses",
+    "run_analyses": "analyses",
+    "LexiconError": "lexicon",
+    "canonical_dimension": "lexicon",
+    "load_lexicon": "lexicon",
+    "write_lexicon": "lexicon",
+    "write_reports": "report",
+    "ConfigError": "synth",
+    "GeneratorConfig": "synth",
+    "Vocabulary": "synth",
+    "config_from_dict": "synth",
+    "generate_corpus": "synth",
+    "score_text": "textscore",
+}
+
+
+def __getattr__(name: str):
+    module = LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __package__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -274,16 +306,22 @@ def _run_analyze(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # each command's handler, and the modules of LAZY_NAMES it runs
     handlers = {
-        "score": _run_score,
-        "synth": _run_synth,
-        "ingest": _run_ingest,
-        "analyze": _run_analyze,
+        "score": (_run_score, ("lexicon", "textscore")),
+        "synth": (_run_synth, ("lexicon", "synth")),
+        "ingest": (_run_ingest, ()),
+        "analyze": (_run_analyze, ("analyses", "lexicon", "report")),
     }
+    handler, layers = handlers[args.command]
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return handlers[args.command](args)
+        this = sys.modules[__name__]
+        for name, module in LAZY_NAMES.items():
+            if module in layers:
+                getattr(this, name)  # binds the name unless it is already set
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -38,7 +38,8 @@ from pathlib import Path
 from sys import intern
 from typing import IO, Iterable, Sequence
 
-from .lexicon import UNDECODED
+# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
+UNDECODED = re.compile("[\udc80-\udcff]")
 
 ISSUE_TYPES = (
     "Bug", "Task", "SubTask", "Test", "Wish", "NewFeature",

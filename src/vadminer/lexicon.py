@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+
+from .corpus import UNDECODED
 
 DIMENSIONS = ("valence", "arousal", "dominance")
 
@@ -16,9 +17,6 @@ SCORE_MIN = 1.0
 SCORE_MAX = 9.0
 
 _SHORT_NAMES = {"v": "valence", "a": "arousal", "d": "dominance"}
-
-# what a byte that is not UTF-8 decodes to under errors="surrogateescape"
-UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 class LexiconError(ValueError):

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,19 @@ joy,8.21,5.55,7.00
 sadness,2.40,2.81,3.84
 love,8.00,5.36,5.92
 """
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(args, env=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter (``env``, default this one's) that imports
+    vadminer from this checkout; it must exit 0."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,6 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +11,7 @@ from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, VAD_ELEMENT_KEY
 from vadminer.lexicon import DIMENSIONS, load_lexicon
 from vadminer.synth import GeneratorConfig, config_to_dict
 
-from conftest import TABLE1_CSV
+from conftest import TABLE1_CSV, run_python
 
 
 @pytest.fixture()
@@ -163,10 +159,72 @@ def test_synth_out_must_be_a_file_path(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "new" / "c.jsonl")]) == 0
 
 
+# what ingest prints for the synth_paths corpus
+INGEST_STDOUT = """valid corpus: 150 issues
+  priority: Blocker=11, Critical=12, Major=69, Minor=42, Trivial=16
+  type: Bug=72, Task=15, SubTask=12, Test=3, Wish=4, NewFeature=8, Improvement=24, FeatureRequest=4, Enhancement=4, Other=4
+  status: Open=27, Closed=123
+"""
+NUMERIC_LAYERS = tuple(f"vadminer.{name}" for name in
+                       ("analyses", "models", "stats", "report", "textscore", "lexicon", "synth"))
+
+
 def test_ingest_valid(capsys, synth_paths):
     corpus_path, _, _ = synth_paths
+    capsys.readouterr()  # what synth printed
     assert main(["ingest", "--corpus", str(corpus_path)]) == 0
-    assert "valid corpus: 150 issues" in capsys.readouterr().out
+    assert capsys.readouterr().out == INGEST_STDOUT
+
+
+def test_ingest_as_a_module_imports_the_corpus_layer_alone(synth_paths):
+    corpus_path, _, _ = synth_paths
+    proc = run_python(["-X", "importtime", "-m", "vadminer.cli", "ingest", "--corpus", str(corpus_path)])
+    assert proc.stdout == INGEST_STDOUT
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "vadminer.corpus" in imported
+    assert imported.isdisjoint({"numpy", *NUMERIC_LAYERS})
+
+
+@pytest.mark.parametrize("command, unused", [
+    ("ingest", ("numpy", *NUMERIC_LAYERS)),
+    ("score", ("vadminer.analyses", "vadminer.models", "vadminer.stats", "vadminer.report", "vadminer.synth")),
+    ("synth", ("vadminer.analyses", "vadminer.models", "vadminer.stats", "vadminer.report", "vadminer.textscore")),
+    ("analyze", ("vadminer.synth",)),
+])
+def test_command_imports_only_the_layers_it_runs(tmp_path, synth_paths, command, unused):
+    corpus_path, lexicon_path, _ = synth_paths
+    argv = {
+        "ingest": ["ingest", "--corpus", str(corpus_path)],
+        "score": ["score", "--lexicon", str(lexicon_path), "--text", "joy"],
+        "synth": ["synth", "--seed", "1", "--out", str(tmp_path / "c.jsonl")],
+        "analyze": ["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus_path),
+                    "--out", str(tmp_path / "rpt"), "--analyses", "rq1"],
+    }[command]
+    code = (f"import sys; from vadminer.cli import main; code = main({argv!r}); "
+            f"print(sorted(set({unused!r}) & set(sys.modules))); sys.exit(code)")
+    assert run_python(["-c", code]).stdout.splitlines()[-1] == "[]"
+
+
+def test_names_set_on_the_module_before_main_are_the_ones_analyze_calls(tmp_path, synth_paths):
+    # how a tracer times the layers: it replaces the module's names before main runs
+    corpus_path, lexicon_path, _ = synth_paths
+    code = f"""
+import sys
+from vadminer import cli
+
+called = []
+for name in ("load_lexicon", "load_corpus", "run_analyses", "write_reports"):
+    def wrapper(*args, _original=getattr(cli, name), _name=name, **kwargs):
+        called.append(_name)
+        return _original(*args, **kwargs)
+    setattr(cli, name, wrapper)
+code = cli.main(["analyze", "--lexicon", {str(lexicon_path)!r}, "--corpus", {str(corpus_path)!r},
+                 "--out", {str(tmp_path / "rpt")!r}, "--analyses", "rq1"])
+print(*called)
+sys.exit(code)
+"""
+    assert run_python(["-c", code]).stdout.splitlines()[-1] == "load_lexicon load_corpus run_analyses write_reports"
 
 
 def test_ingest_missing_file_exit_2(capsys):
@@ -628,10 +686,7 @@ def test_analyze_runs_without_scipy(tmp_path, synth_paths):
     code = ("import sys; sys.modules['scipy'] = None; from vadminer.cli import main; "
             f"sys.exit(main(['analyze', '--lexicon', {str(lexicon_path)!r}, '--corpus', "
             f"{str(corpus_path)!r}, '--out', {str(tmp_path / 'rpt')!r}]))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python(["-c", code])
     assert len(list((tmp_path / "rpt").iterdir())) == 13
 
 
@@ -658,11 +713,7 @@ code = main(["analyze", "--lexicon", {str(lexicon_path)!r}, "--corpus", {str(cor
 print(counts["scoring"], counts["pipelines"])
 sys.exit(code)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    scoring, pipelines = map(int, proc.stdout.splitlines()[-1].split())
+    scoring, pipelines = map(int, run_python(["-c", code]).stdout.splitlines()[-1].split())
     assert scoring >= 150  # the count sees the records while they are scored
     assert pipelines == 0
 

@@ -1,11 +1,9 @@
-"""Importing vadminer pins BLAS/LAPACK to one thread, so that reports do not
-depend on the core count. Each check runs in a fresh interpreter whose
-environment has the BLAS thread variables removed, because numpy reads them
-once, when it is first imported."""
+"""Importing vadminer, or any of its submodules first, pins BLAS/LAPACK to one
+thread, so that reports do not depend on the core count. Each check runs in a
+fresh interpreter whose environment has the BLAS thread variables removed,
+because numpy reads them once, when it is first imported."""
 import filecmp
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,34 +12,37 @@ from vadminer.corpus import write_corpus
 from vadminer.lexicon import write_lexicon
 from vadminer.synth import Vocabulary, generate_corpus, planted_config
 
+from conftest import run_python as run_fresh
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SRC = Path(__file__).resolve().parents[1] / "src"
-PRINT_VARS = "import os, vadminer; print(*(os.environ[v] for v in %r))" % (THREAD_VARS,)
+PRINT_VARS = "import os, %s; print(*(os.environ[v] for v in " + repr(THREAD_VARS) + "))"
 
 
-def run_python(args, **overrides) -> subprocess.CompletedProcess:
+def run_python(args, **overrides):
     env = {key: value for key, value in os.environ.items() if key not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.update(overrides)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc
+    return run_fresh(args, env={**env, **overrides})
+
+
+FIRST_IMPORTS = ("vadminer", "vadminer.lexicon")  # the package, or a submodule first
 
 
 def test_import_sets_one_thread():
-    assert run_python(["-c", PRINT_VARS]).stdout.split() == ["1", "1", "1"]
+    for module in FIRST_IMPORTS:
+        assert run_python(["-c", PRINT_VARS % module]).stdout.split() == ["1", "1", "1"], module
 
 
 def test_explicit_thread_count_kept():
-    assert run_python(["-c", PRINT_VARS], OPENBLAS_NUM_THREADS="3").stdout.split() == ["3", "1", "1"]
+    for module in FIRST_IMPORTS:
+        proc = run_python(["-c", PRINT_VARS % module], OPENBLAS_NUM_THREADS="3")
+        assert proc.stdout.split() == ["3", "1", "1"], module
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or (os.cpu_count() or 1) < 2,
                     reason="needs Linux /proc and at least two CPUs")
 def test_import_starts_no_blas_thread():
-    code = "import os, vadminer; print(len(os.listdir('/proc/self/task')))"
-    assert run_python(["-c", code]).stdout.strip() == "1"
+    # a numeric layer, since importing the package alone loads no numpy
+    code = "import os, sys, vadminer.analyses; print('numpy' in sys.modules, len(os.listdir('/proc/self/task')))"
+    assert run_python(["-c", code]).stdout.split() == ["True", "1"]
 
 
 def test_reports_same_with_thread_variables_unset(tmp_path):
