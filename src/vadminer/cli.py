@@ -35,6 +35,7 @@ LAZY_NAMES = {
     "canonical_dimension": "lexicon",
     "load_lexicon": "lexicon",
     "write_lexicon": "lexicon",
+    "REPORT_FILES": "report",
     "write_reports": "report",
     "ConfigError": "synth",
     "GeneratorConfig": "synth",
@@ -281,6 +282,8 @@ def _run_analyze(args) -> int:
     _existing_file(lexicon_path, "lexicon file")
     _existing_file(corpus_path, "corpus file")
     out = _output_path(out_dir)
+    for name in REPORT_FILES:
+        _output_path(out / name, directory=False)
 
     lexicon = _load_lexicon_checked(lexicon_path)
     # the records are freed as soon as they are scored; the pipelines read the table

@@ -103,7 +103,12 @@ class Lexicon:
 
 
 def _parse_header(row: list[str]) -> dict[str, int]:
-    positions = {name.strip().lower(): i for i, name in enumerate(row)}
+    positions: dict[str, int] = {}
+    for i, name in enumerate(row):
+        key = name.strip().lower()
+        if key in positions and key in ("word", *DIMENSIONS):
+            raise LexiconError(f"line 1: lexicon header names the {key} column more than once")
+        positions[key] = i
     missing = [name for name in ("word", *DIMENSIONS) if name not in positions]
     if missing:
         raise LexiconError(
@@ -120,7 +125,8 @@ def _check_decoded(row: list[str], line_no: int) -> None:
 def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
     """Parse a lexicon CSV (header ``word,valence,arousal,dominance``).
 
-    Words are lowercased; bytes that are not UTF-8, duplicate words,
+    Words are lowercased; a header that names a required column twice,
+    bytes that are not UTF-8, duplicate words,
     non-numeric scores, scores outside [1, 9] and rows of the wrong width
     are rejected with their line number. A file may start with a UTF-8
     byte-order mark, as spreadsheet exports often do.

@@ -11,28 +11,29 @@ response.
 A ``DesignMatrix`` holds its columns as the fits use them, built once at
 construction: an intercept column of ones followed by every feature column
 centered on its mean and divided by its sd (a constant column is only
-centered, so it stays dependent and is named below). Both fits open with one
-checked-design prologue: enough rows for the parameters, then a rank check
-that takes the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at
-or below ``RANK_RTOL`` of the largest as zero; only a failed check looks for
-the collinear columns to name. No step takes an SVD of the n-row design. The
+centered, so it stays dependent and is named below). Every fit checks first
+that there are more rows than parameters, then runs a rank check that takes
+the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
+``RANK_RTOL`` of the largest as zero; only a failed check looks for the
+collinear columns to name. No step takes an SVD of the n-row design. The
 fits map the coefficients, the intercept and the covariance back to raw
 units (``T cov T'``), so a fit does not depend on the scale or the offset of
 a column: multiplying one by 1e6 scales its slope by 1e-6 and leaves every
 p-value and the deviance as they were. ``polyfit`` is ``fit_linear`` on the
 powers of x minus its mean, so one rank rule decides every fit.
 
-Cross-validation fits each fold on a row selection of the design's matrix,
-and a caller that fits several nested models of one design (rq3's stages)
-passes its column prefixes (``DesignMatrix.prefix``) to ``fit_logistic`` and
-``crossval``. The correlation filter and the impact sizes read raw values
-from a mapping of column names to arrays.
+Cross-validation fits each fold on a copy of its training rows, freed when
+the fold's fit returns. A caller that fits several nested models of one
+design (rq3's stages) passes its column prefixes (``DesignMatrix.prefix``) to
+``fit_logistic`` and ``crossval``. The correlation filter and the impact
+sizes read raw values from a mapping of column names to arrays.
 
 The fits do no work twice: IRLS carries the fitted probabilities of each
-accepted step into the next iteration and into the covariance, forms the
-weighted design in one work buffer per fit, and the sigmoid and the AUC
-midranks are whole-array numpy expressions, equal bit for bit to their
-masked and looped forms (the tests keep those as references).
+accepted step into the next iteration and into the covariance, and sums the
+weighted Gram matrix over blocks of ``_GRAM_BLOCK`` rows, so it needs scratch
+of one block and none of the design's size. The sigmoid and the AUC midranks
+are whole-array numpy expressions, equal bit for bit to their masked and
+looped forms (the tests keep those as references).
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
 _MU_CLIP = 1e-10
 RANK_RTOL = 1e-10  # Gram eigenvalues at or below this share of the largest count as zero
+_GRAM_BLOCK = 8192  # rows per block of the weighted Gram sum
 CV_FOLDS = 10
 CORRELATION_THRESHOLD = 0.7
 
@@ -218,32 +220,31 @@ def _check_labels(y: np.ndarray) -> None:
         raise ValueError("binary outcome must contain only Short/Long (0/1) values")
 
 
-def _checked_design(design: DesignMatrix, constant_response_ok: bool) -> np.ndarray:
-    """The Gram matrix of ``design.Z``, once the design has more rows than
-    parameters, a response that varies unless ``constant_response_ok``, and
-    full column rank; otherwise ValueError, in that order of checks."""
-    _check_rows(design.n, len(design.columns))
-    if not constant_response_ok and float(np.var(design.outcome)) == 0.0:
-        raise ValueError("degenerate variance: response is constant")
-    return _checked_gram(design.Z, design.columns)
-
-
-def _weighted_gram(Z: np.ndarray, mu: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Z'WZ for the IRLS weights of ``mu``, with W·Z formed in ``work``."""
+def _weighted_gram(Z: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Z'WZ for the IRLS weights of ``mu``, summed over blocks of
+    ``_GRAM_BLOCK`` rows; a design of one block is a single product."""
     w = np.clip(mu * (1.0 - mu), _MU_CLIP, None)
-    return Z.T @ np.multiply(Z, w[:, None], out=work)
+    gram = np.zeros((Z.shape[1], Z.shape[1]))
+    for start in range(0, len(Z), _GRAM_BLOCK):
+        block = Z[start:start + _GRAM_BLOCK]
+        gram += block.T @ (block * w[start:start + _GRAM_BLOCK, None])
+    return gram
 
 
-def _irls(Z: np.ndarray, y: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """Logistic maximum likelihood on an intercept-prefixed design of full
-    rank: the coefficients, their fitted probabilities, the deviance and
-    whether the fit converged. ``work`` is scratch of Z's shape."""
+def _irls(Z: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """Logistic maximum likelihood on an intercept-prefixed design with
+    feature columns ``names``: the coefficients, their fitted probabilities,
+    the deviance and whether the fit converged. The design must have more
+    rows than parameters, then full column rank; otherwise ValueError, in
+    that order of checks."""
+    _check_rows(len(Z), len(names))
+    _checked_gram(Z, names)
     beta = np.zeros(Z.shape[1])
     mu = _sigmoid(Z @ beta)  # always the fitted probabilities of beta
     deviance = _binomial_deviance(y, mu)
     converged = False
     for _ in range(_MAX_IRLS_ITER):
-        xtwx = _weighted_gram(Z, mu, work)
+        xtwx = _weighted_gram(Z, mu)
         score = Z.T @ (y - mu)
         try:
             delta = np.linalg.solve(xtwx, score)
@@ -290,11 +291,8 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
     y = design.outcome
     _check_labels(y)
     # one class only is complete separation, which the fit reports
-    _checked_design(design, constant_response_ok=True)
-
-    work = np.empty_like(design.Z)
-    beta, mu, deviance, converged = _irls(design.Z, y, work)
-    xtwx = _weighted_gram(design.Z, mu, work)
+    beta, mu, deviance, converged = _irls(design.Z, y, design.columns)
+    xtwx = _weighted_gram(design.Z, mu)
     try:
         cov = np.linalg.inv(xtwx)
     except np.linalg.LinAlgError:
@@ -323,9 +321,11 @@ def fit_linear(design: DesignMatrix) -> FittedModel:
     """Ordinary least squares with t-statistics and two-sided p-values,
     solved on the Gram matrix of the standardized design."""
     y = design.outcome
-    gram = _checked_design(design, constant_response_ok=False)
-
+    _check_rows(design.n, len(design.columns))
+    if float(np.var(y)) == 0.0:
+        raise ValueError("degenerate variance: response is constant")
     Z = design.Z
+    gram = _checked_gram(Z, design.columns)
     beta = np.linalg.solve(gram, Z.T @ y)
     residuals = y - Z @ beta
     rss = float(residuals @ residuals)
@@ -462,10 +462,10 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
 def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
     """Stratified ``CV_FOLDS``-fold logistic cross-validation, deterministic per seed.
 
-    Each fold is fitted on a row selection of the design's standardized
-    matrix, after its own row-count and rank checks. Class metrics are
-    computed on the pooled out-of-fold predictions at a 0.5 threshold; AUC
-    is the rank statistic over the pooled probabilities.
+    Each fold is fitted by ``_irls`` on a copy of its training rows of the
+    design's standardized matrix, after its own row-count and rank checks.
+    Class metrics are computed on the pooled out-of-fold predictions at a 0.5
+    threshold; AUC is the rank statistic over the pooled probabilities.
     """
     y = design.outcome
     _check_labels(y)
@@ -482,18 +482,10 @@ def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
         fold_of[members] = np.arange(len(members)) % CV_FOLDS
 
     Z = design.Z
-    # one buffer for the training rows and one for IRLS, shared by the folds
-    n_train = design.n - np.bincount(fold_of, minlength=CV_FOLDS)
-    rows = np.empty((int(n_train.max()), Z.shape[1]))
-    work = np.empty_like(rows)
     probabilities = np.empty(design.n)
     for fold in range(CV_FOLDS):
         test = fold_of == fold
-        _check_rows(int(n_train[fold]), len(design.columns))
-        # mode="clip" lets take write straight into ``out``; the indices are in range
-        train = np.take(Z, np.flatnonzero(~test), axis=0, out=rows[:n_train[fold]], mode="clip")
-        _checked_gram(train, design.columns)
-        beta = _irls(train, y[~test], work[:n_train[fold]])[0]
+        beta = _irls(Z[~test], y[~test], design.columns)[0]
         probabilities[test] = _sigmoid(Z[test] @ beta)
 
     predictions = (probabilities >= 0.5).astype(float)

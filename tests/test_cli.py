@@ -680,6 +680,23 @@ def test_analyze_out_must_be_a_directory(tmp_path, capsys, synth_paths):
                  "--out", str(tmp_path / "new" / "dir"), "--analyses", "rq1"]) == 0
 
 
+@pytest.mark.parametrize("taken,analyses", [("report.txt", "rq1,rq2,rq3,rq4,summary"),
+                                             ("rq3_coefficients.csv", "rq1")])
+def test_analyze_report_name_taken_by_a_directory_exit_2(tmp_path, capsys, synth_paths, taken, analyses):
+    # a report file written, or an earlier run's one deleted, in place of a directory
+    corpus_path, lexicon_path, _ = synth_paths
+    out = tmp_path / "o1"
+    (out / taken).mkdir(parents=True)
+    # a corpus that fails to load shows that the names are checked first
+    bad_corpus = tmp_path / "bad.jsonl"
+    bad_corpus.write_text("not json\n", encoding="utf-8")
+    for corpus in (bad_corpus, corpus_path):
+        assert main(["analyze", "--lexicon", str(lexicon_path), "--corpus", str(corpus),
+                     "--out", str(out), "--analyses", analyses]) == 2
+        assert capsys.readouterr().err == f"error: output path {out / taken} is a directory\n"
+        assert [path.name for path in out.iterdir()] == [taken] and (out / taken).is_dir()
+
+
 def test_analyze_runs_without_scipy(tmp_path, synth_paths):
     # numpy is the only runtime dependency; scipy is installed for the tests' oracles
     corpus_path, lexicon_path, _ = synth_paths

@@ -92,6 +92,18 @@ def test_missing_header_column():
         load_lexicon(io.StringIO("word,valence,arousal\njoy,8.21,5.55\n"))
 
 
+@pytest.mark.parametrize("header", ["word,valence,arousal,dominance,valence",
+                                    "word, Valence ,arousal,dominance,valence"],
+                         ids=["same spelling", "spaces and case"])
+def test_header_naming_a_column_twice_rejected(header):
+    with pytest.raises(LexiconError) as raised:
+        load_lexicon(io.StringIO(f"{header}\njoy,8,5,7,1\n"))
+    assert str(raised.value) == "line 1: lexicon header names the valence column more than once"
+    # an extra column of another name may repeat
+    lexicon = load_lexicon(io.StringIO("word,valence,arousal,dominance,note,Note\njoy,8,5,7,a,b\n"))
+    assert lexicon.lookup("joy").valence == 8.0
+
+
 def test_entry_invariants():
     with pytest.raises(LexiconError):
         LexiconEntry(word="", valence=5, arousal=5, dominance=5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -617,6 +618,38 @@ def test_crossval_fold_rank_check_names_the_fold_columns():
     with pytest.raises(ValueError) as raised:
         crossval(design, seed=0)
     assert str(raised.value) == "singular design; collinear columns: ['rare']"
+
+
+@pytest.mark.parametrize("n", [1, 8192, 8193, 20_000])
+def test_weighted_gram_sums_fixed_row_blocks(n):
+    rng = np.random.RandomState(65)
+    # a prefix's Z is a strided view, as rq3's stages pass it
+    Z = DesignMatrix(["a", "b", "c", "d"], rng.normal(0, 1, size=(n, 4)), np.zeros(n)).prefix(3).Z
+    mu = rng.uniform(0, 1, size=n)
+    w = np.clip(mu * (1.0 - mu), models._MU_CLIP, None)
+    whole = Z.T @ (Z * w[:, None])
+    assert models._GRAM_BLOCK == 8192
+    if n <= models._GRAM_BLOCK:
+        assert np.array_equal(models._weighted_gram(Z, mu), whole)
+    else:  # a sum over blocks may round differently in the last bits
+        np.testing.assert_allclose(models._weighted_gram(Z, mu), whole, rtol=1e-12, atol=0.0)
+
+
+def test_fits_hold_no_scratch_of_the_design_size():
+    rng = np.random.RandomState(66)
+    X = rng.normal(0, 1, size=(30_000, 12))
+    y = (rng.uniform(size=30_000) < sps.logistic.cdf(X @ rng.uniform(-0.5, 0.5, size=12))).astype(float)
+    design = binary_design(X, y)
+    del X
+    # a fit needs one block of scratch; a fold also copies its training rows
+    for fit, bound in ((fit_logistic, 1.0), (lambda d: crossval(d, seed=0), 2.0)):
+        tracemalloc.start()
+        try:
+            fit(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * design.Z.nbytes
 
 
 def test_run_analyses_takes_no_svd_of_an_n_row_matrix(planted_scored, monkeypatch):
