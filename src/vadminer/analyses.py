@@ -658,13 +658,9 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
         chosen = np.flatnonzero((table.roles == ROLES.index(role)) & ~np.isnan(table.comments[:, k])
                                 & eligible[owner])
         counts = np.bincount(owner[chosen], minlength=len(table))
+        # bincount sums each issue's scores in comment order
         means = np.bincount(owner[chosen], weights=table.comments[chosen, k],
                             minlength=len(table)) / np.maximum(counts, 1)
-        # bincount sums in comment order, as np.mean does below eight values;
-        # from eight on np.mean sums pairwise, so it is called there
-        ends = np.cumsum(counts)
-        for i in np.flatnonzero(counts >= 8):
-            means[i] = np.mean(table.comments[chosen[ends[i] - counts[i]:ends[i]], k])
         has_values = counts[eligible] > 0
         response = means[eligible][has_values]
 

@@ -11,16 +11,23 @@ response.
 A ``DesignMatrix`` holds its columns as the fits use them, built once at
 construction: an intercept column of ones followed by every feature column
 centered on its mean and divided by its sd (a constant column is only
-centered, so it stays dependent and is named below). Every fit checks first
+centered, so it stays dependent and is named below). The sd, and each median
+and sd of the impact sizes, is taken on the column divided by the power of
+two of its largest magnitude: the division is exact, so ordinary data keeps
+every bit, and no square can underflow or overflow. Every fit checks first
 that there are more rows than parameters, then runs a rank check that takes
 the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
 ``RANK_RTOL`` of the largest as zero; only a failed check looks for the
-collinear columns to name. No step takes an SVD of the n-row design. The
-fits map the coefficients, the intercept and the covariance back to raw
-units (``T cov T'``), so a fit does not depend on the scale or the offset of
-a column: multiplying one by 1e6 scales its slope by 1e-6 and leaves every
-p-value and the deviance as they were. ``polyfit`` is ``fit_linear`` on the
-powers of x minus its mean, so one rank rule decides every fit.
+collinear columns to name. The logistic check reads the first IRLS Gram,
+which is Z'Z / 4 as every weight is 1/4 at beta = 0. No step takes an SVD of
+the n-row design. One inference tail, ``_fitted``, maps either fit's
+coefficients and covariance back to raw units (``T cov T'``, with ``T`` split
+into powers of two and factors near 1, so no reciprocal of a scale is
+squared) and applies the fit's p-value rule. So a fit does not depend on the
+scale or the offset of a column: multiplying any finite one by 1e-300 to
+1e300 scales its slope by the inverse factor and leaves every p-value and the
+deviance as they were. ``polyfit`` is ``fit_linear`` on the powers of x minus
+its mean, so one rank rule decides every fit.
 
 Cross-validation fits each fold on a copy of its training rows, freed when
 the fold's fit returns. A caller that fits several nested models of one
@@ -96,9 +103,12 @@ class DesignMatrix:
         self.Z[:, 0] = 1.0
         self.center = X.mean(axis=0) if n else np.zeros(p)  # no rows: the fits reject the design
         centered = np.subtract(X, self.center, out=self.Z[:, 1:])
+        step = _powers_of_two(centered)
+        centered /= step
         sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / max(n, 1))
-        self.scale = np.where(sd > 0.0, sd, 1.0)
-        centered /= self.scale
+        sd = np.where(sd > 0.0, sd, 1.0)
+        centered /= sd
+        self.scale = sd * step
 
     @property
     def n(self) -> int:
@@ -206,13 +216,17 @@ def _check_rows(n: int, p: int) -> None:
         raise ValueError(f"need more observations ({n}) than parameters ({p + 1})")
 
 
-def _checked_gram(Z: np.ndarray, names) -> np.ndarray:
-    """The Gram matrix Z'Z of an intercept-prefixed design of full column
-    rank; otherwise ValueError naming the collinear columns."""
-    gram = Z.T @ Z
-    if _gram_rank(gram) < gram.shape[0]:
+def _check_rank(gram: np.ndarray, names) -> None:
+    """ValueError naming the collinear columns unless ``gram`` (a multiple of Z'Z) has full rank."""
+    if _gram_rank(gram) < len(gram):
         raise ValueError(f"singular design; collinear columns: {_collinear_columns(gram, names)}")
-    return gram
+
+
+def _powers_of_two(A: np.ndarray) -> np.ndarray:
+    """Per column, the power of two that brings its largest magnitude into
+    [0.5, 1), or 1.0 for a column of zeros; dividing by it is exact. Takes
+    no scratch of the size of ``A``."""
+    return np.ldexp(1.0, np.frexp(np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0)))[1])
 
 
 def _check_labels(y: np.ndarray) -> None:
@@ -236,15 +250,16 @@ def _irls(Z: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, 
     feature columns ``names``: the coefficients, their fitted probabilities,
     the deviance and whether the fit converged. The design must have more
     rows than parameters, then full column rank; otherwise ValueError, in
-    that order of checks."""
+    that order of checks. The rank check reads the first iteration's Gram."""
     _check_rows(len(Z), len(names))
-    _checked_gram(Z, names)
     beta = np.zeros(Z.shape[1])
-    mu = _sigmoid(Z @ beta)  # always the fitted probabilities of beta
+    mu = np.full(len(Z), 0.5)  # always the fitted probabilities of beta
     deviance = _binomial_deviance(y, mu)
     converged = False
-    for _ in range(_MAX_IRLS_ITER):
+    for iteration in range(_MAX_IRLS_ITER):
         xtwx = _weighted_gram(Z, mu)
+        if not iteration:  # every weight is 1/4 at beta = 0: this is Z'Z / 4
+            _check_rank(xtwx, names)
         score = Z.T @ (y - mu)
         try:
             delta = np.linalg.solve(xtwx, score)
@@ -271,12 +286,20 @@ def _irls(Z: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, 
     return beta, mu, deviance, converged
 
 
-def _raw_units(design: DesignMatrix, beta: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and standard errors on the raw columns from those on the
-    standardized ones: beta_raw = T beta, cov_raw = T cov T'."""
-    T = np.diag(np.concatenate(([1.0], 1.0 / design.scale)))
+def _fitted(kind: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray,
+            deviance: float, converged: bool, p_value) -> FittedModel:
+    """The model on the raw columns, beta_raw = T beta and cov_raw = T cov T',
+    with ``p_value(b, se)`` the fit's rule. ``T`` is the powers of two of the
+    scales (applied exactly, last) times a matrix of entries near 1."""
+    mantissa, exponent = np.frexp(design.scale)
+    T = np.diag(np.concatenate(([1.0], 1.0 / mantissa)))
     T[0, 1:] = -design.center / design.scale
-    return T @ beta, np.sqrt(np.clip(np.diag(T @ cov @ T.T), 0.0, None))
+    shift = np.concatenate(([0], -exponent))
+    beta = np.ldexp(T @ beta, shift)
+    se = np.ldexp(np.sqrt(np.clip(np.diag(T @ cov @ T.T), 0.0, None)), shift)
+    return FittedModel(kind=kind, columns=tuple(design.columns), coefficients=tuple(float(b) for b in beta),
+                       std_errors=tuple(float(s) for s in se), p_values=tuple(p_value(b, s) for b, s in zip(beta, se)),
+                       deviance=deviance, converged=converged, n_obs=design.n)
 
 
 def fit_logistic(design: DesignMatrix) -> FittedModel:
@@ -297,24 +320,8 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
         cov = np.linalg.inv(xtwx)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(xtwx)
-    beta, se = _raw_units(design, beta, cov)
-    p_values = []
-    for b, s in zip(beta, se):
-        if s == 0.0 or not math.isfinite(s):
-            p_values.append(1.0)
-        else:
-            p_values.append(normal_two_sided_p(b / s))
-
-    return FittedModel(
-        kind="logistic",
-        columns=tuple(design.columns),
-        coefficients=tuple(float(b) for b in beta),
-        std_errors=tuple(float(s) for s in se),
-        p_values=tuple(p_values),
-        deviance=deviance,
-        converged=converged,
-        n_obs=design.n,
-    )
+    return _fitted("logistic", design, beta, cov, deviance, converged,
+                   lambda b, s: 1.0 if s == 0.0 or not math.isfinite(s) else normal_two_sided_p(b / s))
 
 
 def fit_linear(design: DesignMatrix) -> FittedModel:
@@ -325,30 +332,14 @@ def fit_linear(design: DesignMatrix) -> FittedModel:
     if float(np.var(y)) == 0.0:
         raise ValueError("degenerate variance: response is constant")
     Z = design.Z
-    gram = _checked_gram(Z, design.columns)
+    gram = Z.T @ Z
+    _check_rank(gram, design.columns)
     beta = np.linalg.solve(gram, Z.T @ y)
     residuals = y - Z @ beta
     rss = float(residuals @ residuals)
     df = design.n - Z.shape[1]
-    sigma2 = rss / df
-    beta, se = _raw_units(design, beta, sigma2 * np.linalg.inv(gram))
-    p_values = []
-    for b, s in zip(beta, se):
-        if s == 0.0:
-            p_values.append(0.0 if b != 0.0 else 1.0)
-        else:
-            p_values.append(student_t_two_sided_p(b / s, df))
-
-    return FittedModel(
-        kind="linear",
-        columns=tuple(design.columns),
-        coefficients=tuple(float(b) for b in beta),
-        std_errors=tuple(float(s) for s in se),
-        p_values=tuple(p_values),
-        deviance=rss,
-        converged=True,
-        n_obs=design.n,
-    )
+    return _fitted("linear", design, beta, rss / df * np.linalg.inv(gram), rss, True,
+                   lambda b, s: (0.0 if b != 0.0 else 1.0) if s == 0.0 else student_t_two_sided_p(b / s, df))
 
 
 @dataclass(frozen=True)
@@ -513,8 +504,10 @@ def impact_sizes(model: FittedModel, columns) -> list[ImpactEntry]:
         raise ValueError("impact sizes are defined for logistic models")
     p = len(model.columns)
     X = np.column_stack([columns[name] for name in model.columns]).astype(float, copy=False) if p else np.empty((0, 0))
-    medians = np.median(X, axis=0) if len(X) else np.zeros(p)
-    sds = np.std(X, axis=0, ddof=1) if len(X) > 1 else np.zeros(p)
+    step = _powers_of_two(X)  # so that the squares of the sds stay in range
+    X /= step
+    medians = step * np.median(X, axis=0) if len(X) else np.zeros(p)
+    sds = step * np.std(X, axis=0, ddof=1) if len(X) > 1 else np.zeros(p)
     base_eta = model.intercept
     for j, name in enumerate(model.columns):
         base_eta += model.coefficient(name) * float(medians[j])

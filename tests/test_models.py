@@ -554,6 +554,44 @@ def test_fits_invariant_to_column_scale_and_shift(fit):
     assert model.std_errors[2] == pytest.approx(base.std_errors[2] * 1e-6, rel=1e-9, abs=0.0)
     assert model.coefficient("x0") == pytest.approx(base.coefficient("x0"), rel=1e-9, abs=0.0)
     assert model.intercept == pytest.approx(base.intercept - 1e3 * model.coefficient("x1"), rel=1e-9, abs=0.0)
+    # the squares of these columns, or of the reciprocals of their sds, leave
+    # the float range; any warning fails the test
+    for factor in (1e-200, 1e-160, 1e160, 1e300):
+        scaled = X.copy()
+        scaled[:, 1] *= factor
+        model = fit(binary_design(scaled, y))
+        assert model.p_values == pytest.approx(base.p_values, rel=1e-9, abs=0.0)
+        assert model.coefficient("x1") == pytest.approx(base.coefficient("x1") / factor, rel=1e-9, abs=0.0)
+        assert model.std_errors[2] == pytest.approx(base.std_errors[2] / factor, rel=1e-9, abs=0.0)
+
+
+def test_impact_sizes_scale_free_at_extreme_column_scales():
+    rng = np.random.RandomState(68)
+    X = rng.normal(0, 1, size=(500, 2))
+    y = (rng.uniform(size=500) < sps.logistic.cdf(0.2 + X @ np.array([0.8, -0.5]))).astype(float)
+    base = impact_sizes(fit_logistic(binary_design(X, y)), {"x0": X[:, 0], "x1": X[:, 1]})
+    for factor in (1e-200, 1e-160, 1e160, 1e300):
+        impacts = impact_sizes(fit_logistic(binary_design(X * [1.0, factor], y)),
+                               {"x0": X[:, 0], "x1": X[:, 1] * factor})
+        assert [entry.feature for entry in impacts] == [entry.feature for entry in base]
+        assert [entry.impact for entry in impacts] == pytest.approx([entry.impact for entry in base], rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("collinear", [False, True])
+def test_first_irls_gram_ranks_as_the_plain_gram(n, collinear):
+    # at beta = 0 every IRLS weight is 1/4, so the logistic rank check can
+    # read the first weighted Gram in place of Z'Z
+    rng = np.random.RandomState(69)
+    X = rng.normal(0, 1, size=(n, 4))
+    if collinear:
+        X[:, 3] = 2.0 * X[:, 0] - 3.0 * X[:, 2] + 1.0
+    names = ["a", "b", "c", "d"]
+    Z = binary_design(X, np.zeros(n), names=names).Z
+    plain, first = Z.T @ Z, models._weighted_gram(Z, np.full(n, 0.5))
+    assert models._gram_rank(first) == models._gram_rank(plain) == 5 - collinear
+    assert models._collinear_columns(first, names) == models._collinear_columns(plain, names)
+    assert models._collinear_columns(plain, names) == (["a", "c", "d"] if collinear else [])
 
 
 def test_design_standardizes_once_and_prefix():
