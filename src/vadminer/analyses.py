@@ -554,7 +554,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
         X = np.empty((len(rows), len(names)), order="F")
         for j, name in enumerate(names):
             X[:, j] = columns[name][rows]
-        return DesignMatrix(names, X, labels)
+        return DesignMatrix(names, X)
 
     decisions = correlation_filter(used(VAD_COLUMNS), [(f"{el}_v", f"{el}_d") for el in VAD_ELEMENT_KEYS])
     dropped = {decision.drop for decision in decisions if decision.dropped}
@@ -581,13 +581,13 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     for name, cols in stage_columns:
         stage_design = design.prefix(len(cols))
         try:
-            model = fit_logistic(stage_design)
+            model = fit_logistic(stage_design, labels)
         except ValueError as exc:
             return empty_report(f"stage {name} failed: {exc}", len(rows))
         if not model.converged:
             notices.append(f"stage {name}: fit did not converge (possible separation)")
         try:
-            cv = crossval(stage_design, seed=seed)
+            cv = crossval(stage_design, labels, seed=seed)
         except ValueError as exc:
             cv = None
             notices.append(f"stage {name}: cross-validation skipped ({exc})")
@@ -600,7 +600,7 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     keep = [name for name in final_stage.columns if final_stage.model.p_value(name) < PRUNE_ALPHA]
     pruned = tuple(name for name in final_stage.columns if name not in keep)
     try:
-        final_model = fit_logistic(design_of(keep))
+        final_model = fit_logistic(design_of(keep), labels)
         impacts = tuple(impact_sizes(final_model, used(keep)))
     except ValueError as exc:
         final_model = None
@@ -632,8 +632,8 @@ class SignTable:
 
 def rq4_sign_tables(table: ScoreTable) -> SignTable:
     """Nine linear regressions (role x dimension) of the role's mean comment
-    score on issue characteristics; cells show the coefficient sign when
-    p < ``SIGN_ALPHA``, blank otherwise.
+    score on issue characteristics, the three of a role on one design; cells
+    show the coefficient sign when p < ``SIGN_ALPHA``, blank otherwise.
 
     The Issue Type row carries the Bug-indicator sign (All Tasks reference,
     Future Dev entering as the second indicator). Uses resolved issues whose
@@ -647,36 +647,38 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
     predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
     columns = {**features, "bug_group": group == TYPE_GROUP_ORDER.index("Bug"),
                "future_dev_group": group == TYPE_GROUP_ORDER.index("Future Dev")}
-    X = np.column_stack([columns[name][eligible] for name in predictor_names])
+    X = np.column_stack([columns[name] for name in predictor_names])
 
     columns = tuple((role, dim) for role in ROLES for dim in DIMENSIONS)
-    cells: dict[tuple[str, str, str], str] = {}
+    cells = {(row, role, dim): "" for role, dim in columns for row in SIGN_TABLE_ROWS}
     n_designs: dict[tuple[str, str], int] = {}
     owner = table.owner
-    for role, dim in columns:
-        k = DIMENSIONS.index(dim)
-        chosen = np.flatnonzero((table.roles == ROLES.index(role)) & ~np.isnan(table.comments[:, k])
-                                & eligible[owner])
+    # a comment scores on all three dimensions or on none (every lexicon entry carries all three)
+    scored = ~np.isnan(table.comments).any(axis=1)
+    for role in ROLES:
+        chosen = np.flatnonzero((table.roles == ROLES.index(role)) & scored & eligible[owner])
         counts = np.bincount(owner[chosen], minlength=len(table))
-        # bincount sums each issue's scores in comment order
-        means = np.bincount(owner[chosen], weights=table.comments[chosen, k],
-                            minlength=len(table)) / np.maximum(counts, 1)
-        has_values = counts[eligible] > 0
-        response = means[eligible][has_values]
-
-        n_designs[(role, dim)] = len(response)
-        cells.update({(row, role, dim): "" for row in SIGN_TABLE_ROWS})
-        if len(response) <= len(predictor_names) + 1:
-            notices.append(f"{role}/{dim}: insufficient rows ({len(response)}); column left blank")
-            continue
+        used = counts > 0  # the eligible issues with a scored comment of the role
+        n_rows = int(np.count_nonzero(used))
+        n_designs.update({(role, dim): n_rows for dim in DIMENSIONS})
         try:
-            model = fit_linear(DesignMatrix(predictor_names, X[has_values], response))
+            if n_rows <= len(predictor_names) + 1:
+                raise ValueError(f"insufficient rows ({n_rows})")
+            design = DesignMatrix(predictor_names, X[used])
         except ValueError as exc:
-            notices.append(f"{role}/{dim}: {exc}; column left blank")
+            notices.extend(f"{role}/{dim}: {exc}; column left blank" for dim in DIMENSIONS)
             continue
-        for row, column in _SIGN_ROW_COLUMN.items():
-            if model.p_value(column) < SIGN_ALPHA:
-                cells[(row, role, dim)] = "+" if model.coefficient(column) > 0 else "-"
+        for k, dim in enumerate(DIMENSIONS):
+            # bincount sums each issue's scores in comment order
+            sums = np.bincount(owner[chosen], weights=table.comments[chosen, k], minlength=len(table))
+            try:
+                model = fit_linear(design, sums[used] / counts[used])
+            except ValueError as exc:
+                notices.append(f"{role}/{dim}: {exc}; column left blank")
+                continue
+            for row, column in _SIGN_ROW_COLUMN.items():
+                if model.p_value(column) < SIGN_ALPHA:
+                    cells[(row, role, dim)] = "+" if model.coefficient(column) > 0 else "-"
 
     return SignTable(
         rows=SIGN_TABLE_ROWS, columns=columns, cells=cells,

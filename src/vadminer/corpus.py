@@ -3,8 +3,8 @@
 Loading checks every line: bytes that are not UTF-8, a JSON string escape
 that leaves an unpaired surrogate (no UTF-8 text can hold one), invalid JSON
 and every schema violation are collected with their line numbers. An
-external feature may not take the name of a column that the analyses build
-(RESERVED_FEATURES).
+external feature may not take the name of a column that the analyses build,
+nor ``intercept``, which names rq3's model constant (RESERVED_FEATURES).
 
 ``parse_issue`` validates an issue in one pass of exact-type checks
 (``type(v) is int`` and the like; JSON decodes to the exact built-in types,
@@ -86,8 +86,10 @@ CONTROL_COLUMNS = (
 VAD_ELEMENT_KEYS = ("title", "desc", "all", "first", "last")
 VAD_COLUMNS = tuple(f"{element}_{dim}" for element in VAD_ELEMENT_KEYS for dim in "vad")
 # External features share the score table and rq3's design with these
-# columns, so none may take one of their names.
-RESERVED_FEATURES = tuple(dict.fromkeys(ATTRIBUTE_COLUMNS + HISTORY_COLUMNS + CONTROL_COLUMNS + VAD_COLUMNS))
+# columns, and rq3's coefficient table with its constant, so none may take
+# one of their names.
+RESERVED_FEATURES = tuple(dict.fromkeys(ATTRIBUTE_COLUMNS + HISTORY_COLUMNS + CONTROL_COLUMNS + VAD_COLUMNS
+                                        + ("intercept",)))
 _RESERVED = frozenset(RESERVED_FEATURES)  # checked for every feature of every issue
 
 

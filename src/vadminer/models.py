@@ -3,18 +3,21 @@ polynomial fits, nested-model likelihood-ratio comparison, stratified
 cross-validation with a rank-statistic AUC, the majority-class baseline, and
 median+one-sd impact sizes for comparing features measured in different units.
 
-Outcomes are float arrays. The Short/Long resolution split is 0/1 (1.0 for
-Long, as ``binarize_outcome`` labels it); the logistic fit and
-cross-validation reject any other value, and the linear fit takes any finite
-response.
+A ``DesignMatrix`` holds predictors only; each fit takes the response ``y``,
+one finite float per row, so several responses share one design (rq4's three
+dimensions of a role). The logistic fit and cross-validation take only 0/1
+(1.0 for Long, as ``binarize_outcome`` labels the Short/Long split).
 
-A ``DesignMatrix`` holds its columns as the fits use them, built once at
-construction: an intercept column of ones followed by every feature column
+The design holds its columns as the fits use them, built once at
+construction: an intercept column of ones followed by every predictor column
 centered on its mean and divided by its sd (a constant column is only
 centered, so it stays dependent and is named below). The sd, and each median
 and sd of the impact sizes, is taken on the column divided by the power of
 two of its largest magnitude: the division is exact, so ordinary data keeps
-every bit, and no square can underflow or overflow. Every fit checks first
+every bit, and no square can underflow or overflow. A column whose sum or
+centered values leave the float range (values within a factor of about n of
+the float maximum) is divided by its power of two before it is centered, and
+that power goes into its scale. Every fit checks its response first, then
 that there are more rows than parameters, then runs a rank check that takes
 the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
 ``RANK_RTOL`` of the largest as zero; only a failed check looks for the
@@ -24,10 +27,11 @@ the n-row design. One inference tail, ``_fitted``, maps either fit's
 coefficients and covariance back to raw units (``T cov T'``, with ``T`` split
 into powers of two and factors near 1, so no reciprocal of a scale is
 squared) and applies the fit's p-value rule. So a fit does not depend on the
-scale or the offset of a column: multiplying any finite one by 1e-300 to
-1e300 scales its slope by the inverse factor and leaves every p-value and the
-deviance as they were. ``polyfit`` is ``fit_linear`` on the powers of x minus
-its mean, so one rank rule decides every fit.
+scale or the offset of a column: multiplying any finite column by a factor
+that keeps it finite, from 1e-300 up to the float maximum, scales its slope
+by the inverse factor and leaves every p-value and the deviance as they
+were. ``polyfit`` is ``fit_linear`` on the powers of x minus its mean, so one
+rank rule decides every fit.
 
 Cross-validation fits each fold on a copy of its training rows, freed when
 the fold's fit returns. A caller that fits several nested models of one
@@ -73,18 +77,16 @@ def binarize_outcome(resolution_times) -> np.ndarray:
 
 
 class DesignMatrix:
-    """Named feature columns with an outcome, one float per row, held as the
-    fits see them: ``Z`` is an intercept column of ones, then each feature
-    column minus ``center``, divided by ``scale`` (its sd, or 1.0 for a
-    constant column). The raw cells are not kept.
-
-    Rows with missing values must be dropped before construction; every cell
-    and every outcome value has to be finite.
+    """Named predictor columns, one finite float per row (drop rows with
+    missing values first), held as the fits see them: ``Z`` is an intercept
+    column of ones, then each column minus ``center``, divided by ``scale``
+    (its sd, or 1.0 for a constant column). The raw cells are not kept, and
+    each fit takes the response.
     """
 
-    __slots__ = ("columns", "Z", "center", "scale", "outcome")
+    __slots__ = ("columns", "Z", "center", "scale")
 
-    def __init__(self, columns, X, outcome):
+    def __init__(self, columns, X):
         self.columns = list(columns)
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names in design matrix")
@@ -93,32 +95,38 @@ class DesignMatrix:
             raise ValueError(f"design matrix shape {X.shape} does not match {len(self.columns)} columns")
         if not np.all(np.isfinite(X)):
             raise ValueError("design matrix contains missing or non-finite cells")
-        self.outcome = np.asarray(outcome, dtype=float)
-        if self.outcome.shape != (X.shape[0],):
-            raise ValueError("outcome length does not match design rows")
-        if not np.all(np.isfinite(self.outcome)):
-            raise ValueError("outcome contains non-finite values")
         n, p = X.shape
         self.Z = np.empty((n, p + 1))
         self.Z[:, 0] = 1.0
-        self.center = X.mean(axis=0) if n else np.zeros(p)  # no rows: the fits reject the design
-        centered = np.subtract(X, self.center, out=self.Z[:, 1:])
-        step = _powers_of_two(centered)
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum or difference past the float range
+            self.center = X.mean(axis=0) if n else np.zeros(p)  # no rows: the fits reject the design
+            centered = np.subtract(X, self.center, out=self.Z[:, 1:])
+        magnitude = _magnitudes(centered)
+        outside = ~np.isfinite(magnitude)
+        power = np.ones(p)  # what a column was divided by before centering
+        if outside.any():  # center those columns divided by their power of two, an exact division
+            power[outside] = _powers_of_two(_magnitudes(X[:, outside]))
+            shrunk = X[:, outside] / power[outside]
+            center = shrunk.mean(axis=0)
+            centered[:, outside] = shrunk - center
+            self.center[outside] = center * power[outside]
+            magnitude[outside] = _magnitudes(centered[:, outside])
+        step = _powers_of_two(magnitude)
         centered /= step
         sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / max(n, 1))
         sd = np.where(sd > 0.0, sd, 1.0)
         centered /= sd
-        self.scale = sd * step
+        self.scale = sd * step * power
 
     @property
     def n(self) -> int:
         return self.Z.shape[0]
 
     def prefix(self, k: int) -> "DesignMatrix":
-        """The first ``k`` feature columns, as views of this design's arrays."""
+        """The first ``k`` columns, as views of this design's arrays."""
         view = object.__new__(DesignMatrix)
-        view.columns, view.Z, view.center, view.scale, view.outcome = (
-            self.columns[:k], self.Z[:, :k + 1], self.center[:k], self.scale[:k], self.outcome)
+        view.columns, view.Z, view.center, view.scale = (
+            self.columns[:k], self.Z[:, :k + 1], self.center[:k], self.scale[:k])
         return view
 
 
@@ -222,16 +230,28 @@ def _check_rank(gram: np.ndarray, names) -> None:
         raise ValueError(f"singular design; collinear columns: {_collinear_columns(gram, names)}")
 
 
-def _powers_of_two(A: np.ndarray) -> np.ndarray:
-    """Per column, the power of two that brings its largest magnitude into
-    [0.5, 1), or 1.0 for a column of zeros; dividing by it is exact. Takes
-    no scratch of the size of ``A``."""
-    return np.ldexp(1.0, np.frexp(np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0)))[1])
+def _magnitudes(A: np.ndarray) -> np.ndarray:
+    """Per column, the largest magnitude (0.0 for no rows), from the extremes: no scratch of ``A``'s size."""
+    return np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0))
 
 
-def _check_labels(y: np.ndarray) -> None:
-    if not np.all(np.isin(y, (0.0, 1.0))):
+def _powers_of_two(magnitude: np.ndarray) -> np.ndarray:
+    """The powers of two that bring each magnitude into [0.5, 1), or into
+    [1, 2) from 2**1023 up, where the next power leaves the float range; 1.0
+    for 0.0. Dividing by one is exact."""
+    return np.ldexp(1.0, np.minimum(np.frexp(magnitude)[1], 1023))
+
+
+def _response(y, n: int, binary: bool) -> np.ndarray:
+    """``y`` as floats, checked to hold one finite (if ``binary``, 0/1) value per row of ``n``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError("outcome length does not match design rows")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("outcome contains non-finite values")
+    if binary and not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("binary outcome must contain only Short/Long (0/1) values")
+    return y
 
 
 def _weighted_gram(Z: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -302,17 +322,16 @@ def _fitted(kind: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray,
                        deviance=deviance, converged=converged, n_obs=design.n)
 
 
-def fit_logistic(design: DesignMatrix) -> FittedModel:
+def fit_logistic(design: DesignMatrix, y) -> FittedModel:
     """Maximum-likelihood logistic regression via IRLS with step halving.
 
-    The outcome must be 0/1. IRLS runs on the standardized design and
-    converges when the largest coefficient change there drops below 1e-8
-    (at most 100 iterations). Perfect separation never converges and is
-    reported via ``converged=False``; a singular design raises, naming the
-    dependent columns.
+    The outcome ``y`` must hold one 0/1 value per row. IRLS runs on the
+    standardized design and converges when the largest coefficient change
+    there drops below 1e-8 (at most 100 iterations). Perfect separation never
+    converges and is reported via ``converged=False``; a singular design
+    raises, naming the dependent columns.
     """
-    y = design.outcome
-    _check_labels(y)
+    y = _response(y, design.n, binary=True)
     # one class only is complete separation, which the fit reports
     beta, mu, deviance, converged = _irls(design.Z, y, design.columns)
     xtwx = _weighted_gram(design.Z, mu)
@@ -324,10 +343,10 @@ def fit_logistic(design: DesignMatrix) -> FittedModel:
                    lambda b, s: 1.0 if s == 0.0 or not math.isfinite(s) else normal_two_sided_p(b / s))
 
 
-def fit_linear(design: DesignMatrix) -> FittedModel:
-    """Ordinary least squares with t-statistics and two-sided p-values,
-    solved on the Gram matrix of the standardized design."""
-    y = design.outcome
+def fit_linear(design: DesignMatrix, y) -> FittedModel:
+    """Ordinary least squares of ``y`` with t-statistics and two-sided
+    p-values, solved on the Gram matrix of the standardized design."""
+    y = _response(y, design.n, binary=False)
     _check_rows(design.n, len(design.columns))
     if float(np.var(y)) == 0.0:
         raise ValueError("degenerate variance: response is constant")
@@ -375,7 +394,7 @@ def polyfit(x, y, degree: int) -> FitResult:
     center = float(np.mean(x))
     u = x - center
     try:  # the checks above leave a singular design as the one way to fail
-        fit = fit_linear(DesignMatrix(["x", "x^2"][:degree], np.column_stack([u, u * u][:degree]), y))
+        fit = fit_linear(DesignMatrix(["x", "x^2"][:degree], np.column_stack([u, u * u][:degree])), y)
     except ValueError as exc:
         raise ValueError(f"rank-deficient design for degree {degree} fit") from exc
     # b(x - center) expanded in powers of x; poly1d lists the highest first
@@ -450,16 +469,15 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
     )
 
 
-def crossval(design: DesignMatrix, seed: int = 0) -> CvReport:
-    """Stratified ``CV_FOLDS``-fold logistic cross-validation, deterministic per seed.
+def crossval(design: DesignMatrix, y, seed: int = 0) -> CvReport:
+    """Stratified ``CV_FOLDS``-fold logistic cross-validation of ``y``, deterministic per seed.
 
     Each fold is fitted by ``_irls`` on a copy of its training rows of the
     design's standardized matrix, after its own row-count and rank checks.
     Class metrics are computed on the pooled out-of-fold predictions at a 0.5
     threshold; AUC is the rank statistic over the pooled probabilities.
     """
-    y = design.outcome
-    _check_labels(y)
+    y = _response(y, design.n, binary=True)
     if design.n < CV_FOLDS:
         raise ValueError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold cross-validation")
     rng = np.random.default_rng(seed)
@@ -504,7 +522,7 @@ def impact_sizes(model: FittedModel, columns) -> list[ImpactEntry]:
         raise ValueError("impact sizes are defined for logistic models")
     p = len(model.columns)
     X = np.column_stack([columns[name] for name in model.columns]).astype(float, copy=False) if p else np.empty((0, 0))
-    step = _powers_of_two(X)  # so that the squares of the sds stay in range
+    step = _powers_of_two(_magnitudes(X))  # so that the squares of the sds stay in range
     X /= step
     medians = step * np.median(X, axis=0) if len(X) else np.zeros(p)
     sds = step * np.std(X, axis=0, ddof=1) if len(X) > 1 else np.zeros(p)

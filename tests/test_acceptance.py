@@ -193,7 +193,7 @@ def test_criterion_4_statistical_oracle_suite():
         X = rng.normal(0, 1, size=(n, int(rng.randint(1, 4))))
         y = 0.5 + X @ rng.uniform(-2, 2, size=X.shape[1]) + rng.normal(0, 0.7, size=n)
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_linear(DesignMatrix(names, X, y))
+        model = fit_linear(DesignMatrix(names, X), y)
         beta, se, p, rss = oracles.ols_oracle(X, y)
         ols_ok += (np.allclose(model.coefficients, beta, atol=1e-9)
                    and np.allclose(model.std_errors, se, atol=1e-9)
@@ -211,7 +211,7 @@ def test_criterion_4_statistical_oracle_suite():
             continue
         logit_total += 1
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_logistic(DesignMatrix(names, X, y))
+        model = fit_logistic(DesignMatrix(names, X), y)
         beta, _, _, deviance = oracles.logistic_oracle(X, y)
         logit_ok += (np.allclose(model.coefficients, beta, atol=1e-9)
                      and abs(model.deviance - deviance) < 1e-9)
@@ -321,10 +321,8 @@ def test_criterion_6_nested_model_behavior(planted_run):
     noise = rng.normal(0, 1, size=(n, 5))
     names_c = ["c0", "c1", "c2"]
     names_n = [f"v{i}" for i in range(5)]
-    base_design = DesignMatrix(names_c, controls, y)
-    full_design = DesignMatrix(names_c + names_n, np.column_stack([controls, noise]), y)
-    auc_base = crossval(base_design, seed=5).auc
-    auc_full = crossval(full_design, seed=5).auc
+    auc_base = crossval(DesignMatrix(names_c, controls), y, seed=5).auc
+    auc_full = crossval(DesignMatrix(names_c + names_n, np.column_stack([controls, noise])), y, seed=5).auc
     noise_gain = auc_full - auc_base
     checks.append((f"noise VAD columns give AUC gain {noise_gain:.4f} <= 0.01", noise_gain <= 0.01))
 
@@ -334,9 +332,9 @@ def test_criterion_6_nested_model_behavior(planted_run):
         xs = seeded.normal(0, 1, size=(700, 2))
         ys = (seeded.uniform(size=700) < sps.logistic.cdf(0.6 * xs[:, 0])).astype(float)
         noise_cols = seeded.normal(0, 1, size=(700, 3))
-        reduced_design = DesignMatrix(["a", "b"], xs, ys)
-        full_noise = DesignMatrix(["a", "b", "n0", "n1", "n2"], np.column_stack([xs, noise_cols]), ys)
-        p_values.append(lr_test(fit_logistic(reduced_design), fit_logistic(full_noise)))
+        reduced_design = DesignMatrix(["a", "b"], xs)
+        full_noise = DesignMatrix(["a", "b", "n0", "n1", "n2"], np.column_stack([xs, noise_cols]))
+        p_values.append(lr_test(fit_logistic(reduced_design, ys), fit_logistic(full_noise, ys)))
     ks_p = sps.kstest(p_values, "uniform").pvalue
     checks.append((f"null lr p-values uniform (KS p {ks_p:.3f} > 0.01 over 50 seeds)", ks_p > 0.01))
     _report("criterion 6 (nested-model behavior)", checks)

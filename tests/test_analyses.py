@@ -437,32 +437,40 @@ def test_rq1_summary_rq2_equal_per_issue_loop(jittered):
         assert cell.result == paired_t_test(*zip(*pairs), alpha=paired.adjusted_alpha)
 
 
-def _record_designs(monkeypatch) -> list:
-    """(columns, raw matrix, design) of each DesignMatrix the pipelines build."""
-    built = []
-    design_matrix = analyses.DesignMatrix
+def _record_designs(monkeypatch, fit: str) -> tuple[list, list]:
+    """(columns, raw matrix, design) of each DesignMatrix the pipelines build,
+    and (design, response) of each call of the fit named ``fit``."""
+    built, fits = [], []
+    design_matrix, fitted = analyses.DesignMatrix, getattr(analyses, fit)
 
-    def recorded(columns, X, outcome):
-        built.append((list(columns), X, design_matrix(columns, X, outcome)))
+    def recorded(columns, X):
+        built.append((list(columns), X, design_matrix(columns, X)))
         return built[-1][2]
 
+    def recorded_fit(design, y, *args, **kwargs):
+        fits.append((design, np.asarray(y)))
+        return fitted(design, y, *args, **kwargs)
+
     monkeypatch.setattr(analyses, "DesignMatrix", recorded)
-    return built
+    monkeypatch.setattr(analyses, fit, recorded_fit)
+    return built, fits
 
 
 def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
-    # reference: each design built issue by issue from score_text, the
-    # response being the mean of the role's scored comments summed in order
-    fitted = _record_designs(monkeypatch)
+    # reference: each role's design built issue by issue from score_text, and
+    # each dimension's response the mean of the role's scored comments summed
+    # in order
+    built, fits = _record_designs(monkeypatch, "fit_linear")
     issues, lexicon, table = jittered
     rq4_sign_tables(table)
 
     history = oracles.prior_activity(issues)
     comment_scores = {id(c): score_text(c.body, lexicon) for issue in issues for c in issue.comments}
     long_means = 0
-    assert len(fitted) == len(ROLES) * len(DIMENSIONS)
-    designs = iter(fitted)
-    for role in ROLES:
+    # one design per role, fitted once per dimension
+    assert len(built) == len(ROLES) and len(fits) == len(ROLES) * len(DIMENSIONS)
+    responses = iter(fits)
+    for role, (_, X, design) in zip(ROLES, built):
         for dim in DIMENSIONS:
             rows, response = [], []
             for row, issue in enumerate(issues):
@@ -479,16 +487,17 @@ def test_rq4_designs_equal_per_issue_loop(jittered, monkeypatch):
                              history["assignee_prev_issues"][row], history["reporter_prev_issues"][row],
                              issue.type_group == "Future Dev"])
                 response.append(float(np.cumsum(values)[-1] / len(values)))
-            _, X, design = next(designs)
+            fitted_design, y = next(responses)
+            assert fitted_design is design
             assert np.array_equal(X, np.array(rows, dtype=float))
-            assert np.array_equal(design.outcome, np.array(response))
+            assert np.array_equal(y, np.array(response))
     assert long_means > 0  # groups where np.mean would sum pairwise are covered
 
 
 def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
     # reference: the control, affective and VAD columns built issue by issue
     # from the issue records and score_text
-    designs = _record_designs(monkeypatch)
+    designs, fits = _record_designs(monkeypatch, "fit_logistic")
     issues, lexicon, table = jittered
     report = rq3_resolution_model(table)
 
@@ -514,7 +523,9 @@ def test_rq3_design_equals_per_issue_loop(jittered, monkeypatch):
                        "Trivial", *affective,
                        *(f"{el}_{d}" for el in ("title", "desc", "all", "first", "last") for d in "vad")]
     assert np.array_equal(X, np.array(rows, dtype=float))
-    assert np.array_equal(design.outcome, [float(time >= median) for time in times])
+    # every stage and the pruned model fit the same labels
+    assert len(fits) == len(report.stages) + 1
+    assert all(np.array_equal(y, [float(time >= median) for time in times]) for _, y in fits)
     assert report.n_used == len(rows) and report.stages[1].columns[-2:] == tuple(affective)
 
     # a column missing on one used issue is no longer shared

@@ -124,7 +124,7 @@ def test_integer_beyond_float_columns_rejected(name, value, message):
 
 
 @pytest.mark.parametrize("key", ["n_comments", "title_v", "Critical", "votes", "closed",
-                                 "reporter_prev_issues", "last_d"])
+                                 "reporter_prev_issues", "last_d", "intercept"])
 def test_reserved_external_feature_rejected(key):
     good = json.dumps(issue_json(external_features={"avg_sentiment": 0.5}))
     bad = json.dumps(issue_json(id="PRJ-2", external_features={"avg_sentiment": 0.5, key: 1}))

@@ -26,12 +26,11 @@ from vadminer.models import (
 import oracles
 
 
-def binary_design(X, y, names=None):
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.shape[0] != len(y):
-        X = X.T
+def design_of(X, names=None):
+    X = np.asarray(X, float)
+    X = X[:, None] if X.ndim == 1 else X
     names = names or [f"x{i}" for i in range(X.shape[1])]
-    return DesignMatrix(names, X, np.asarray(y, float))
+    return DesignMatrix(names, X)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +64,7 @@ def test_logistic_recovers_planted_coefficient():
     rng = np.random.RandomState(17)
     x = rng.normal(0, 1, size=10_000)
     y = (rng.uniform(size=10_000) < sps.logistic.cdf(2.0 * x)).astype(float)
-    model = fit_logistic(binary_design(x, y))
+    model = fit_logistic(design_of(x), y)
     assert model.converged
     assert abs(model.coefficient("x0") - 2.0) < 0.1
 
@@ -79,8 +78,7 @@ def test_logistic_matches_high_precision_oracle():
         y = (rng.uniform(size=n) < sps.logistic.cdf(eta)).astype(float)
         if y.sum() < 3 or y.sum() > n - 3:
             continue
-        design = binary_design(X, y)
-        model = fit_logistic(design)
+        model = fit_logistic(design_of(X), y)
         beta, se, p, deviance = oracles.logistic_oracle(X, y)
         assert np.allclose(model.coefficients, beta, atol=1e-9)
         assert model.deviance == pytest.approx(deviance, abs=1e-9)
@@ -95,7 +93,7 @@ def test_logistic_null_features_rarely_significant():
     for _ in range(reps):
         X = rng.normal(0, 1, size=(400, 3))
         y = (rng.uniform(size=400) < 0.5).astype(float)
-        model = fit_logistic(binary_design(X, y))
+        model = fit_logistic(design_of(X), y)
         if all(model.p_value(name) > 0.01 for name in model.columns):
             clean += 1
     assert clean >= 0.95 * reps
@@ -103,23 +101,22 @@ def test_logistic_null_features_rarely_significant():
 
 def test_logistic_intercept_only_balanced():
     y = np.array([0.0, 1.0] * 50)
-    design = DesignMatrix([], np.empty((100, 0)), y)
-    model = fit_logistic(design)
+    model = fit_logistic(DesignMatrix([], np.empty((100, 0))), y)
     assert abs(model.intercept) < 1e-6
 
 
 def test_logistic_separation_flagged():
     x = np.concatenate([np.linspace(-2, -0.1, 30), np.linspace(0.1, 2, 30)])
     y = (x > 0).astype(float)
-    model = fit_logistic(binary_design(x, y))
+    model = fit_logistic(design_of(x), y)
     assert not model.converged
 
 
 def test_logistic_step_halving_on_near_separated_design(monkeypatch):
     # a separable design on which a full IRLS step raises the deviance
     X = [[-4.0, -4.0], [-1.0, -3.0], [5.0, 2.0], [-4.0, 2.0], [-5.0, -4.0], [4.0, -4.0]]
-    design = binary_design(X, [1.0, 1.0, 1.0, 0.0, 0.0, 1.0])
-    null_deviance = fit_logistic(DesignMatrix([], np.empty((6, 0)), design.outcome)).deviance
+    design, y = design_of(X), [1.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+    null_deviance = fit_logistic(DesignMatrix([], np.empty((6, 0))), y).deviance
     deviances = []
     binomial_deviance = models._binomial_deviance
 
@@ -128,7 +125,7 @@ def test_logistic_step_halving_on_near_separated_design(monkeypatch):
         return deviances[-1]
 
     monkeypatch.setattr(models, "_binomial_deviance", recorded)
-    model = fit_logistic(design)
+    model = fit_logistic(design, y)
     assert not model.converged
     assert model.deviance < null_deviance
     # each call follows the accepted deviance, so a rise is a rejected full step
@@ -143,25 +140,25 @@ def test_logistic_singular_design_names_columns():
     X = np.column_stack([x, 2.0 * x])
     y = (rng.uniform(size=50) < 0.5).astype(float)
     with pytest.raises(ValueError, match="x1"):
-        fit_logistic(binary_design(X, y, names=["x0", "x1"]))
+        fit_logistic(design_of(X, names=["x0", "x1"]), y)
     # the outcome is checked first, then the row count, then the rank
     labels = "only Short/Long \\(0/1\\) values"
     for outcome in (y + 2.0, np.where(y == 1.0, 0.5, 0.0)):
         with pytest.raises(ValueError, match=labels):
-            fit_logistic(binary_design(X, outcome, names=["x0", "x1"]))
+            fit_logistic(design_of(X, names=["x0", "x1"]), outcome)
         with pytest.raises(ValueError, match=labels):
-            crossval(binary_design(X, outcome, names=["x0", "x1"]), seed=0)
+            crossval(design_of(X, names=["x0", "x1"]), outcome, seed=0)
     with pytest.raises(ValueError, match=labels):
-        fit_logistic(binary_design(X[:3], y[:3] + 2.0, names=["x0", "x1"]))
+        fit_logistic(design_of(X[:3], names=["x0", "x1"]), y[:3] + 2.0)
     with pytest.raises(ValueError, match=r"need more observations \(3\) than parameters \(3\)"):
-        fit_logistic(binary_design(X[:3], y[:3], names=["x0", "x1"]))
+        fit_logistic(design_of(X[:3], names=["x0", "x1"]), y[:3])
 
 
 def test_logistic_probabilities_in_unit_interval():
     rng = np.random.RandomState(11)
     X = rng.normal(0, 1, size=(200, 2))
     y = (rng.uniform(size=200) < sps.logistic.cdf(X[:, 0])).astype(float)
-    model = fit_logistic(binary_design(X, y))
+    model = fit_logistic(design_of(X), y)
     probs = model.predict_proba(X)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -170,9 +167,8 @@ def test_logistic_nested_deviance_never_increases():
     rng = np.random.RandomState(23)
     X = rng.normal(0, 1, size=(300, 3))
     y = (rng.uniform(size=300) < sps.logistic.cdf(0.5 * X[:, 0])).astype(float)
-    design = binary_design(X, y, names=["a", "b", "c"])
-    full = fit_logistic(design)
-    reduced = fit_logistic(binary_design(X[:, :2], y, names=["a", "b"]))
+    full = fit_logistic(design_of(X, names=["a", "b", "c"]), y)
+    reduced = fit_logistic(design_of(X[:, :2], names=["a", "b"]), y)
     assert full.deviance <= reduced.deviance + 1e-9
 
 
@@ -184,7 +180,7 @@ def test_lr_test_identical_models():
     rng = np.random.RandomState(2)
     X = rng.normal(0, 1, size=(120, 2))
     y = (rng.uniform(size=120) < 0.5).astype(float)
-    model = fit_logistic(binary_design(X, y, names=["a", "b"]))
+    model = fit_logistic(design_of(X, names=["a", "b"]), y)
     assert lr_test(model, model) == 1.0
 
 
@@ -193,9 +189,8 @@ def test_lr_test_planted_signal():
     noise = rng.normal(0, 1, size=10_000)
     signal = rng.normal(0, 1, size=10_000)
     y = (rng.uniform(size=10_000) < sps.logistic.cdf(signal)).astype(float)
-    design = binary_design(np.column_stack([noise, signal]), y, names=["noise", "signal"])
-    reduced = fit_logistic(binary_design(noise, y, names=["noise"]))
-    full = fit_logistic(design)
+    reduced = fit_logistic(design_of(noise, names=["noise"]), y)
+    full = fit_logistic(design_of(np.column_stack([noise, signal]), names=["noise", "signal"]), y)
     assert lr_test(reduced, full) < 1e-10
 
 
@@ -206,9 +201,8 @@ def test_lr_test_null_uniform():
         x = rng.normal(0, 1, size=500)
         noise = rng.normal(0, 1, size=500)
         y = (rng.uniform(size=500) < sps.logistic.cdf(0.5 * x)).astype(float)
-        design = binary_design(np.column_stack([x, noise]), y, names=["x", "noise"])
-        reduced = fit_logistic(binary_design(x, y, names=["x"]))
-        full = fit_logistic(design)
+        reduced = fit_logistic(design_of(x, names=["x"]), y)
+        full = fit_logistic(design_of(np.column_stack([x, noise]), names=["x", "noise"]), y)
         p_values.append(lr_test(reduced, full))
     assert sps.kstest(p_values, "uniform").pvalue > 0.01
 
@@ -217,8 +211,8 @@ def test_lr_test_non_nested_rejected():
     rng = np.random.RandomState(4)
     X = rng.normal(0, 1, size=(80, 2))
     y = (rng.uniform(size=80) < 0.5).astype(float)
-    model_a = fit_logistic(binary_design(X[:, 0], y, names=["a"]))
-    model_b = fit_logistic(binary_design(X[:, 1], y, names=["b"]))
+    model_a = fit_logistic(design_of(X[:, 0], names=["a"]), y)
+    model_b = fit_logistic(design_of(X[:, 1], names=["b"]), y)
     with pytest.raises(ValueError, match="not nested"):
         lr_test(model_a, model_b)
 
@@ -231,7 +225,7 @@ def test_crossval_null_auc_near_half():
     rng = np.random.RandomState(12)
     X = rng.normal(0, 1, size=(10_000, 3))
     y = (rng.uniform(size=10_000) < 0.5).astype(float)
-    report = crossval(binary_design(X, y), seed=0)
+    report = crossval(design_of(X), y, seed=0)
     assert abs(report.auc - 0.5) < 0.02
 
 
@@ -239,7 +233,7 @@ def test_crossval_separable_auc():
     rng = np.random.RandomState(13)
     x = np.concatenate([rng.uniform(-3, -0.5, 300), rng.uniform(0.5, 3, 300)])
     y = (x > 0).astype(float)
-    report = crossval(binary_design(x, y), seed=1)
+    report = crossval(design_of(x), y, seed=1)
     assert report.auc > 0.99
 
 
@@ -247,16 +241,16 @@ def test_crossval_deterministic():
     rng = np.random.RandomState(14)
     X = rng.normal(0, 1, size=(300, 2))
     y = (rng.uniform(size=300) < sps.logistic.cdf(X[:, 0])).astype(float)
-    design = binary_design(X, y)
-    assert crossval(design, seed=5) == crossval(design, seed=5)
-    assert crossval(design, seed=5) != crossval(design, seed=6)
+    design = design_of(X)
+    assert crossval(design, y, seed=5) == crossval(design, y, seed=5)
+    assert crossval(design, y, seed=5) != crossval(design, y, seed=6)
 
 
 def test_crossval_requires_class_support():
     x = np.arange(20.0)
     y = np.array([1.0] * 15 + [0.0] * 5)
     with pytest.raises(ValueError, match="fewer members"):
-        crossval(binary_design(x, y), seed=0)
+        crossval(design_of(x), y, seed=0)
 
 
 def test_rank_auc_matches_scipy():
@@ -400,7 +394,7 @@ def test_impact_sign_follows_coefficient():
     rng = np.random.RandomState(31)
     X = rng.normal(0, 1, size=(500, 3))
     y = (rng.uniform(size=500) < sps.logistic.cdf(X @ np.array([1.0, -0.7, 0.3]))).astype(float)
-    model = fit_logistic(binary_design(X, y, names=["a", "b", "c"]))
+    model = fit_logistic(design_of(X, names=["a", "b", "c"]), y)
     for entry in impact_sizes(model, dict(zip(["a", "b", "c"], X.T))):
         assert math.copysign(1.0, entry.impact) == math.copysign(1.0, model.coefficient(entry.feature))
 
@@ -409,7 +403,7 @@ def test_impacts_sorted_by_magnitude():
     rng = np.random.RandomState(37)
     X = rng.normal(0, 1, size=(400, 3))
     y = (rng.uniform(size=400) < sps.logistic.cdf(X @ np.array([2.0, 0.5, -1.0]))).astype(float)
-    model = fit_logistic(binary_design(X, y, names=["a", "b", "c"]))
+    model = fit_logistic(design_of(X, names=["a", "b", "c"]), y)
     impacts = impact_sizes(model, dict(zip(["a", "b", "c"], X.T)))
     magnitudes = [abs(e.impact) for e in impacts]
     assert magnitudes == sorted(magnitudes, reverse=True)
@@ -468,8 +462,7 @@ def test_filter_constant_column_has_no_r_and_drops_nothing():
 def test_linear_exact_fit():
     x = np.arange(10.0)
     y = 3.0 * x + 2.0
-    design = DesignMatrix(["x"], x[:, None], y)
-    model = fit_linear(design)
+    model = fit_linear(DesignMatrix(["x"], x[:, None]), y)
     assert model.intercept == pytest.approx(2.0, abs=1e-9)
     assert model.coefficient("x") == pytest.approx(3.0, abs=1e-9)
     assert model.p_value("x") == pytest.approx(0.0, abs=1e-12)
@@ -482,7 +475,7 @@ def test_linear_matches_oracle_on_fixed_cases():
         X = rng.normal(0, 1, size=(n, rng.randint(1, 4)))
         y = 1.0 + X @ rng.uniform(-2, 2, size=X.shape[1]) + rng.normal(0, 0.5, size=n)
         names = [f"x{i}" for i in range(X.shape[1])]
-        model = fit_linear(DesignMatrix(names, X, y))
+        model = fit_linear(DesignMatrix(names, X), y)
         beta, se, p, rss = oracles.ols_oracle(X, y)
         assert np.allclose(model.coefficients, beta, atol=1e-9)
         assert np.allclose(model.std_errors, se, atol=1e-9)
@@ -495,8 +488,7 @@ def test_linear_planted_signs():
     priority = rng.randint(1, 6, size=10_000).astype(float)
     comments = rng.poisson(4, size=10_000).astype(float)
     y = 0.5 * priority - 0.2 * comments + rng.normal(0, 1, size=10_000)
-    design = DesignMatrix(["priority", "comments"], np.column_stack([priority, comments]), y)
-    model = fit_linear(design)
+    model = fit_linear(DesignMatrix(["priority", "comments"], np.column_stack([priority, comments])), y)
     assert model.coefficient("priority") > 0 and model.p_value("priority") < 0.001
     assert model.coefficient("comments") < 0 and model.p_value("comments") < 0.001
 
@@ -509,8 +501,7 @@ def test_linear_null_predictor_rarely_significant():
         x = rng.normal(0, 1, size=300)
         noise = rng.normal(0, 1, size=300)
         y = 0.8 * x + rng.normal(0, 1, size=300)
-        design = DesignMatrix(["x", "noise"], np.column_stack([x, noise]), y)
-        model = fit_linear(design)
+        model = fit_linear(DesignMatrix(["x", "noise"], np.column_stack([x, noise])), y)
         if model.p_value("noise") >= 0.001:
             clean += 1
     assert clean >= 0.95 * reps
@@ -519,15 +510,15 @@ def test_linear_null_predictor_rarely_significant():
 def test_linear_degenerate_and_singular():
     x = np.arange(10.0)
     with pytest.raises(ValueError, match="constant"):
-        fit_linear(DesignMatrix(["x"], x[:, None], np.full(10, 3.0)))
+        fit_linear(DesignMatrix(["x"], x[:, None]), np.full(10, 3.0))
     X = np.column_stack([x, x])
     with pytest.raises(ValueError, match="collinear"):
-        fit_linear(DesignMatrix(["a", "b"], X, x + 1.0))
+        fit_linear(DesignMatrix(["a", "b"], X), x + 1.0)
     # the row count is checked first, then the response, then the rank
     with pytest.raises(ValueError, match=r"need more observations \(3\) than parameters \(3\)"):
-        fit_linear(DesignMatrix(["a", "b"], X[:3], np.full(3, 3.0)))
+        fit_linear(DesignMatrix(["a", "b"], X[:3]), np.full(3, 3.0))
     with pytest.raises(ValueError, match="degenerate variance: response is constant"):
-        fit_linear(DesignMatrix(["a", "b"], X, np.full(10, 3.0)))
+        fit_linear(DesignMatrix(["a", "b"], X), np.full(10, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +534,26 @@ def test_fits_invariant_to_column_scale_and_shift(fit):
         y = (rng.uniform(size=500) < sps.logistic.cdf(eta)).astype(float)
     else:
         y = eta + rng.normal(0, 1, size=500)
-    base = fit(binary_design(X, y))
-    moved = X.copy()
-    moved[:, 1] = moved[:, 1] * 1e6 + 1e3
-    model = fit(binary_design(moved, y))
-    # slopes and the deviance do not move; the intercept moves with the offset
-    assert model.p_values[1:] == pytest.approx(base.p_values[1:], rel=1e-9, abs=0.0)
-    assert model.deviance == pytest.approx(base.deviance, rel=1e-9, abs=0.0)
-    assert model.coefficient("x1") == pytest.approx(base.coefficient("x1") * 1e-6, rel=1e-9, abs=0.0)
-    assert model.std_errors[2] == pytest.approx(base.std_errors[2] * 1e-6, rel=1e-9, abs=0.0)
-    assert model.coefficient("x0") == pytest.approx(base.coefficient("x0"), rel=1e-9, abs=0.0)
-    assert model.intercept == pytest.approx(base.intercept - 1e3 * model.coefficient("x1"), rel=1e-9, abs=0.0)
+    base = fit(design_of(X), y)
+    # the column of 1e306 * (x + 4) is positive, so its sum leaves the float range
+    for factor, shift in ((1e6, 1e3), (1e306, 4e306)):
+        moved = X.copy()
+        moved[:, 1] = moved[:, 1] * factor + shift
+        model = fit(design_of(moved), y)
+        # slopes and the deviance do not move; the intercept moves with the offset
+        assert model.p_values[1:] == pytest.approx(base.p_values[1:], rel=1e-9, abs=0.0)
+        assert model.deviance == pytest.approx(base.deviance, rel=1e-9, abs=0.0)
+        assert model.coefficient("x1") == pytest.approx(base.coefficient("x1") / factor, rel=1e-9, abs=0.0)
+        assert model.std_errors[2] == pytest.approx(base.std_errors[2] / factor, rel=1e-9, abs=0.0)
+        assert model.coefficient("x0") == pytest.approx(base.coefficient("x0"), rel=1e-9, abs=0.0)
+        assert model.intercept == pytest.approx(base.intercept - shift * model.coefficient("x1"), rel=1e-9, abs=0.0)
     # the squares of these columns, or of the reciprocals of their sds, leave
-    # the float range; any warning fails the test
-    for factor in (1e-200, 1e-160, 1e160, 1e300):
+    # the float range, and so do the centered values of the last (its largest
+    # magnitude is just below the float maximum); any warning fails the test
+    for factor in (1e-200, 1e-160, 1e160, 1e300, 1e306, 0.999 * np.finfo(float).max / np.abs(X[:, 1]).max()):
         scaled = X.copy()
         scaled[:, 1] *= factor
-        model = fit(binary_design(scaled, y))
+        model = fit(design_of(scaled), y)
         assert model.p_values == pytest.approx(base.p_values, rel=1e-9, abs=0.0)
         assert model.coefficient("x1") == pytest.approx(base.coefficient("x1") / factor, rel=1e-9, abs=0.0)
         assert model.std_errors[2] == pytest.approx(base.std_errors[2] / factor, rel=1e-9, abs=0.0)
@@ -569,9 +563,9 @@ def test_impact_sizes_scale_free_at_extreme_column_scales():
     rng = np.random.RandomState(68)
     X = rng.normal(0, 1, size=(500, 2))
     y = (rng.uniform(size=500) < sps.logistic.cdf(0.2 + X @ np.array([0.8, -0.5]))).astype(float)
-    base = impact_sizes(fit_logistic(binary_design(X, y)), {"x0": X[:, 0], "x1": X[:, 1]})
+    base = impact_sizes(fit_logistic(design_of(X), y), {"x0": X[:, 0], "x1": X[:, 1]})
     for factor in (1e-200, 1e-160, 1e160, 1e300):
-        impacts = impact_sizes(fit_logistic(binary_design(X * [1.0, factor], y)),
+        impacts = impact_sizes(fit_logistic(design_of(X * [1.0, factor]), y),
                                {"x0": X[:, 0], "x1": X[:, 1] * factor})
         assert [entry.feature for entry in impacts] == [entry.feature for entry in base]
         assert [entry.impact for entry in impacts] == pytest.approx([entry.impact for entry in base], rel=1e-9)
@@ -587,7 +581,7 @@ def test_first_irls_gram_ranks_as_the_plain_gram(n, collinear):
     if collinear:
         X[:, 3] = 2.0 * X[:, 0] - 3.0 * X[:, 2] + 1.0
     names = ["a", "b", "c", "d"]
-    Z = binary_design(X, np.zeros(n), names=names).Z
+    Z = design_of(X, names=names).Z
     plain, first = Z.T @ Z, models._weighted_gram(Z, np.full(n, 0.5))
     assert models._gram_rank(first) == models._gram_rank(plain) == 5 - collinear
     assert models._collinear_columns(first, names) == models._collinear_columns(plain, names)
@@ -596,7 +590,7 @@ def test_first_irls_gram_ranks_as_the_plain_gram(n, collinear):
 
 def test_design_standardizes_once_and_prefix():
     X = np.column_stack([np.arange(6.0), np.full(6, 4.0), [1e12, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    design = DesignMatrix(["a", "c", "big"], X, [0.0, 1.0] * 3)
+    design = DesignMatrix(["a", "c", "big"], X)
     assert design.Z.shape == (6, 4)
     assert np.array_equal(design.Z[:, 0], np.ones(6))
     assert np.allclose(design.Z[:, [1, 3]].mean(axis=0), 0.0, atol=1e-12)
@@ -614,18 +608,18 @@ def test_design_standardizes_once_and_prefix():
     rng = np.random.RandomState(62)
     X = rng.normal(5, 3, size=(200, 3))
     y = (rng.uniform(size=200) < sps.logistic.cdf(X[:, 0] - 5)).astype(float)
-    design = DesignMatrix(["a", "b", "c"], X, y)
+    design = DesignMatrix(["a", "b", "c"], X)
     for k in range(4):
-        prefix, fresh = design.prefix(k), DesignMatrix(["a", "b", "c"][:k], X[:, :k], y)
+        prefix, fresh = design.prefix(k), DesignMatrix(["a", "b", "c"][:k], X[:, :k])
         assert prefix.columns == fresh.columns
         assert all(np.array_equal(getattr(prefix, name), getattr(fresh, name))
-                   for name in ("Z", "center", "scale", "outcome"))
-        model, reference = fit_logistic(prefix), fit_logistic(fresh)
+                   for name in ("Z", "center", "scale"))
+        model, reference = fit_logistic(prefix, y), fit_logistic(fresh, y)
         inference = ("coefficients", "std_errors", "p_values")
         assert dataclasses.replace(model, **{name: getattr(reference, name) for name in inference}) == reference
         for name in inference:
             assert getattr(model, name) == pytest.approx(getattr(reference, name), rel=1e-12, abs=0.0)
-        assert crossval(prefix, seed=3) == crossval(fresh, seed=3)
+        assert crossval(prefix, y, seed=3) == crossval(fresh, y, seed=3)
 
 
 @pytest.mark.parametrize("fit", [fit_logistic, fit_linear])
@@ -636,12 +630,12 @@ def test_singular_design_names_columns_at_any_scale(fit):
     for scale in (1e-9, 1.0, 1e12):
         X = np.column_stack([x * scale, rng.normal(0, 1, size=80), 3.0 * x * scale + 7.0])
         with pytest.raises(ValueError) as raised:
-            fit(binary_design(X, y, names=["a", "b", "c"]))
+            fit(design_of(X, names=["a", "b", "c"]), y)
         assert str(raised.value) == "singular design; collinear columns: ['a', 'c']"
     # a huge constant column is still the one named
     X = np.column_stack([x, np.full(80, 1e15)])
     with pytest.raises(ValueError, match=r"collinear columns: \['c'\]$"):
-        fit(binary_design(X, y, names=["a", "c"]))
+        fit(design_of(X, names=["a", "c"]), y)
 
 
 def test_crossval_fold_rank_check_names_the_fold_columns():
@@ -651,10 +645,10 @@ def test_crossval_fold_rank_check_names_the_fold_columns():
     X = np.column_stack([rng.normal(0, 1, size=200), np.zeros(200)])
     X[0, 1] = 1.0
     y = (rng.uniform(size=200) < 0.5).astype(float)
-    design = binary_design(X, y, names=["x", "rare"])
-    fit_logistic(design)  # the full design has full rank
+    design = design_of(X, names=["x", "rare"])
+    fit_logistic(design, y)  # the full design has full rank
     with pytest.raises(ValueError) as raised:
-        crossval(design, seed=0)
+        crossval(design, y, seed=0)
     assert str(raised.value) == "singular design; collinear columns: ['rare']"
 
 
@@ -662,7 +656,7 @@ def test_crossval_fold_rank_check_names_the_fold_columns():
 def test_weighted_gram_sums_fixed_row_blocks(n):
     rng = np.random.RandomState(65)
     # a prefix's Z is a strided view, as rq3's stages pass it
-    Z = DesignMatrix(["a", "b", "c", "d"], rng.normal(0, 1, size=(n, 4)), np.zeros(n)).prefix(3).Z
+    Z = DesignMatrix(["a", "b", "c", "d"], rng.normal(0, 1, size=(n, 4))).prefix(3).Z
     mu = rng.uniform(0, 1, size=n)
     w = np.clip(mu * (1.0 - mu), models._MU_CLIP, None)
     whole = Z.T @ (Z * w[:, None])
@@ -677,13 +671,13 @@ def test_fits_hold_no_scratch_of_the_design_size():
     rng = np.random.RandomState(66)
     X = rng.normal(0, 1, size=(30_000, 12))
     y = (rng.uniform(size=30_000) < sps.logistic.cdf(X @ rng.uniform(-0.5, 0.5, size=12))).astype(float)
-    design = binary_design(X, y)
+    design = design_of(X)
     del X
     # a fit needs one block of scratch; a fold also copies its training rows
-    for fit, bound in ((fit_logistic, 1.0), (lambda d: crossval(d, seed=0), 2.0)):
+    for fit, bound in ((fit_logistic, 1.0), (lambda d, y: crossval(d, y, seed=0), 2.0)):
         tracemalloc.start()
         try:
-            fit(design)
+            fit(design, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -718,21 +712,24 @@ _FIT = FittedModel(kind="logistic", columns=(), coefficients=(0.0,), std_errors=
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: DesignMatrix(["a", "a"], np.zeros((2, 2)), [0.0, 1.0]), "duplicate column names in design matrix"),
-    (lambda: DesignMatrix(["a"], np.zeros((2, 2)), [0.0, 1.0]), "design matrix shape (2, 2) does not match 1 columns"),
-    (lambda: DesignMatrix(["a"], [[math.nan], [1.0]], [0.0, 1.0]),
+    (lambda: DesignMatrix(["a", "a"], np.zeros((2, 2))), "duplicate column names in design matrix"),
+    (lambda: DesignMatrix(["a"], np.zeros((2, 2))), "design matrix shape (2, 2) does not match 1 columns"),
+    (lambda: DesignMatrix(["a"], [[math.nan], [1.0]]),
      "design matrix contains missing or non-finite cells"),
-    (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, 1.0, 1.0]), "outcome length does not match design rows"),
-    (lambda: DesignMatrix(["a"], [[0.0], [1.0]], [0.0, math.inf]), "outcome contains non-finite values"),
-    (lambda: fit_logistic(DesignMatrix(["a"], np.empty((0, 1)), [])), "need more observations (0) than parameters (2)"),
-    (lambda: fit_linear(DesignMatrix([], np.empty((0, 0)), [])), "need more observations (0) than parameters (1)"),
+    (lambda: fit_linear(DesignMatrix(["a"], [[0.0], [1.0]]), [0.0, 1.0, 1.0]), "outcome length does not match design rows"),
+    (lambda: crossval(DesignMatrix(["a"], [[0.0], [1.0]]), [[0.0, 1.0]]), "outcome length does not match design rows"),
+    (lambda: fit_logistic(DesignMatrix(["a"], [[0.0], [1.0]]), [0.0, math.inf]), "outcome contains non-finite values"),
+    (lambda: fit_linear(DesignMatrix(["a"], [[0.0], [1.0]]), [0.0, math.nan]), "outcome contains non-finite values"),
+    (lambda: fit_logistic(DesignMatrix(["a"], np.empty((0, 1))), []), "need more observations (0) than parameters (2)"),
+    (lambda: fit_linear(DesignMatrix([], np.empty((0, 0))), []), "need more observations (0) than parameters (1)"),
     (lambda: lr_test(_FIT, dataclasses.replace(_FIT, kind="linear")), "models are of different kinds"),
     (lambda: lr_test(_FIT, dataclasses.replace(_FIT, n_obs=4)), "models were fitted on different numbers of rows"),
     (lambda: rank_auc([0.2, 0.7], [1.0, 1.0]), "AUC needs both classes present"),
     (lambda: zero_r([]), "no labels"),
-    (lambda: crossval(binary_design(np.arange(9.0), [0.0, 1.0] * 4 + [1.0]), seed=0),
+    (lambda: crossval(design_of(np.arange(9.0)), [0.0, 1.0] * 4 + [1.0], seed=0),
      "need at least 10 rows for 10-fold cross-validation"),
-], ids=["duplicate columns", "shape", "non-finite cell", "outcome length", "non-finite outcome",
+], ids=["duplicate columns", "shape", "non-finite cell", "outcome length", "outcome shape, crossval",
+        "non-finite outcome", "non-finite outcome, linear",
         "no rows, logistic", "no rows, linear",
         "lr kinds", "lr rows", "auc one class", "zero_r empty", "crossval rows"])
 def test_model_input_messages(call, message):

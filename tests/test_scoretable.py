@@ -91,6 +91,18 @@ def test_edge_issues_rows_equal_kernel(table1_lexicon):
     assert_table_matches_kernel(table, EDGE_ISSUES, table1_lexicon)
 
 
+def test_a_text_scores_on_every_dimension_or_on_none(planted_scored, table1_lexicon):
+    # every lexicon entry carries all three dimensions; rq4 builds one design
+    # per role on this
+    edge = score_corpus(EDGE_ISSUES, table1_lexicon)
+    for table in (planted_scored, edge):
+        for scores in (table.comments, table.elements):
+            missing = np.isnan(scores)
+            assert np.array_equal(missing.all(axis=-1), missing.any(axis=-1))
+    # the edge issues hold both kinds of comment
+    assert np.isnan(edge.comments).all(axis=1).any() and np.isfinite(edge.comments).all(axis=1).any()
+
+
 def test_empty_corpus(table1_lexicon):
     table = score_corpus([], table1_lexicon)
     assert len(table) == 0
