@@ -645,9 +645,8 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
     group = features["type_group"]
     eligible = ~np.isnan(features["resolution_time"]) & ~np.isnan(group)
     predictor_names = list(_SIGN_ROW_COLUMN.values()) + ["future_dev_group"]
-    columns = {**features, "bug_group": group == TYPE_GROUP_ORDER.index("Bug"),
-               "future_dev_group": group == TYPE_GROUP_ORDER.index("Future Dev")}
-    X = np.column_stack([columns[name] for name in predictor_names])
+    predictors = {**features, "bug_group": group == TYPE_GROUP_ORDER.index("Bug"),
+                  "future_dev_group": group == TYPE_GROUP_ORDER.index("Future Dev")}
 
     columns = tuple((role, dim) for role in ROLES for dim in DIMENSIONS)
     cells = {(row, role, dim): "" for role, dim in columns for row in SIGN_TABLE_ROWS}
@@ -664,7 +663,8 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
         try:
             if n_rows <= len(predictor_names) + 1:
                 raise ValueError(f"insufficient rows ({n_rows})")
-            design = DesignMatrix(predictor_names, X[used])
+            design = DesignMatrix(predictor_names,
+                                  np.column_stack([predictors[name][used] for name in predictor_names]))
         except ValueError as exc:
             notices.extend(f"{role}/{dim}: {exc}; column left blank" for dim in DIMENSIONS)
             continue

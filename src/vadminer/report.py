@@ -8,6 +8,7 @@ write, so the directory never mixes two runs, and leaves every other file.
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .analyses import PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, SignTable
@@ -22,6 +23,7 @@ REPORT_FILES = (
     "rq4_sign_table.csv",
     "report.txt",
 )
+POINT_ROWS = 8192  # rq1_summary_points.csv is formatted this many rows at a time
 
 
 def _fmt(value) -> str:
@@ -34,7 +36,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -90,7 +92,7 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def emit(name: str, header: list[str], rows: list[list]) -> None:
+    def emit(name: str, header: list[str], rows: Iterable[Sequence]) -> None:
         path = outdir / name
         _write_csv(path, header, rows)
         written.append(path)
@@ -104,11 +106,18 @@ def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
 
     if results.summary is not None:
         summary = results.summary
-        fitted = [fit.predict(summary.valence).tolist() if fit else [None] * len(summary.ids)
-                  for fit in (summary.linear, summary.quadratic)]
-        rows = list(zip(summary.ids.tolist(), summary.valence.tolist(), summary.arousal.tolist(), *fitted))
+
+        def points():
+            for start in range(0, len(summary.ids), POINT_ROWS):
+                block = slice(start, start + POINT_ROWS)
+                valence = summary.valence[block]
+                fitted = [fit.predict(valence).tolist() if fit else [None] * len(valence)
+                          for fit in (summary.linear, summary.quadratic)]
+                yield from zip(summary.ids[block].tolist(), valence.tolist(), summary.arousal[block].tolist(),
+                               *fitted)
+
         emit("rq1_summary_points.csv",
-             ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], rows)
+             ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], points())
         fit_rows = []
         for degree, fit in (("1", summary.linear), ("2", summary.quadratic)):
             if fit is not None:

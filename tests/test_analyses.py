@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from vadminer import analyses
 from vadminer.analyses import (
     SIGN_TABLE_ROWS,
     AnalysisResults,
+    SummaryResult,
     rq1_dominance_time,
     rq1_priority_arousal,
     rq1_summary,
@@ -20,7 +22,7 @@ from vadminer.analyses import (
 )
 from vadminer.corpus import HISTORY_COLUMNS, PRIORITY_LEVEL, ROLES, Comment, IssueReport
 from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
-from vadminer.models import binarize_outcome
+from vadminer.models import binarize_outcome, polyfit
 from vadminer.report import write_reports
 from vadminer.stats import paired_t_test, welch_t_test
 from vadminer.synth import EffectConfig, GeneratorConfig, generate_corpus, planted_config, u_shape_config
@@ -360,6 +362,34 @@ def test_rq4_insufficient_rows_blank(synth_lexicon):
     assert all(value == "" for value in table.cells.values())
 
 
+def _traced_peak(function, *args):
+    """The ``tracemalloc`` peak of ``function(*args)``, from its start."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rq4_holds_no_whole_corpus_copy_of_its_predictors(planted_scored, monkeypatch):
+    sizes = []
+    design_matrix = analyses.DesignMatrix
+
+    def recorded(columns, X):
+        design = design_matrix(columns, X)
+        sizes.append(design.Z.nbytes)
+        return design
+
+    monkeypatch.setattr(analyses, "DesignMatrix", recorded)
+    peak = _traced_peak(rq4_sign_tables, planted_scored)
+    assert len(sizes) == len(ROLES)
+    # a role's design is standardized while the last one is alive, next to masks
+    # and bincounts over the corpus: about 6.8 designs here. A stack of the 9
+    # predictors over the whole corpus is about 1.7 designs, past the bound.
+    assert peak < 7.5 * max(sizes)
+
+
 def test_rq4_null_corpus_mostly_blank(synth_lexicon):
     from vadminer.synth import null_config
 
@@ -577,3 +607,27 @@ def test_run_analyses_selection(planted_corpus, synth_lexicon):
     assert results.rq2 is None and results.rq3 is None and results.rq4 is None
     with pytest.raises(ValueError, match="unknown analyses"):
         run_analyses(table, which=("rq9",))
+
+
+# ---------------------------------------------------------------------------
+# report writing
+# ---------------------------------------------------------------------------
+
+def test_write_reports_formats_the_points_in_row_blocks(tmp_path):
+    n = 40_000  # about five row blocks
+    rng = np.random.RandomState(5)
+    valence = rng.uniform(0.0, 4.0, n)
+    arousal = 1.0 + 0.2 * valence + rng.normal(0.0, 0.5, n)
+    ids = np.array([f"PRJ-{i}" for i in range(n)], dtype=object)
+    summary = SummaryResult(ids=ids, valence=valence, arousal=arousal, linear=polyfit(valence, arousal, 1),
+                            quadratic=polyfit(valence, arousal, 2), n_total=n, n_skipped=0)
+    peak = _traced_peak(write_reports, AnalysisResults(n_issues=n, n_scored=n, summary=summary), tmp_path)
+    # one block of formatted rows takes about 1.3 MB at any row count; one list
+    # of every row takes about 9 times the three columns
+    assert peak < 2 * (ids.nbytes + valence.nbytes + arousal.nbytes)
+    # the blocks join into the rows of the whole columns
+    columns = [valence, arousal, summary.linear.predict(valence), summary.quadratic.predict(valence)]
+    rows = [",".join([issue_id, *(format(value, ".12g") for value in values)])
+            for issue_id, *values in zip(ids.tolist(), *(column.tolist() for column in columns))]
+    text = (tmp_path / "rq1_summary_points.csv").read_text(encoding="utf-8")
+    assert text.splitlines() == ["issue_id,valence,arousal,linear_fit,quadratic_fit", *rows]

@@ -170,10 +170,19 @@ NUMERIC_LAYERS = tuple(f"vadminer.{name}" for name in
 
 
 def test_ingest_valid(capsys, synth_paths):
-    corpus_path, _, _ = synth_paths
+    corpus_path, _, manifest_path = synth_paths
     capsys.readouterr()  # what synth printed
     assert main(["ingest", "--corpus", str(corpus_path)]) == 0
-    assert capsys.readouterr().out == INGEST_STDOUT
+    out = capsys.readouterr().out
+    assert out == INGEST_STDOUT
+    # the printed counts are the manifest's nonzero ones
+    histograms = json.loads(manifest_path.read_text(encoding="utf-8"))["histograms"]
+    first, *rows = out.splitlines()
+    assert first == f"valid corpus: {histograms['issues']} issues"
+    printed = {key: dict(part.split("=") for part in counts.split(", "))
+               for key, counts in (row.strip().split(": ") for row in rows)}
+    assert printed == {key: {name: str(n) for name, n in histograms[key].items() if n}
+                       for key in ("priority", "type", "status")}
 
 
 def test_ingest_as_a_module_imports_the_corpus_layer_alone(synth_paths):
@@ -425,6 +434,35 @@ def test_analyze_rq3_constant_dominance_exit_0(tmp_path, capsys):
     assert kept == [f"{element}_v,{element}_d,,no" for element in VAD_ELEMENT_KEYS]
 
 
+def test_analyze_rq3_external_feature_scale_keeps_the_p_values(tmp_path, capsys):
+    # any warning fails the test
+    spec = tmp_path / "ext.json"
+    spec.write_text('{"external_features": true}', encoding="utf-8")
+    corpus = tmp_path / "ext.jsonl"
+    assert main(["synth", "--spec", str(spec), "--seed", "1", "--out", str(corpus)]) == 0
+
+    def p_values(path, out):
+        capsys.readouterr()
+        assert main(["analyze", "--lexicon", str(corpus.with_suffix(".jsonl.lexicon.csv")), "--corpus", str(path),
+                     "--out", str(out), "--analyses", "rq3"]) == 0
+        printed = capsys.readouterr().out
+        assert "failed" not in printed and "collinear" not in printed
+        rows = (out / "rq3_coefficients.csv").read_text(encoding="utf-8").splitlines()
+        return [(row.split(",")[1], row.split(",")[4]) for row in rows
+                if row.startswith("controls+affective+vad,avg_")]
+
+    unscaled = p_values(corpus, tmp_path / "unscaled")
+    assert [name for name, _ in unscaled] == ["avg_politeness", "avg_sentiment"]
+    # at 1e306 the sum of a feature column leaves the float range
+    for scale in (1e-160, 1e306):
+        scaled = tmp_path / f"{scale}.jsonl"
+        with open(corpus, encoding="utf-8") as lines, open(scaled, "w", encoding="utf-8") as out:
+            for issue in map(json.loads, lines):
+                features = {key: value * scale for key, value in issue["external_features"].items()}
+                out.write(json.dumps({**issue, "external_features": features}) + "\n")
+        assert p_values(scaled, tmp_path / f"{scale}") == unscaled, scale
+
+
 def test_analyze_empty_corpus_notes(tmp_path, lexicon_file):
     # the run behind the benchmark's setup_s: no issue reaches any pipeline
     corpus = tmp_path / "empty.jsonl"
@@ -557,6 +595,11 @@ _DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: 
      {"spec.json": '{{"n_issues": ' + "1" * 5000 + "}}"}, 3, f"generator spec is not valid JSON: {_DIGIT_LIMIT}"),
     (["ingest", "--corpus", "{tmp}/huge.jsonl"], {"huge.jsonl": '{{"id": "A-1", "votes": ' + "1" * 5000 + "}}\n"}, 3,
      f"corpus schema errors:\n  line 1: invalid JSON: {_DIGIT_LIMIT}"),
+    (["ingest", "--corpus", "{tmp}/bad.jsonl"], {"bad.jsonl": "[1]\n"}, 3,
+     "corpus schema errors:\n  line 1: line is not a JSON object"),
+    (["score", "--lexicon", "{tmp}/twice.csv", "--text", "joy"],
+     {"twice.csv": "word,valence,arousal,dominance,valence\njoy,8,5,7,1\n"}, 3,
+     "invalid lexicon: line 1: lexicon header names the valence column more than once"),
     (["analyze", "--lexicon", "{lexicon}", "--out", "{tmp}/rpt"], {}, 2,
      "no corpus given (use --corpus or a config file)"),
     (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}"], {}, 2,
@@ -564,11 +607,15 @@ _DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: 
     (["analyze", "--config", "{tmp}/run.cfg"],
      {"run.cfg": "lexicon={lexicon}\ncorpus={corpus}\nout={tmp}/rpt\nseed=abc\n"}, 2,
      "invalid numeric option: invalid literal for int() with base 10: 'abc'"),
+    (["analyze", "--config", "{tmp}/run.cfg"],
+     {"run.cfg": "lexicon={lexicon}\ncorpus={corpus}\nout={tmp}/rpt\njobs=2\n"}, 2,
+     "config line 4: unknown key 'jobs'"),
     (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}", "--out", "{tmp}/rpt", "--analyses", "rq1,rq9"],
      {}, 2, "unknown analyses ['rq9']; choose from ('rq1', 'rq2', 'rq3', 'rq4', 'summary')"),
 ], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json",
-        "spec int past digit limit", "corpus int past digit limit", "no corpus",
-        "no out", "seed not numeric", "unknown analysis"])
+        "spec int past digit limit", "corpus int past digit limit", "corpus line not an object",
+        "lexicon header names a column twice", "no corpus", "no out", "seed not numeric",
+        "config sets removed key jobs", "unknown analysis"])
 def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, message):
     corpus_path, lexicon_path, _ = synth_paths
     places = {"tmp": str(tmp_path), "lexicon": str(lexicon_path), "corpus": str(corpus_path)}

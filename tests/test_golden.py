@@ -6,13 +6,18 @@ Refactors of scoring, the score table or the pipelines must keep these
 hashes. A change that alters report bytes on purpose (a correctness fix)
 updates the JSON file and says why in CHANGES.md.
 
-The rq3 files hold floats from IRLS fits and cross-validation, which go
-through numpy's linear algebra; their last digits can depend on the numpy
-version, the BLAS it links, and the BLAS thread count when one is set
-explicitly (importing vadminer otherwise pins it to one). A hash mismatch
-confined to ``rq3_*`` files and ``report.txt`` after a numpy or BLAS upgrade
-is not a regression in this package: regenerate with
-``python tests/test_golden.py`` on the unchanged code first.
+The rq1 summary fits and the rq3 files hold floats from least-squares and
+IRLS fits, which go through numpy's linear algebra; their last digits can
+depend on the numpy version, the BLAS it links, the kernel that OpenBLAS picks
+for the CPU, and the BLAS thread count when one is set explicitly (importing
+vadminer otherwise pins it to one). Under OpenBLAS's Sandybridge or Prescott
+kernel (``OPENBLAS_CORETYPE``), the ``default`` case differs in
+``rq1_summary_fits.csv`` and ``rq1_summary_points.csv`` and the ``planted``
+case in ``rq1_summary_points.csv``; SkylakeX, Haswell and Zen give the
+committed hashes. At larger corpora the kernel also moves ``rq3_*`` cells and
+``report.txt``. A mismatch confined to these files after a numpy or BLAS
+upgrade, or on another CPU, is not a regression in this package: regenerate
+with ``python tests/test_golden.py`` on the unchanged code first.
 """
 import hashlib
 import json
