@@ -65,10 +65,6 @@ TIME_GROUPS = ("Short time", "High time")
 PRUNE_ALPHA = 0.01  # rq3 keeps final-model coefficients below it
 SIGN_ALPHA = 0.001  # rq4 shows a sign below it
 
-SIGN_TABLE_ROWS = (
-    "Priority", "Issue Type", "Resolution Time", "# votes", "# comments",
-    "# watchers", "# assignee prev. issues", "# reporter prev. issues",
-)
 _SIGN_ROW_COLUMN = {
     "Priority": "priority_level",
     "Issue Type": "bug_group",  # sign of the Bug indicator (All Tasks reference)
@@ -79,6 +75,7 @@ _SIGN_ROW_COLUMN = {
     "# assignee prev. issues": "assignee_prev_issues",
     "# reporter prev. issues": "reporter_prev_issues",
 }
+SIGN_TABLE_ROWS = tuple(_SIGN_ROW_COLUMN)
 
 
 # ---------------------------------------------------------------------------
@@ -286,39 +283,31 @@ class GroupTable:
     skip_reason: str | None = None
 
 
+def _tested(test, a: np.ndarray, b: np.ndarray, alpha: float) -> tuple[ComparisonResult | None, str | None]:
+    """The result of ``test(a, b, alpha=alpha)`` and no note, where both samples
+    hold two values or more; else no result and the note "insufficient data"."""
+    if len(a) < 2 or len(b) < 2:
+        return None, "insufficient data"
+    return test(a, b, alpha=alpha), None
+
+
 def _build_group_table(table: ScoreTable, dimension: str, codes: np.ndarray, groups, alpha: float,
                        n_skipped: int = 0, skip_reason: str | None = None) -> GroupTable:
     """``codes`` holds each issue's index into ``groups``, NaN for issues left out."""
     groups = tuple(groups)
     scores = table.elements[:, :, DIMENSIONS.index(dimension)]
-    per_cell = {}
-    for e, element in enumerate(ELEMENTS):
-        scored = ~np.isnan(scores[:, e])
-        for code, group in enumerate(groups):
-            per_cell[(element, group)] = scores[scored & (codes == code), e]
-
     n_comparisons = len(ELEMENTS) * (len(groups) - 1)
     adjusted = bonferroni_alpha(alpha, n_comparisons)
 
     rows = []
-    for element in ELEMENTS:
-        means = {}
-        ns = {}
-        for group in groups:
-            values = per_cell[(element, group)]
-            ns[group] = len(values)
-            means[group] = float(np.mean(values)) if len(values) else None
-        comparisons = []
-        for left, right in zip(groups, groups[1:]):
-            a = per_cell[(element, left)]
-            b = per_cell[(element, right)]
-            if len(a) < 2 or len(b) < 2:
-                comparisons.append(GroupComparison(left, right, len(a), len(b),
-                                                   result=None, note="insufficient data"))
-            else:
-                result = welch_t_test(a, b, alpha=adjusted)
-                comparisons.append(GroupComparison(left, right, len(a), len(b), result=result))
-        rows.append(GroupRow(element=element, means=means, ns=ns, comparisons=tuple(comparisons)))
+    for e, element in enumerate(ELEMENTS):
+        scored = ~np.isnan(scores[:, e])
+        samples = [scores[scored & (codes == code), e] for code in range(len(groups))]
+        comparisons = tuple(GroupComparison(left, right, len(a), len(b), *_tested(welch_t_test, a, b, adjusted))
+                            for left, right, a, b in zip(groups, groups[1:], samples, samples[1:]))
+        rows.append(GroupRow(element=element,
+                             means={g: float(np.mean(s)) if len(s) else None for g, s in zip(groups, samples)},
+                             ns={g: len(s) for g, s in zip(groups, samples)}, comparisons=comparisons))
 
     return GroupTable(
         dimension=dimension, groups=groups, rows=tuple(rows),
@@ -453,11 +442,7 @@ def rq2_first_last(table: ScoreTable, alpha: float = 0.05) -> PairedDeltaTable:
             firsts, lasts = (pair[:, k] for pair in pairs_by_scope[scope])
             both = ~(np.isnan(firsts) | np.isnan(lasts))
             firsts, lasts = firsts[both], lasts[both]
-            if len(firsts) < 2:
-                cells.append(PairedCell(dim, scope, len(firsts), result=None, note="insufficient data"))
-            else:
-                result = paired_t_test(firsts, lasts, alpha=adjusted)
-                cells.append(PairedCell(dim, scope, len(firsts), result=result))
+            cells.append(PairedCell(dim, scope, len(firsts), *_tested(paired_t_test, firsts, lasts, adjusted)))
 
     return PairedDeltaTable(
         cells=tuple(cells), comparisons=n_comparisons, adjusted_alpha=adjusted,
@@ -655,6 +640,7 @@ def rq4_sign_tables(table: ScoreTable) -> SignTable:
     # a comment scores on all three dimensions or on none (every lexicon entry carries all three)
     scored = ~np.isnan(table.comments).any(axis=1)
     for role in ROLES:
+        design = None  # the last role's design goes before this one's is built
         chosen = np.flatnonzero((table.roles == ROLES.index(role)) & scored & eligible[owner])
         counts = np.bincount(owner[chosen], minlength=len(table))
         used = counts > 0  # the eligible issues with a scored comment of the role

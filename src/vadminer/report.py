@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analyses import PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, SignTable
 
@@ -38,10 +39,23 @@ def _fmt(value) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        # the writer quotes a field that holds a character of its terminator, so
+        # "\r\n" quotes an id or a name with "\r" as "\n" alone does not; each
+        # row is written with that "\r\n" cut back to "\n"
+        lines = SimpleNamespace(write=lambda line: handle.write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+
+
+def _test_columns(cell) -> list:
+    """The p, d, d_label, significant and note columns of a tested cell, a
+    ``GroupComparison`` or a ``PairedCell``; all blank for no cell."""
+    res = None if cell is None else cell.result
+    if res is None:
+        return [None, None, None, None, None if cell is None else cell.note]
+    return [res.p, res.d, res.d_label, res.significant, None]
 
 
 def group_table_rows(table: GroupTable) -> tuple[list[str], list[list]]:
@@ -50,16 +64,8 @@ def group_table_rows(table: GroupTable) -> tuple[list[str], list[list]]:
     for row in table.rows:
         by_left = {c.left: c for c in row.comparisons}
         for group in table.groups:
-            comparison = by_left.get(group)
-            if comparison is None:  # rightmost group has no right-hand neighbour
-                rows.append([row.element, group, row.ns[group], row.means[group], None, None, None, None, None])
-            elif comparison.result is None:
-                rows.append([row.element, group, row.ns[group], row.means[group],
-                             None, None, None, None, comparison.note])
-            else:
-                res = comparison.result
-                rows.append([row.element, group, row.ns[group], row.means[group],
-                             res.p, res.d, res.d_label, res.significant, None])
+            # the rightmost group has no right-hand neighbour
+            rows.append([row.element, group, row.ns[group], row.means[group], *_test_columns(by_left.get(group))])
     return header, rows
 
 
@@ -67,13 +73,8 @@ def paired_table_rows(table: PairedDeltaTable) -> tuple[list[str], list[list]]:
     header = ["dimension", "scope", "n_pairs", "mean_first", "mean_last", "p", "d", "d_label", "significant", "note"]
     rows = []
     for cell in table.cells:
-        if cell.result is None:
-            rows.append([cell.dimension, cell.scope, cell.n_pairs,
-                         None, None, None, None, None, None, cell.note])
-        else:
-            res = cell.result
-            rows.append([cell.dimension, cell.scope, cell.n_pairs,
-                         res.mean_a, res.mean_b, res.p, res.d, res.d_label, res.significant, None])
+        means = [None, None] if cell.result is None else [cell.result.mean_a, cell.result.mean_b]
+        rows.append([cell.dimension, cell.scope, cell.n_pairs, *means, *_test_columns(cell)])
     return header, rows
 
 

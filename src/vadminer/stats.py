@@ -218,6 +218,21 @@ def cohens_d(a, b) -> float:
     return (float(np.mean(a)) - float(np.mean(b))) / pooled
 
 
+def _comparison(mean_a: float, mean_b: float, t: float, df: float | None, d: float, alpha: float,
+                flat: str = "") -> ComparisonResult:
+    """The two-sided test of ``t`` on ``df`` degrees of freedom, effect size ``d``.
+    ``df`` is None where the samples have no spread: ``t`` and ``d`` are then 0
+    with p=1, or infinite with p=0 and a DegenerateVarianceWarning of ``flat``."""
+    if df is None:
+        if t:
+            warnings.warn(flat, DegenerateVarianceWarning, stacklevel=3)
+        p, significant = (0.0, True) if t else (1.0, False)
+    else:
+        p = student_t_two_sided_p(t, df)
+        significant = p < alpha
+    return ComparisonResult(mean_a, mean_b, t=t, p=p, d=d, d_label=label_effect_size(d), significant=significant)
+
+
 def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
     """Two-sided Welch (unequal variance) t-test between independent samples.
 
@@ -231,40 +246,27 @@ def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
     a, b = _scaled(a, b)
     va = float(np.var(a, ddof=1))
     vb = float(np.var(b, ddof=1))
-    na, nb = len(a), len(b)
 
     if va == 0.0 and vb == 0.0:
-        if mean_a == mean_b:
-            return ComparisonResult(mean_a, mean_b, t=0.0, p=1.0, d=0.0,
-                                    d_label="trivial", significant=False)
-        warnings.warn("both samples constant with different means; p forced to 0",
-                      DegenerateVarianceWarning, stacklevel=2)
-        t = math.inf if mean_a > mean_b else -math.inf
-        d = math.copysign(math.inf, mean_a - mean_b)
-        return ComparisonResult(mean_a, mean_b, t=t, p=0.0, d=d,
-                                d_label="large", significant=True)
+        t = 0.0 if mean_a == mean_b else math.copysign(math.inf, mean_a - mean_b)
+        return _comparison(mean_a, mean_b, t, None, t, alpha,
+                           "both samples constant with different means; p forced to 0")
 
+    na, nb = len(a), len(b)
     sa, sb = va / na, vb / nb
-    se = math.sqrt(sa + sb)
-    t = (float(np.mean(a)) - float(np.mean(b))) / se
-    df_num = (sa + sb) ** 2
-    df_den = 0.0
-    if va > 0:
-        df_den += sa**2 / (na - 1)
-    if vb > 0:
-        df_den += sb**2 / (nb - 1)
-    df = df_num / df_den
-    p = student_t_two_sided_p(t, df)
-
-    d = cohens_d(a, b)
-    return ComparisonResult(mean_a, mean_b, t=t, p=p, d=d,
-                            d_label=label_effect_size(d), significant=p < alpha)
+    t = (float(np.mean(a)) - float(np.mean(b))) / math.sqrt(sa + sb)
+    # a constant sample adds nothing to the Welch-Satterthwaite denominator
+    df = (sa + sb) ** 2 / ((sa**2 / (na - 1) if va > 0 else 0.0) + (sb**2 / (nb - 1) if vb > 0 else 0.0))
+    return _comparison(mean_a, mean_b, t, df, cohens_d(a, b), alpha)
 
 
 def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
     """Paired t-test on index-matched samples; d = mean(after-before) / sd(diff).
 
-    Positive d means the paired values increased.
+    Positive d means the paired values increased. Degenerate inputs are mapped
+    rather than rejected: differences that are all zero give t=0, p=1;
+    differences that are all one nonzero value give p=0 with a
+    DegenerateVarianceWarning.
     """
     before = _as_sample(before, "before")
     after = _as_sample(after, "after")
@@ -276,21 +278,12 @@ def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
     mean_a, mean_b = float(np.mean(before)), float(np.mean(after))
 
     if sd_diff == 0.0:
-        if mean_diff == 0.0:
-            return ComparisonResult(mean_a, mean_b, t=0.0, p=1.0, d=0.0,
-                                    d_label="trivial", significant=False)
-        warnings.warn("all paired differences identical and nonzero; p forced to 0",
-                      DegenerateVarianceWarning, stacklevel=2)
-        t = math.copysign(math.inf, mean_diff)
-        return ComparisonResult(mean_a, mean_b, t=t, p=0.0, d=t,
-                                d_label="large", significant=True)
+        t = 0.0 if mean_diff == 0.0 else math.copysign(math.inf, mean_diff)
+        return _comparison(mean_a, mean_b, t, None, t, alpha,
+                           "all paired differences identical and nonzero; p forced to 0")
 
-    n = len(diffs)
-    t = mean_diff / (sd_diff / math.sqrt(n))
-    p = student_t_two_sided_p(t, n - 1)
-    d = mean_diff / sd_diff
-    return ComparisonResult(mean_a, mean_b, t=t, p=p, d=d,
-                            d_label=label_effect_size(d), significant=p < alpha)
+    t = mean_diff / (sd_diff / math.sqrt(len(diffs)))
+    return _comparison(mean_a, mean_b, t, len(diffs) - 1, mean_diff / sd_diff, alpha)
 
 
 def bonferroni_alpha(alpha: float, comparisons: int) -> float:

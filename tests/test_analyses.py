@@ -372,7 +372,9 @@ def _traced_peak(function, *args):
         tracemalloc.stop()
 
 
-def test_rq4_holds_no_whole_corpus_copy_of_its_predictors(planted_scored, monkeypatch):
+@pytest.fixture()
+def design_sizes(monkeypatch):
+    """The ``Z.nbytes`` of each design that the analyses build, in order."""
     sizes = []
     design_matrix = analyses.DesignMatrix
 
@@ -382,12 +384,40 @@ def test_rq4_holds_no_whole_corpus_copy_of_its_predictors(planted_scored, monkey
         return design
 
     monkeypatch.setattr(analyses, "DesignMatrix", recorded)
+    return sizes
+
+
+def test_rq4_holds_no_whole_corpus_copy_of_its_predictors(planted_scored, design_sizes):
     peak = _traced_peak(rq4_sign_tables, planted_scored)
-    assert len(sizes) == len(ROLES)
-    # a role's design is standardized while the last one is alive, next to masks
-    # and bincounts over the corpus: about 6.8 designs here. A stack of the 9
-    # predictors over the whole corpus is about 1.7 designs, past the bound.
-    assert peak < 7.5 * max(sizes)
+    assert len(design_sizes) == len(ROLES)
+    # one design is alive at a time, next to masks and bincounts over the
+    # corpus: about 5.9 designs here. Keeping the last role's design while the
+    # next is standardized reads about 6.8, and a stack of the 9 predictors over
+    # the whole corpus adds about 1.7 designs; both are past the bound.
+    assert peak < 6.4 * max(design_sizes)
+
+
+# Each bound is a multiple of the bytes of the table's scores, ``elements``. A
+# group table keeps one element's samples at a time (about 0.2-0.35 here), so a
+# copy of ``elements`` fails it. The summary's fits standardize a design of
+# valence powers (about 6.1). rq2 gathers each scope's first and last comment
+# rows (about 0.9).
+@pytest.mark.parametrize("stage,bound", [
+    (rq1_priority_arousal, 0.75),
+    (rq1_type_valence, 0.75),
+    (rq1_dominance_time, 0.75),
+    (rq1_summary, 7.0),
+    (rq2_first_last, 1.2),
+])
+def test_stage_memory_is_a_bounded_multiple_of_the_scores(planted_scored, stage, bound):
+    assert _traced_peak(stage, planted_scored) < bound * planted_scored.elements.nbytes
+
+
+def test_rq3_memory_is_a_bounded_multiple_of_its_design(planted_scored, design_sizes):
+    peak = _traced_peak(rq3_resolution_model, planted_scored)
+    # the design and one fold's copy of its training rows (0.9 designs) are
+    # alive during each fold's fit: about 5.7 designs here
+    assert peak < 6.5 * max(design_sizes)
 
 
 def test_rq4_null_corpus_mostly_blank(synth_lexicon):

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 from collections import Counter
@@ -461,6 +462,33 @@ def test_analyze_rq3_external_feature_scale_keeps_the_p_values(tmp_path, capsys)
                 features = {key: value * scale for key, value in issue["external_features"].items()}
                 out.write(json.dumps({**issue, "external_features": features}) + "\n")
         assert p_values(scaled, tmp_path / f"{scale}") == unscaled, scale
+
+
+def test_analyze_csvs_read_back_with_carriage_returns_in_ids_and_names(tmp_path):
+    spec = tmp_path / "cr.json"
+    spec.write_text(json.dumps(config_to_dict(GeneratorConfig(n_issues=300, external_features=True))),
+                    encoding="utf-8")
+    corpus = tmp_path / "cr.jsonl"
+    assert main(["synth", "--spec", str(spec), "--seed", "2", "--out", str(corpus)]) == 0
+    issues = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    issues[0]["id"] += "\r"
+    for issue in issues:
+        issue["external_features"]["avg\rsentiment"] = issue["external_features"].pop("avg_sentiment")
+    corpus.write_text("".join(json.dumps(issue) + "\n" for issue in issues), encoding="utf-8")
+    out = tmp_path / "rpt"
+    assert main(["analyze", "--lexicon", str(corpus.with_suffix(".jsonl.lexicon.csv")), "--corpus", str(corpus),
+                 "--out", str(out)]) == 0
+
+    tables = {}
+    for path in sorted(out.glob("*.csv")):
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert all(len(row) == len(header) for row in rows), path.name
+        tables[path.name] = rows
+    ids = [row[0] for row in tables["rq1_summary_points.csv"]]
+    assert issues[0]["id"] in ids and set(ids) <= {issue["id"] for issue in issues}
+    assert "avg\rsentiment" in {row[1] for row in tables["rq3_coefficients.csv"]}
+    assert {row[0] for row in tables["rq3_impacts.csv"]} <= {row[1] for row in tables["rq3_coefficients.csv"]}
 
 
 def test_analyze_empty_corpus_notes(tmp_path, lexicon_file):
