@@ -18,16 +18,14 @@ score table with the statistics and model layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .corpus import (
-    ATTRIBUTE_COLUMNS,
+    ATTRIBUTES,
     CONTROL_COLUMNS,
     HISTORY_COLUMNS,
     PRIORITIES,
-    PRIORITY_LEVEL,
     RESERVED_FEATURES,
     ROLES,
     TYPE_GROUP_ORDER,
@@ -56,7 +54,7 @@ from .models import (
 from .stats import ComparisonResult, bonferroni_alpha, paired_t_test, welch_t_test
 from .textscore import fold, scan_texts
 
-ELEMENTS = ("Title", "Desc", "All", "First", "Last")
+ELEMENTS = tuple(key.capitalize() for key in VAD_ELEMENT_KEYS)
 
 RQ2_SCOPES = ("All", "Assignees'", "Reporters'", "Others'")
 _SCOPE_ROLE = {"Assignees'": "Assignee", "Reporters'": "Reporter", "Others'": "Other"}
@@ -92,8 +90,9 @@ class ScoreTable:
     ``offsets[i]:offsets[i + 1]`` of ``comments`` (their scores) and of
     ``roles`` (index into ``ROLES``). ``features`` maps each name of
     ``ATTRIBUTE_COLUMNS`` and ``HISTORY_COLUMNS`` (see ``corpus``), then each
-    external feature, to a float column over the issues; an external column
-    is NaN where the issue lacks the key.
+    external feature, to a float column over the issues; an attribute is read
+    off each issue by its getter in ``corpus.ATTRIBUTES``, and an external
+    column is NaN where the issue lacks the key.
 
     A name is one person in every role. A comment's role is Assignee when its
     author is the issue's assignee, else Reporter when they reported it, else
@@ -145,24 +144,10 @@ class ScoreTable:
                           {name: column[rows] for name, column in self.features.items()})
 
 
-# how each of ATTRIBUTE_COLUMNS is read off an issue, NaN where it has no value
-_ATTRIBUTES = {
-    "n_comments": lambda issue: len(issue.comments),
-    "n_watchers": attrgetter("watchers"),
-    "n_developers": attrgetter("developer_count"),
-    "n_changes": attrgetter("change_count"),
-    "votes": attrgetter("votes"),
-    "priority_level": lambda issue: PRIORITY_LEVEL[issue.priority],
-    "resolution_time": lambda issue: np.nan if issue.resolved is None else issue.resolved - issue.created,
-    "closed": lambda issue: issue.status == "Closed",
-    "priority": lambda issue: PRIORITIES.index(issue.priority),
-    "type_group": lambda issue: TYPE_GROUP_ORDER.index(issue.type_group) if issue.type_group else np.nan,
-}
-
-
 def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     """Scan every title, description and comment once into a ScoreTable,
-    with the issue attributes as its feature columns.
+    with the issue attributes, read by the getters of ``corpus.ATTRIBUTES``,
+    and the history counts as its feature columns.
 
     First and Last are their comment's row. All folds the per-comment
     extremes, which equals scoring the newline-joined comments: a newline
@@ -208,16 +193,16 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     roles[authors == reporters[owner]] = ROLES.index("Reporter")
     roles[authors == assignees[owner]] = ROLES.index("Assignee")  # Assignee wins
 
-    features = {name: np.fromiter(map(_ATTRIBUTES[name], issues), dtype=float, count=n)
-                for name in ATTRIBUTE_COLUMNS}
+    features = {name: np.fromiter(map(get, issues), dtype=float, count=n) for name, get in ATTRIBUTES.items()}
     # each issue's rank in (created, id) order, the inverse of the sorting permutation
     rank = np.argsort(sorted(range(n), key=lambda row: (issues[row].created, issues[row].id)))
     assigned = assignees >= 0
+    comment_events = np.sort(authors * n + rank[owner])
     features.update(zip(HISTORY_COLUMNS, (
-        _prior(authors, rank[owner], assignees, rank),
-        _prior(authors, rank[owner], reporters, rank),
-        _prior(assignees[assigned], rank[assigned], assignees, rank),
-        _prior(reporters, rank, reporters, rank),
+        _prior(comment_events, assignees, rank),
+        _prior(comment_events, reporters, rank),
+        _prior(np.sort(assignees[assigned] * n + rank[assigned]), assignees, rank),
+        _prior(np.sort(reporters * n + rank), reporters, rank),
     )))
     external: dict[str, np.ndarray] = {}
     for row, issue in enumerate(issues):
@@ -238,13 +223,13 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     return ScoreTable(ids, elements, comments, offsets, roles, features)
 
 
-def _prior(codes, ranks, people, at) -> np.ndarray:
+def _prior(keys, people, at) -> np.ndarray:
     """For each person ``people[i]`` and rank ``at[i]``, the number of events
-    (person ``codes[j]`` at issue rank ``ranks[j]``) that are theirs at a
-    lower rank, as floats. Ranks lie below ``len(at)``, the issue count, and
-    event codes are not negative, so person -1 (no assignee) counts 0."""
+    that are theirs at a lower rank, as floats. ``keys`` holds one sorted key
+    per event, ``person * len(at) + issue rank``: ranks lie below the issue
+    count ``len(at)``, and event persons are not negative, so person -1 (no
+    assignee) counts 0."""
     n = len(at)
-    keys = np.sort(codes * n + ranks)  # by person, then rank
     return (np.searchsorted(keys, people * n + at) - np.searchsorted(keys, people * n)).astype(float)
 
 
@@ -524,7 +509,6 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
     if len(rows) < min_rows:
         return empty_report(f"only {len(rows)} usable resolved issues (need >= {min_rows})", 0)
 
-    # VAD_COLUMNS are element-major like ELEMENTS, whose order VAD_ELEMENT_KEYS follows
     columns = {**features, **dict(zip(VAD_COLUMNS, table.elements.reshape(len(table), -1).T)),
                **{name: features["priority"] == PRIORITIES.index(name) for name in PRIORITIES[1:]}}
     labels = binarize_outcome(features["resolution_time"][rows])

@@ -206,6 +206,8 @@ def _run_synth(args) -> int:
             raise CliError("generator spec is not valid UTF-8", EXIT_SCHEMA) from None
         except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
             raise CliError(f"generator spec is not valid JSON: {exc}", EXIT_SCHEMA) from None
+        except RecursionError:  # arrays or objects nested past the decoder's depth
+            raise CliError("generator spec is not valid JSON: nested too deeply", EXIT_SCHEMA) from None
         try:
             config = config_from_dict(spec)
         except ConfigError as exc:

@@ -11,7 +11,9 @@ nor ``intercept``, which names rq3's model constant (RESERVED_FEATURES).
 and an exact ``int`` excludes ``bool``). It fetches the required fields with
 one ``itemgetter`` and names the first missing one only when that fails.
 Comments, the bulk of a corpus, take the same exact-type check; only a
-comment that fails it has its fault worked out, to name it.
+comment that fails it has its fault worked out, to name it. ``ATTRIBUTES``
+is the one home of how each attribute column of the analyses' score table is
+read off a record.
 
 The records are plain slotted dataclasses, not frozen ones: a frozen
 dataclass's ``__init__`` sets each field through ``object.__setattr__``, which
@@ -64,14 +66,23 @@ TYPE_GROUPS = {
 }
 TYPE_GROUP_ORDER = ("Future Dev", "All Tasks", "Bug")
 
-# Issue attributes the analyses read, one float column each in the score
-# table, named as the model designs name them. ``priority`` and
-# ``type_group`` are codes into PRIORITIES and TYPE_GROUP_ORDER (NaN for
-# type Other); ``resolution_time`` is NaN while unresolved.
-ATTRIBUTE_COLUMNS = (
-    "n_comments", "n_watchers", "n_developers", "n_changes", "votes", "priority_level",
-    "resolution_time", "closed", "priority", "type_group",
-)
+# How each issue attribute the analyses read is read off an issue, into one
+# float column of the score table named as the model designs name it.
+# ``priority`` and ``type_group`` are codes into PRIORITIES and
+# TYPE_GROUP_ORDER (NaN for type Other); ``resolution_time`` is NaN while unresolved.
+ATTRIBUTES = {
+    "n_comments": lambda issue: len(issue.comments),
+    "n_watchers": attrgetter("watchers"),
+    "n_developers": attrgetter("developer_count"),
+    "n_changes": attrgetter("change_count"),
+    "votes": attrgetter("votes"),
+    "priority_level": lambda issue: PRIORITY_LEVEL[issue.priority],
+    "resolution_time": lambda issue: math.nan if issue.resolved is None else issue.resolved - issue.created,
+    "closed": lambda issue: issue.status == "Closed",
+    "priority": lambda issue: PRIORITIES.index(issue.priority),
+    "type_group": lambda issue: TYPE_GROUP_ORDER.index(issue.type_group) if issue.type_group else math.nan,
+}
+ATTRIBUTE_COLUMNS = tuple(ATTRIBUTES)
 # prior activity of an issue's assignee and reporter (analyses.score_corpus)
 HISTORY_COLUMNS = (
     "assignee_prev_comments", "reporter_prev_comments", "assignee_prev_issues", "reporter_prev_issues",
@@ -308,6 +319,9 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
             obj = json.loads(stripped)
         except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
             errors.append((line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"))
+            continue
+        except RecursionError:  # arrays or objects nested past the decoder's depth
+            errors.append((line_no, "invalid JSON: nested too deeply"))
             continue
         if not isinstance(obj, dict):
             errors.append((line_no, "line is not a JSON object"))

@@ -122,11 +122,20 @@ def _check_decoded(row: list[str], line_no: int) -> None:
         raise LexiconError(f"line {line_no}: not valid UTF-8")
 
 
+def _rows(reader):
+    """The rows of a ``csv.reader``; a row it cannot read, such as one with a
+    field past csv's size limit, raises LexiconError with its line number."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise LexiconError(f"line {reader.line_num}: {exc}") from None
+
+
 def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
     """Parse a lexicon CSV (header ``word,valence,arousal,dominance``).
 
     Words are lowercased; a header that names a required column twice,
-    bytes that are not UTF-8, duplicate words,
+    bytes that are not UTF-8, a row that ``csv`` cannot read, duplicate words,
     non-numeric scores, scores outside [1, 9] and rows of the wrong width
     are rejected with their line number. A file may start with a UTF-8
     byte-order mark, as spreadsheet exports often do.
@@ -135,9 +144,9 @@ def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
             return load_lexicon(handle)
 
-    reader = csv.reader(source)
+    rows = _rows(csv.reader(source))
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise LexiconError("lexicon is empty: no header row") from None
     _check_decoded(header, 1)
@@ -145,7 +154,7 @@ def load_lexicon(source: str | Path | IO[str]) -> Lexicon:
     width = len(header)
 
     entries: dict[str, LexiconEntry] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         _check_decoded(row, line_no)

@@ -4,10 +4,13 @@ Float formatting is fixed (12 significant digits, '' for absent values) so
 reruns with identical inputs produce byte-identical files. A run into an
 existing directory deletes the files of ``REPORT_FILES`` that it does not
 write, so the directory never mixes two runs, and leaves every other file.
+``report.txt`` escapes each control or line-breaking character as ``repr``
+does, so an external feature's name cannot split one of its lines.
 """
 from __future__ import annotations
 
 import csv
+import re
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,6 +28,16 @@ REPORT_FILES = (
     "report.txt",
 )
 POINT_ROWS = 8192  # rq1_summary_points.csv is formatted this many rows at a time
+
+
+# the characters that str.splitlines breaks a line on, and the other control characters
+_UNPRINTABLE = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _one_line(text: str) -> str:
+    """``text`` with each of ``_UNPRINTABLE`` escaped as ``repr`` escapes it, a
+    carriage return as ``\\r``; other text, a backslash included, is kept."""
+    return _UNPRINTABLE.sub(lambda match: repr(match.group())[1:-1], text)
 
 
 def _fmt(value) -> str:
@@ -292,4 +305,4 @@ def render_text_report(results: AnalysisResults) -> str:
             lines.append(f"  note: {notice}")
         lines.append("")
 
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(_one_line, lines)) + "\n"

@@ -489,6 +489,9 @@ def test_analyze_csvs_read_back_with_carriage_returns_in_ids_and_names(tmp_path)
     assert issues[0]["id"] in ids and set(ids) <= {issue["id"] for issue in issues}
     assert "avg\rsentiment" in {row[1] for row in tables["rq3_coefficients.csv"]}
     assert {row[0] for row in tables["rq3_impacts.csv"]} <= {row[1] for row in tables["rq3_coefficients.csv"]}
+    # report.txt escapes the name's carriage return, so its lines stay whole
+    report = (out / "report.txt").read_bytes().decode("utf-8")
+    assert "\r" not in report and "avg\\rsentiment" in report
 
 
 def test_analyze_empty_corpus_notes(tmp_path, lexicon_file):
@@ -640,10 +643,27 @@ _DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: 
      "config line 4: unknown key 'jobs'"),
     (["analyze", "--lexicon", "{lexicon}", "--corpus", "{corpus}", "--out", "{tmp}/rpt", "--analyses", "rq1,rq9"],
      {}, 2, "unknown analyses ['rq9']; choose from ('rq1', 'rq2', 'rq3', 'rq4', 'summary')"),
+    # json.loads raises a RecursionError, not a ValueError, past about 995 levels of nesting
+    (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"], {"spec.json": "[" * 100_000}, 3,
+     "generator spec is not valid JSON: nested too deeply"),
+    (["ingest", "--corpus", "{tmp}/deep.jsonl"], {"deep.jsonl": "[" * 100_000 + "\n"}, 3,
+     "corpus schema errors:\n  line 1: invalid JSON: nested too deeply"),
+    (["analyze", "--lexicon", "{lexicon}", "--corpus", "{tmp}/deep.jsonl", "--out", "{tmp}/rpt"],
+     {"deep.jsonl": "{{}}\n" + "[" * 100_000 + "\n"}, 3,
+     "corpus schema errors:\n  line 1: missing field id\n  line 2: invalid JSON: nested too deeply"),
+    # csv.reader raises csv.Error for a field past its 131,072-character limit
+    (["score", "--lexicon", "{tmp}/long.csv", "--text", "joy"],
+     {"long.csv": "word,valence,arousal,dominance\n" + "a" * 200_000 + ",5,5,5\n"}, 3,
+     "invalid lexicon: line 2: field larger than field limit (131072)"),
+    (["analyze", "--lexicon", "{tmp}/long.csv", "--corpus", "{corpus}", "--out", "{tmp}/rpt"],
+     {"long.csv": "word,valence,arousal,dominance\njoy,8,5,7\n" + "a" * 200_000 + ",5,5,5\n"}, 3,
+     "invalid lexicon: line 3: field larger than field limit (131072)"),
 ], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json",
         "spec int past digit limit", "corpus int past digit limit", "corpus line not an object",
         "lexicon header names a column twice", "no corpus", "no out", "seed not numeric",
-        "config sets removed key jobs", "unknown analysis"])
+        "config sets removed key jobs", "unknown analysis", "spec nested too deeply",
+        "corpus nested too deeply", "analyze corpus nested too deeply", "lexicon field past csv limit",
+        "analyze lexicon field past csv limit"])
 def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, message):
     corpus_path, lexicon_path, _ = synth_paths
     places = {"tmp": str(tmp_path), "lexicon": str(lexicon_path), "corpus": str(corpus_path)}

@@ -152,6 +152,9 @@ def test_reserved_external_feature_rejected(key):
     ({"external_features": 0}, "field external_features must be an object"),
     ({"external_features": False}, "field external_features must be an object"),
     ({"external_features": ""}, "field external_features must be an object"),
+    # json.loads raises a RecursionError past about 995 levels of nesting
+    pytest.param("[" * 100_000, "invalid JSON: nested too deeply", id="array nested too deeply"),
+    pytest.param('{"a":' * 100_000, "invalid JSON: nested too deeply", id="object nested too deeply"),
 ], ids=lambda value: json.dumps(value) if isinstance(value, dict) else None)
 def test_loader_messages(line, message):
     if isinstance(line, dict):
