@@ -1,12 +1,18 @@
 """Deterministic synthetic issue corpora with plantable score tendencies.
 
 The vocabulary is stratified: a neutral band (all dimensions near the
-lexicon mean) plus, per dimension, a high and a low band far from it.
+lexicon mean) plus, per dimension, a high and a low band far from it and a
+graded family that climbs across the upper half of the scale.
 Because a text's score is its baseline-folded extreme spread, drawing from
 a far band raises that dimension's score while near-band words keep it
 small, so group-level effects are planted by controlling how often each
 group's texts pick up far-band words. A manifest records the declared
 directions alongside field histograms for loader cross-checks.
+
+Every generated name is a prefix plus the base-26 letters of its index:
+at least three for a word (``neutralaaa``), at least one, upper-cased, for
+a project (``PRJA`` ... ``PRJZ``, ``PRJBA``). ``GeneratorConfig.validate``
+holds every spec check, so a bad spec fails before any file is written.
 """
 from __future__ import annotations
 
@@ -42,6 +48,12 @@ def _check_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def _check_share(name: str, value) -> None:
+    _check_real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1], got {value}")
+
+
 def _check_flag(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -61,15 +73,17 @@ _JUNK = (
     "v1.2.3-rc4", "::ffff:127.0.0.1", "foo_bar_baz(1,2)", "[ERROR]#8831",
 )
 
-_BANDS = {"lo": (1.6, 2.4), "mid": (4.6, 5.4), "hi": (7.6, 8.4)}
+_BANDS = {"lo": (1.6, 2.4), "mid": (4.6, 5.4), "hi": (7.6, 8.4), "wide": (3.2, 6.8)}
 
 
-def _suffix(index: int) -> str:
-    letters = []
-    for _ in range(3):
+def _letters(index: int, width: int) -> str:
+    # base-26 lower-case letters, at least width of them, so names never repeat
+    letters = ""
+    while width > 0 or index:
         index, rem = divmod(index, 26)
-        letters.append(chr(ord("a") + rem))
-    return "".join(reversed(letters))
+        letters = chr(ord("a") + rem) + letters
+        width -= 1
+    return letters
 
 
 _PLACEMENT_MOD = 1009  # prime modulus for deterministic in-band placement
@@ -98,74 +112,49 @@ class VocabularyConfig:
             raise ConfigError("words_per_stratum must be >= 2")
         if self.filler_words < 4:
             raise ConfigError("filler_words must be >= 4")
+        # the neutral filler, nine strata (high, low and graded per dimension), the anchors
+        base = self.filler_words + 9 * self.words_per_stratum + len(ANCHOR_WORDS) * self.include_anchor_words
+        if self.pad_to is not None and self.pad_to < base:
+            raise ConfigError(f"pad_to={self.pad_to} smaller than base vocabulary ({base} words)")
 
 
 class Vocabulary:
-    """Stratified word lists plus the lexicon entries that score them."""
+    """Stratified word lists plus the lexicon entries that score them.
+
+    ``words`` maps each family (``neutral``, ``vhi`` ... ``dlo``, ``vgr``,
+    ``agr``, ``dgr``) to its words, all built by one ``add_family``;
+    ``entries`` scores them in that order, then the anchor words, then
+    ``pad`` words up to ``pad_to`` entries.
+    """
 
     def __init__(self, config: VocabularyConfig):
         config.validate()
-        self.config = config
-        self.words: dict[str, list[str]] = {}
-        entries: list[LexiconEntry] = []
+        self.entries: list[LexiconEntry] = []
+        k = config.words_per_stratum
 
-        def add_family(name: str, count: int, bands: dict[str, str]) -> None:
-            family = []
-            for i in range(count):
-                word = f"{name}{_suffix(i)}"
-                lo_v, hi_v = _BANDS[bands["valence"]]
-                lo_a, hi_a = _BANDS[bands["arousal"]]
-                lo_d, hi_d = _BANDS[bands["dominance"]]
-                entries.append(LexiconEntry(
-                    word=word,
-                    valence=round(_spread(i, 0, lo_v, hi_v), 4),
-                    arousal=round(_spread(i, 1, lo_a, hi_a), 4),
-                    dominance=round(_spread(i, 2, lo_d, hi_d), 4),
-                ))
-                family.append(word)
-            self.words[name] = family
+        def scorer(bands: tuple[str, str, str], salt: int = 0):
+            # word i's (valence, arousal, dominance): a graded ("gr") dimension
+            # climbs evenly across 5.5-8.4, so drawing word round(level * (k-1))
+            # plants a continuous signal; the others spread over their band
+            return lambda i: tuple(
+                round(5.5 + 2.9 * i / (k - 1) if band == "gr" else _spread(i, salt + j, *_BANDS[band]), 4)
+                for j, band in enumerate(bands))
 
-        mid = {"valence": "mid", "arousal": "mid", "dominance": "mid"}
-        add_family("neutral", config.filler_words, mid)
-        for dim, prefix in (("valence", "v"), ("arousal", "a"), ("dominance", "d")):
-            add_family(prefix + "hi", config.words_per_stratum, {**mid, dim: "hi"})
-            add_family(prefix + "lo", config.words_per_stratum, {**mid, dim: "lo"})
+        def add_family(name: str, count: int, score) -> list[str]:
+            family = [name + _letters(i, 3) for i in range(count)]
+            self.entries += (LexiconEntry(word, *score(i)) for i, word in enumerate(family))
+            return family
 
-        # graded families: the main dimension climbs evenly across the band,
-        # so drawing word round(level * (k-1)) plants a continuous signal
-        for dim, prefix in (("valence", "v"), ("arousal", "a"), ("dominance", "d")):
-            family = []
-            k = config.words_per_stratum
-            for i in range(k):
-                word = f"{prefix}gr{_suffix(i)}"
-                scores = {
-                    "valence": round(_spread(i, 0, *_BANDS["mid"]), 4),
-                    "arousal": round(_spread(i, 1, *_BANDS["mid"]), 4),
-                    "dominance": round(_spread(i, 2, *_BANDS["mid"]), 4),
-                }
-                scores[dim] = round(5.5 + 2.9 * i / (k - 1), 4)
-                entries.append(LexiconEntry(word=word, **scores))
-                family.append(word)
-            self.words[prefix + "gr"] = family
-
+        mid = ("mid",) * 3
+        families = [("neutral", config.filler_words, mid)]
+        for group in (("hi", "lo"), ("gr",)):  # every high and low stratum precedes the graded ones
+            for d, prefix in enumerate("vad"):
+                families += [(prefix + band, k, mid[:d] + (band,) + mid[d + 1:]) for band in group]
+        self.words = {name: add_family(name, count, scorer(bands)) for name, count, bands in families}
         if config.include_anchor_words:
-            for word, (v, a, d) in ANCHOR_WORDS.items():
-                entries.append(LexiconEntry(word=word, valence=v, arousal=a, dominance=d))
-
+            self.entries += (LexiconEntry(word, *scores) for word, scores in ANCHOR_WORDS.items())
         if config.pad_to is not None:
-            if config.pad_to < len(entries):
-                raise ConfigError(
-                    f"pad_to={config.pad_to} smaller than base vocabulary ({len(entries)} words)"
-                )
-            for i in range(config.pad_to - len(entries)):
-                entries.append(LexiconEntry(
-                    word=f"pad{_suffix(i)}",
-                    valence=round(_spread(i, 3, 3.2, 6.8), 4),
-                    arousal=round(_spread(i, 4, 3.2, 6.8), 4),
-                    dominance=round(_spread(i, 5, 3.2, 6.8), 4),
-                ))
-
-        self.entries = entries
+            add_family("pad", config.pad_to - len(self.entries), scorer(("wide",) * 3, salt=3))
 
     def lexicon(self) -> Lexicon:
         return Lexicon(self.entries)
@@ -189,9 +178,7 @@ class EffectConfig:
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
-            _check_real(f"effect {name}", value)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"effect {name} must be in [0, 1], got {value}")
+            _check_share(f"effect {name}", value)
 
     def active(self) -> dict[str, float]:
         return {k: v for k, v in asdict(self).items() if v > 0.0}
@@ -234,7 +221,7 @@ class GeneratorConfig:
         for name in ("n_issues", "n_projects", "participants_per_project"):
             _check_count(name, getattr(self, name))
         for name in ("closed_share", "assignee_share", "junk_rate"):
-            _check_real(name, getattr(self, name))
+            _check_share(name, getattr(self, name))
         _check_flag("external_features", self.external_features)
         if self.n_issues < 0:
             raise ConfigError("n_issues must be >= 0")
@@ -258,10 +245,6 @@ class GeneratorConfig:
         for key in self.comment_count_weights:
             if not isinstance(key, int) or key < 0:
                 raise ConfigError(f"comment_count_weights key {key!r} must be a non-negative int")
-        for name in ("closed_share", "assignee_share", "junk_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.n_projects < 1 or self.participants_per_project < 3:
             raise ConfigError("need at least 1 project and 3 participants per project")
         self.vocabulary.validate()
@@ -304,29 +287,25 @@ def config_from_dict(data: dict) -> GeneratorConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"a generator config is a JSON object, not {type(data).__name__}")
     data = dict(data)
-    kwargs = {}
-    if "vocabulary" in data:
-        vocab = data.pop("vocabulary")
-        try:
-            kwargs["vocabulary"] = VocabularyConfig(**vocab)
-        except TypeError as exc:
-            raise ConfigError(f"invalid vocabulary config: {exc}") from None
-    if "effects" in data:
-        effects = data.pop("effects")
-        try:
-            kwargs["effects"] = EffectConfig(**effects)
-        except TypeError as exc:
-            raise ConfigError(f"invalid effects config: {exc}") from None
-    if "comment_count_weights" in data:
-        raw = data.pop("comment_count_weights")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"comment_count_weights must be an object, got {raw!r}")
-        try:
-            kwargs["comment_count_weights"] = {int(k): v for k, v in raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid comment_count_weights: {exc}") from None
+    for key, nested in (("vocabulary", VocabularyConfig), ("effects", EffectConfig)):
+        if key in data:
+            try:
+                data[key] = nested(**data[key])
+            except TypeError as exc:
+                raise ConfigError(f"invalid {key} config: {exc}") from None
+    raw = data.get("comment_count_weights")
+    if isinstance(raw, dict):  # JSON keys are strings; validate rejects any other value
+        data["comment_count_weights"] = weights = {}
+        for key, weight in raw.items():
+            try:
+                count = int(key)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid comment_count_weights: {exc}") from None
+            if count in weights:
+                raise ConfigError(f"comment_count_weights names count {count} twice")
+            weights[count] = weight
     try:
-        config = GeneratorConfig(**kwargs, **data)
+        config = GeneratorConfig(**data)
     except TypeError as exc:
         raise ConfigError(f"invalid generator config: {exc}") from None
     config.validate()
@@ -360,7 +339,7 @@ class _IssueFactory:
         self.config = config
         self.rng = rng
         self.vocab = Vocabulary(config.vocabulary)
-        self.projects = [f"PRJ{chr(ord('A') + i)}" for i in range(config.n_projects)]
+        self.projects = [f"PRJ{_letters(i, 1).upper()}" for i in range(config.n_projects)]
         self.people = {
             project: [f"{project.lower()}.dev{n:02d}" for n in range(config.participants_per_project)]
             for project in self.projects

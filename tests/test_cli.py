@@ -160,6 +160,15 @@ def test_synth_out_must_be_a_file_path(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "new" / "c.jsonl")]) == 0
 
 
+def test_synth_vocabulary_past_three_letters_loads(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_issues": 5, "vocabulary": {"pad_to": 20000}}', encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0, capsys.readouterr().err
+    assert load_lexicon(tmp_path / "c.jsonl.lexicon.csv").size == 20_000
+    assert len(load_corpus(out)) == 5
+
+
 # what ingest prints for the synth_paths corpus
 INGEST_STDOUT = """valid corpus: 150 issues
   priority: Blocker=11, Critical=12, Major=69, Minor=42, Trivial=16
@@ -658,12 +667,19 @@ _DIGIT_LIMIT = ("Exceeds the limit (4300 digits) for integer string conversion: 
     (["analyze", "--lexicon", "{tmp}/long.csv", "--corpus", "{corpus}", "--out", "{tmp}/rpt"],
      {"long.csv": "word,valence,arousal,dominance\njoy,8,5,7\n" + "a" * 200_000 + ",5,5,5\n"}, 3,
      "invalid lexicon: line 3: field larger than field limit (131072)"),
+    (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"],
+     {"spec.json": '{{"vocabulary": {{"pad_to": 10}}}}'}, 2,
+     "invalid generator spec: pad_to=10 smaller than base vocabulary (394 words)"),
+    (["synth", "--spec", "{tmp}/spec.json", "--out", "{tmp}/c.jsonl"],
+     {"spec.json": '{{"comment_count_weights": {{"1": 0.5, "01": 0.25}}}}'}, 2,
+     "invalid generator spec: comment_count_weights names count 1 twice"),
 ], ids=["config not found", "empty config", "empty spec", "config not key=value", "spec not json",
         "spec int past digit limit", "corpus int past digit limit", "corpus line not an object",
         "lexicon header names a column twice", "no corpus", "no out", "seed not numeric",
         "config sets removed key jobs", "unknown analysis", "spec nested too deeply",
         "corpus nested too deeply", "analyze corpus nested too deeply", "lexicon field past csv limit",
-        "analyze lexicon field past csv limit"])
+        "analyze lexicon field past csv limit", "spec pad_to below base vocabulary",
+        "spec names a comment count twice"])
 def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, message):
     corpus_path, lexicon_path, _ = synth_paths
     places = {"tmp": str(tmp_path), "lexicon": str(lexicon_path), "corpus": str(corpus_path)}
@@ -672,7 +688,7 @@ def test_cli_error_messages(tmp_path, synth_paths, capsys, argv, files, code, me
     assert main([arg.format(**places) for arg in argv]) == code
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(**places)}\n"
-    assert not (tmp_path / "rpt").exists() and not (tmp_path / "c.jsonl").exists()
+    assert not (tmp_path / "rpt").exists() and not list(tmp_path.glob("c.jsonl*"))
 
 
 def test_analyze_corrupt_lexicon_exit_3(tmp_path, synth_paths):

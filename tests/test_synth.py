@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -18,8 +19,10 @@ from vadminer.synth import (
     generate_lexicon,
     null_config,
     planted_config,
+    u_shape_config,
 )
 from vadminer.corpus import write_corpus
+from vadminer.lexicon import load_lexicon, write_lexicon
 
 
 def corpus_bytes(issues):
@@ -109,6 +112,7 @@ def test_config_from_dict_rejects_unknown_keys():
     ({"priority_weights": ["Major"]}, "priority_weights must be an object, got ['Major']"),
     ({"type_weights": "Bug"}, "type_weights must be an object, got 'Bug'"),
     ({"external_features": "yes"}, "external_features must be true or false, got 'yes'"),
+    ({"comment_count_weights": {"1": 0.5, "01": 0.25}}, "comment_count_weights names count 1 twice"),
 ])
 def test_config_from_dict_rejects_value_types(data, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -137,6 +141,27 @@ def test_lexicon_padding_reaches_exact_size():
         generate_lexicon(VocabularyConfig(pad_to=10))
 
 
+def test_families_past_three_letters_get_unique_words():
+    # 26**3 = 17,576 words fill three letters; later words take a fourth
+    written = io.StringIO()
+    write_lexicon(generate_lexicon(VocabularyConfig(filler_words=20_000)), written)
+    written.seek(0)
+    assert load_lexicon(written).size == 20_000 + 274
+
+
+def test_projects_past_z_are_named_in_letters():
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=300, n_projects=40), seed=4)
+    projects = {issue.project for issue in issues}
+    assert len(projects) > 26
+    assert all(re.fullmatch("PRJ[A-Z]+", project) for project in projects)
+    homes = {}
+    for issue in issues:
+        for person in (issue.reporter, issue.assignee, *(c.author for c in issue.comments)):
+            if person is not None:
+                homes.setdefault(person, set()).add(issue.project)
+    assert all(len(home) == 1 for home in homes.values())
+
+
 def test_generated_issues_satisfy_model_invariants():
     issues, _ = generate_corpus(GeneratorConfig(n_issues=120), seed=9)
     for issue in issues:
@@ -145,3 +170,50 @@ def test_generated_issues_satisfy_model_invariants():
             assert issue.status == "Closed"
             assert issue.resolved >= issue.created
         assert issue.votes >= 0 and issue.watchers >= 0
+
+
+# sha256 of the corpus JSONL, the manifest as `synth` writes it and the
+# lexicon CSV; a change to any generator byte must update these on purpose
+SYNTH_BYTES = {
+    "default": (GeneratorConfig(), 17, (
+        "41fb11afed66f70d0a6a393c785ce3303e66450a69f3f414b458decac8567119",
+        "5457b80cf98337e81957a15ea45f55669ff20500b0009a3276cc9428b4e729c8",
+        "4a005a78dc32061ad09d3e868cd67cdddd8a9e7543968ac058967056c846b20d",
+    )),
+    "planted": (planted_config(2000), 3, (
+        "e285552af74dde4e299de4674934050c1fce0c30e32a099c88a2e591501b3460",
+        "8a97bd13e29f29a6874112a67b501c5d52dd399b5c96339e0abb1e7cfab0bb6a",
+        "4a005a78dc32061ad09d3e868cd67cdddd8a9e7543968ac058967056c846b20d",
+    )),
+    "null": (null_config(), 5, (
+        "bb47f06484540c106a47a8f476585b13afca2b356350321fd20a7b78fe185c15",
+        "a6ae4a0ac08532a2dad1063bf43567641603cc70540c6915d1f98a60fc8dfacb",
+        "4a005a78dc32061ad09d3e868cd67cdddd8a9e7543968ac058967056c846b20d",
+    )),
+    "u_shape": (u_shape_config(), 7, (
+        "a5370f8ce22380e56fea68dbec2e523eb84887faa0f17d41426bf36d56febca7",
+        "e92b2dc4ec8159e11923823a163b4ba3e122d6d37b82a311d3978e5164472b40",
+        "4a005a78dc32061ad09d3e868cd67cdddd8a9e7543968ac058967056c846b20d",
+    )),
+    "padded": (GeneratorConfig(n_issues=50, vocabulary=VocabularyConfig(pad_to=13_915)), 11, (
+        "5d72d9b3549cae7fcd7eb598e646e2702fd55fbb294a2d48484d3d16f2e363fa",
+        "69f4d88983a897ea22ae70be0aa0578d966298c0b60d0c6030c5c65a8fb02c1e",
+        "33b307a0bf5da564ea40f03848163a1de0168c99b8616d57f70b7f232be06d5a",
+    )),
+    "small vocabulary": (GeneratorConfig(vocabulary=VocabularyConfig(
+        words_per_stratum=2, filler_words=4, include_anchor_words=False)), 13, (
+        "dc4e540ea56603821249d04eb1c07622e10e14b8d56150245273c616ab9c9e4c",
+        "324089749415fd234862d36c4bf74a96f2f0cf10d18ea5f33dbc6711ca3bf193",
+        "c481bee04101ec6c9a96a7c4fcac5dcb6d8f39a5d6981cf6de011d99f144bebe",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", SYNTH_BYTES)
+def test_synth_output_bytes_are_pinned(name):
+    config, seed, expected = SYNTH_BYTES[name]
+    issues, manifest = generate_corpus(config, seed)
+    lexicon = io.StringIO()
+    write_lexicon(Vocabulary(config.vocabulary).lexicon(), lexicon)
+    written = (corpus_bytes(issues), json.dumps(manifest, indent=2, sort_keys=True) + "\n", lexicon.getvalue())
+    assert tuple(hashlib.sha256(text.encode()).hexdigest() for text in written) == expected
