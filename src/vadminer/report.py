@@ -15,18 +15,10 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 from types import SimpleNamespace
 
-from .analyses import PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, SignTable
+from .analyses import (PRUNE_ALPHA, SIGN_ALPHA, AnalysisResults, GroupTable, PairedDeltaTable, Rq3Report, SignTable,
+                       SummaryResult)
 
 
-REPORT_FILES = (
-    "rq1_priority_arousal.csv", "rq1_type_valence.csv", "rq1_dominance_time.csv",
-    "rq1_summary_points.csv", "rq1_summary_fits.csv",
-    "rq2_first_last.csv",
-    "rq3_coefficients.csv", "rq3_performance.csv", "rq3_model_comparison.csv",
-    "rq3_correlation_filter.csv", "rq3_impacts.csv",
-    "rq4_sign_table.csv",
-    "report.txt",
-)
 POINT_ROWS = 8192  # rq1_summary_points.csv is formatted this many rows at a time
 
 
@@ -99,102 +91,105 @@ def sign_table_rows(table: SignTable) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def summary_point_rows(summary: SummaryResult) -> tuple[list[str], Iterable[list]]:
+    def points():
+        for start in range(0, len(summary.ids), POINT_ROWS):
+            block = slice(start, start + POINT_ROWS)
+            valence = summary.valence[block]
+            fitted = [fit.predict(valence).tolist() if fit else [None] * len(valence)
+                      for fit in (summary.linear, summary.quadratic)]
+            yield from zip(summary.ids[block].tolist(), valence.tolist(), summary.arousal[block].tolist(),
+                           *fitted)
+
+    return ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], points()
+
+
+def summary_fit_rows(summary: SummaryResult) -> tuple[list[str], list[list]]:
+    rows = []
+    for degree, fit in (("1", summary.linear), ("2", summary.quadratic)):
+        if fit is not None:
+            coeffs = list(fit.coefficients) + [None] * (3 - len(fit.coefficients))
+            rows.append([degree, coeffs[0], coeffs[1], coeffs[2], fit.r_squared, fit.residual_ss])
+    return ["degree", "c0", "c1", "c2", "r_squared", "residual_ss"], rows
+
+
+def rq3_coefficient_rows(report: Rq3Report) -> tuple[list[str], list[list]]:
+    models = [(stage.name, stage.model) for stage in report.stages]
+    if report.final_model is not None:
+        models.append(("final", report.final_model))
+    rows = []
+    for label, model in models:
+        names = ["intercept", *model.columns]
+        for name, b, s, p in zip(names, model.coefficients, model.std_errors, model.p_values):
+            rows.append([label, name, b, s, p])
+    return ["stage", "column", "estimate", "std_error", "p_value"], rows
+
+
+def rq3_performance_rows(report: Rq3Report) -> tuple[list[str], list[list]]:
+    rows = []
+    for name, cv in [("ZeroR", report.zero_r), *((stage.name, stage.cv) for stage in report.stages)]:
+        if cv is not None:
+            rows.append([name, "Short", cv.short.precision, cv.short.recall, cv.short.f1, cv.auc])
+            rows.append([name, "Long", cv.long.precision, cv.long.recall, cv.long.f1, cv.auc])
+            rows.append([name, "Weighted Avg.", cv.weighted_precision, cv.weighted_recall,
+                         cv.weighted_f1, cv.auc])
+    return ["classifier", "class", "precision", "recall", "f1", "auc"], rows
+
+
+def rq3_comparison_rows(report: Rq3Report) -> tuple[list[str], list[list]]:
+    rows = []
+    for earlier, later in zip(report.stages, report.stages[1:]):
+        rows.append([earlier.name, later.name, later.lr_p_vs_previous])
+    return ["reduced", "full", "p_value"], rows
+
+
+def rq3_filter_rows(report: Rq3Report) -> tuple[list[str], list[list]]:
+    return (["kept", "candidate_drop", "r", "dropped"],
+            [[d.keep, d.drop, d.r, d.dropped] for d in report.filter_decisions])
+
+
+def rq3_impact_rows(report: Rq3Report) -> tuple[list[str], list[list]]:
+    return ["feature", "impact_pct"], [[entry.feature, entry.impact] for entry in report.impacts]
+
+
+# each CSV of a report, in the order written: its file name, the AnalysisResults
+# attribute that it renders (no file when that is None) and its (header, rows) builder
+TABLES = (
+    ("rq1_priority_arousal.csv", "rq1_priority", group_table_rows),
+    ("rq1_type_valence.csv", "rq1_type", group_table_rows),
+    ("rq1_dominance_time.csv", "rq1_time", group_table_rows),
+    ("rq1_summary_points.csv", "summary", summary_point_rows),
+    ("rq1_summary_fits.csv", "summary", summary_fit_rows),
+    ("rq2_first_last.csv", "rq2", paired_table_rows),
+    ("rq3_coefficients.csv", "rq3", rq3_coefficient_rows),
+    ("rq3_performance.csv", "rq3", rq3_performance_rows),
+    ("rq3_model_comparison.csv", "rq3", rq3_comparison_rows),
+    ("rq3_correlation_filter.csv", "rq3", rq3_filter_rows),
+    ("rq3_impacts.csv", "rq3", rq3_impact_rows),
+    ("rq4_sign_table.csv", "rq4", sign_table_rows),
+)
+REPORT_FILES = (*(name for name, _, _ in TABLES), "report.txt")
+
+
 def write_reports(results: AnalysisResults, outdir: str | Path) -> list[Path]:
     """Write one CSV per produced table plus a combined report.txt, and
     delete the other ``REPORT_FILES`` that an earlier run left in ``outdir``."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    def emit(name: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    for name, attribute, table_rows in TABLES:
         path = outdir / name
-        _write_csv(path, header, rows)
-        written.append(path)
-
-    if results.rq1_priority is not None:
-        emit("rq1_priority_arousal.csv", *group_table_rows(results.rq1_priority))
-    if results.rq1_type is not None:
-        emit("rq1_type_valence.csv", *group_table_rows(results.rq1_type))
-    if results.rq1_time is not None:
-        emit("rq1_dominance_time.csv", *group_table_rows(results.rq1_time))
-
-    if results.summary is not None:
-        summary = results.summary
-
-        def points():
-            for start in range(0, len(summary.ids), POINT_ROWS):
-                block = slice(start, start + POINT_ROWS)
-                valence = summary.valence[block]
-                fitted = [fit.predict(valence).tolist() if fit else [None] * len(valence)
-                          for fit in (summary.linear, summary.quadratic)]
-                yield from zip(summary.ids[block].tolist(), valence.tolist(), summary.arousal[block].tolist(),
-                               *fitted)
-
-        emit("rq1_summary_points.csv",
-             ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], points())
-        fit_rows = []
-        for degree, fit in (("1", summary.linear), ("2", summary.quadratic)):
-            if fit is not None:
-                coeffs = list(fit.coefficients) + [None] * (3 - len(fit.coefficients))
-                fit_rows.append([degree, coeffs[0], coeffs[1], coeffs[2], fit.r_squared, fit.residual_ss])
-        emit("rq1_summary_fits.csv",
-             ["degree", "c0", "c1", "c2", "r_squared", "residual_ss"], fit_rows)
-
-    if results.rq2 is not None:
-        emit("rq2_first_last.csv", *paired_table_rows(results.rq2))
-
-    if results.rq3 is not None:
-        report = results.rq3
-        models = [(stage.name, stage.model) for stage in report.stages]
-        if report.final_model is not None:
-            models.append(("final", report.final_model))
-        coeff_rows = []
-        for label, model in models:
-            names = ["intercept", *model.columns]
-            for name, b, s, p in zip(names, model.coefficients, model.std_errors, model.p_values):
-                coeff_rows.append([label, name, b, s, p])
-        emit("rq3_coefficients.csv",
-             ["stage", "column", "estimate", "std_error", "p_value"], coeff_rows)
-
-        perf_rows = []
-
-        def perf(name: str, cv) -> None:
-            if cv is None:
-                return
-            perf_rows.append([name, "Short", cv.short.precision, cv.short.recall, cv.short.f1, cv.auc])
-            perf_rows.append([name, "Long", cv.long.precision, cv.long.recall, cv.long.f1, cv.auc])
-            perf_rows.append([name, "Weighted Avg.", cv.weighted_precision, cv.weighted_recall,
-                              cv.weighted_f1, cv.auc])
-
-        perf("ZeroR", report.zero_r)
-        for stage in report.stages:
-            perf(stage.name, stage.cv)
-        emit("rq3_performance.csv",
-             ["classifier", "class", "precision", "recall", "f1", "auc"], perf_rows)
-
-        lr_rows = []
-        for earlier, later in zip(report.stages, report.stages[1:]):
-            lr_rows.append([earlier.name, later.name, later.lr_p_vs_previous])
-        emit("rq3_model_comparison.csv", ["reduced", "full", "p_value"], lr_rows)
-
-        emit("rq3_correlation_filter.csv",
-             ["kept", "candidate_drop", "r", "dropped"],
-             [[d.keep, d.drop, d.r, d.dropped] for d in report.filter_decisions])
-
-        emit("rq3_impacts.csv", ["feature", "impact_pct"],
-             [[entry.feature, entry.impact] for entry in report.impacts])
-
-    if results.rq4 is not None:
-        emit("rq4_sign_table.csv", *sign_table_rows(results.rq4))
+        result = getattr(results, attribute)
+        if result is not None:
+            _write_csv(path, *table_rows(result))
+            written.append(path)
+        elif path.is_file():
+            path.unlink()
 
     text = render_text_report(results)
     report_path = outdir / "report.txt"
     report_path.write_text(text, encoding="utf-8")
     written.append(report_path)
-    kept = {path.name for path in written}
-    for name in REPORT_FILES:
-        if name not in kept and (outdir / name).is_file():
-            (outdir / name).unlink()
     return written
 
 
