@@ -367,9 +367,6 @@ class FitResult:
     r_squared: float
     residual_ss: float
 
-    def predict(self, x):
-        return np.polyval(self.coefficients[::-1], np.asarray(x, dtype=float))
-
 
 def polyfit(x, y, degree: int) -> FitResult:
     """Least-squares polynomial fit of degree 1 or 2 with R-squared, by

@@ -95,13 +95,10 @@ def summary_point_rows(summary: SummaryResult) -> tuple[list[str], Iterable[list
     def points():
         for start in range(0, len(summary.ids), POINT_ROWS):
             block = slice(start, start + POINT_ROWS)
-            valence = summary.valence[block]
-            fitted = [fit.predict(valence).tolist() if fit else [None] * len(valence)
-                      for fit in (summary.linear, summary.quadratic)]
-            yield from zip(summary.ids[block].tolist(), valence.tolist(), summary.arousal[block].tolist(),
-                           *fitted)
+            yield from zip(summary.ids[block].tolist(), summary.valence[block].tolist(),
+                           summary.arousal[block].tolist())
 
-    return ["issue_id", "valence", "arousal", "linear_fit", "quadratic_fit"], points()
+    return ["issue_id", "valence", "arousal"], points()
 
 
 def summary_fit_rows(summary: SummaryResult) -> tuple[list[str], list[list]]:

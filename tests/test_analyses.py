@@ -656,8 +656,8 @@ def test_write_reports_formats_the_points_in_row_blocks(tmp_path):
     # of every row takes about 9 times the three columns
     assert peak < 2 * (ids.nbytes + valence.nbytes + arousal.nbytes)
     # the blocks join into the rows of the whole columns
-    columns = [valence, arousal, summary.linear.predict(valence), summary.quadratic.predict(valence)]
+    columns = [valence, arousal]
     rows = [",".join([issue_id, *(format(value, ".12g") for value in values)])
             for issue_id, *values in zip(ids.tolist(), *(column.tolist() for column in columns))]
     text = (tmp_path / "rq1_summary_points.csv").read_text(encoding="utf-8")
-    assert text.splitlines() == ["issue_id,valence,arousal,linear_fit,quadratic_fit", *rows]
+    assert text.splitlines() == ["issue_id,valence,arousal", *rows]

@@ -12,20 +12,22 @@ depend on the numpy version, the BLAS it links, the kernel that OpenBLAS picks
 for the CPU, and the BLAS thread count when one is set explicitly (importing
 vadminer otherwise pins it to one). Under OpenBLAS's Sandybridge or Prescott
 kernel (``OPENBLAS_CORETYPE``), the ``default`` case differs in
-``rq1_summary_fits.csv`` and ``rq1_summary_points.csv`` and the ``planted``
-case in ``rq1_summary_points.csv``; SkylakeX, Haswell and Zen give the
-committed hashes. At larger corpora the kernel also moves ``rq3_*`` cells and
-``report.txt``. A mismatch confined to these files after a numpy or BLAS
+``rq1_summary_fits.csv`` alone, and
+``test_golden_reports_do_not_depend_on_the_blas_kernel`` checks every other
+file under both; SkylakeX, Haswell and Zen give the committed hashes. At
+larger corpora the kernel also moves ``rq3_*`` cells and ``report.txt``. A mismatch confined to these files after a numpy or BLAS
 upgrade, or on another CPU, is not a regression in this package: regenerate
 with ``python tests/test_golden.py`` on the unchanged code first.
 """
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 from vadminer.cli import main
 
 HASHES_PATH = Path(__file__).with_name("golden_hashes.json")
@@ -65,6 +67,40 @@ def test_golden_report_hashes(case, tmp_path):
     assert len(actual) == 13
     assert actual == expected
 
+
+# the one file whose bytes still move with the kernel: the default case's quadratic
+# c0 sits next to a 12-digit rounding boundary (ROADMAP item 9), until polyfit
+# builds its normal equations in exactly rounded sums
+KERNEL_EXCEPTIONS = {("default", "rq1_summary_fits.csv")}
+
+# runs both golden cases in one fresh interpreter: argv is the tests directory
+# and a work directory; prints the hashes as one JSON line
+_CASES_IN_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import CASES, report_hashes
+hashes = {}
+for case in sorted(CASES):
+    (Path(sys.argv[2]) / case).mkdir()
+    hashes[case] = report_hashes(case, Path(sys.argv[2]) / case)
+print(json.dumps(hashes))
+"""
+
+
+def _kernel_bound(hashes: dict[str, dict[str, str]]) -> dict[tuple[str, str], str]:
+    return {(case, name): digest for case, files in hashes.items() for name, digest in files.items()
+            if (case, name) not in KERNEL_EXCEPTIONS}
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
+def test_golden_reports_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    proc = run_python(["-c", _CASES_IN_CHILD, str(Path(__file__).parent), str(tmp_path)], env=env)
+    actual = json.loads(proc.stdout.splitlines()[-1])
+    expected = json.loads(HASHES_PATH.read_text(encoding="utf-8"))
+    assert sorted(actual) == sorted(expected)
+    assert _kernel_bound(actual) == _kernel_bound(expected)
 
 if __name__ == "__main__":
     # regenerate the committed hashes
