@@ -272,7 +272,8 @@ def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
     after = _as_sample(after, "after")
     if len(before) != len(after):
         raise ValueError(f"paired samples differ in length: {len(before)} vs {len(after)}")
-    (diffs,) = _scaled(after - before)
+    after_scaled, before_scaled = _scaled(after, before)
+    diffs = after_scaled - before_scaled
     mean_diff = float(np.mean(diffs))
     sd_diff = float(np.std(diffs, ddof=1))
     mean_a, mean_b = float(np.mean(before)), float(np.mean(after))
@@ -296,13 +297,15 @@ def bonferroni_alpha(alpha: float, comparisons: int) -> float:
 
 
 def pearson_r(x, y) -> float:
-    """Sample Pearson correlation; rejects zero-variance inputs."""
+    """Sample Pearson correlation; rejects zero-variance inputs. Like the
+    t-tests, it does not depend on the scale of either sample."""
     x = _as_sample(x, "x")
     y = _as_sample(y, "y")
     if len(x) != len(y):
         raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
+    # each centered sample on its own power-of-two scale, which cancels exactly in r
+    (dx,) = _scaled(x - np.mean(x))
+    (dy,) = _scaled(y - np.mean(y))
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:

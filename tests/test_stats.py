@@ -199,6 +199,15 @@ def test_paired_scale_free(d):
     assert result.p == pytest.approx(paired_t_test([0.0] * 3, [0.0, 1.0, 2.0]).p, rel=1e-12)
 
 
+def test_paired_differences_that_overflow():
+    # after - before overflows at 3.4e308; halving both samples cannot change t, p or d
+    before, after = [-1.7e308, 0.0, 1.0], [1.7e308, 1.0, 3.0]
+    result = paired_t_test(before, after)
+    halved = paired_t_test([v * 0.5 for v in before], [v * 0.5 for v in after])
+    assert (result.t, result.p, result.d) == (halved.t, halved.p, halved.d)
+    assert (result.t, result.p) == (1.0000000000000002, 0.4226497308103744)
+
+
 def test_scale_free_variance_is_not_constant():
     # a variance below the smallest float is still a variance
     result = welch_t_test([0.0, 1e-170], [0.0] * 200)
@@ -279,6 +288,17 @@ def test_pearson_exact_lines():
 def test_pearson_zero_variance_errors():
     with pytest.raises(ValueError, match="zero variance"):
         pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("k", [-1000, -560, 560, 1000])
+def test_pearson_scale_free(k):
+    # squares of values scaled by 2**560 overflow, and by 2**-560 underflow
+    rng = np.random.RandomState(13)
+    x = rng.normal(0, 1, 40)
+    y = 0.3 * x + rng.normal(0, 1, 40)
+    r = pearson_r(x, y)
+    assert pearson_r(x * 2.0**k, y * 2.0**k) == r
+    assert pearson_r(x * 2.0**k, y) == r
 
 
 def test_pearson_affine_invariance():
