@@ -339,11 +339,6 @@ class _IssueFactory:
         self.config = config
         self.rng = rng
         self.vocab = Vocabulary(config.vocabulary)
-        self.projects = [f"PRJ{_letters(i, 1).upper()}" for i in range(config.n_projects)]
-        self.people = {
-            project: [f"{project.lower()}.dev{n:02d}" for n in range(config.participants_per_project)]
-            for project in self.projects
-        }
         self.counts = sorted(config.comment_count_weights)
         self.count_weights = [config.comment_count_weights[k] for k in self.counts]
 
@@ -368,8 +363,14 @@ class _IssueFactory:
         cfg = self.config
         effects = cfg.effects
 
-        project = rng.choice(self.projects)
-        pool = self.people[project]
+        # names are made from the drawn index, so no list of every project or person
+        # is built; interned, so the issues that name one project or person share a string
+        project = sys.intern(f"PRJ{_letters(rng.randrange(cfg.n_projects), 1).upper()}")
+        home = f"{project.lower()}.dev"
+
+        def person() -> str:
+            return sys.intern(f"{home}{rng.randrange(cfg.participants_per_project):02d}")
+
         priority = rng.choices(PRIORITIES, weights=[cfg.priority_weights.get(p, 0.0) for p in PRIORITIES])[0]
         types = list(cfg.type_weights)
         issue_type = rng.choices(types, weights=[cfg.type_weights[t] for t in types])[0]
@@ -390,8 +391,8 @@ class _IssueFactory:
         resolved = created + resolution if closed else None
         status = "Closed" if closed else "Open"
 
-        reporter = rng.choice(pool)
-        assignee = rng.choice(pool) if rng.random() < cfg.assignee_share else None
+        reporter = person()
+        assignee = person() if rng.random() < cfg.assignee_share else None
 
         level = PRIORITY_LEVEL[priority]
         p_ahi = effects.priority_arousal * (level - 1) / 4.0
@@ -419,9 +420,9 @@ class _IssueFactory:
                 elif author_roll < 0.70:
                     author = reporter
                 else:
-                    author = rng.choice(pool)
+                    author = person()
             else:
-                author = reporter if rng.random() < 0.45 else rng.choice(pool)
+                author = reporter if rng.random() < 0.45 else person()
             position_frac = j / (n_comments - 1) if n_comments > 1 else 0.0
             pc_vhi = p_vhi + effects.last_valence * position_frac + 0.5 * effects.valence_resolution * v_int
             when = created + (j + 1) * (span // (n_comments + 1)) + rng.randrange(0, 300)

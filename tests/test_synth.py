@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import run_python
 from vadminer.corpus import corpus_histograms
 from vadminer.lexicon import DIMENSIONS
 from vadminer.synth import (
@@ -160,6 +161,21 @@ def test_projects_past_z_are_named_in_letters():
             if person is not None:
                 homes.setdefault(person, set()).add(issue.project)
     assert all(len(home) == 1 for home in homes.values())
+
+
+def test_names_are_drawn_without_a_list_of_every_project_or_person():
+    # a list of 10**9 projects or of their people would not fit in memory; the
+    # child's address space is capped at 512 MiB, so building one fails fast
+    code = """
+import resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+from vadminer.synth import GeneratorConfig, generate_corpus
+tracemalloc.start()
+generate_corpus(GeneratorConfig(n_issues=5, n_projects=10**9, participants_per_project=10**9), seed=3)
+print(tracemalloc.get_traced_memory()[1])
+"""
+    # the 394-word vocabulary, 5 issues and their manifest take about 150 kB
+    assert int(run_python(["-c", code]).stdout) < 2**20
 
 
 def test_generated_issues_satisfy_model_invariants():
