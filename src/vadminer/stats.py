@@ -303,7 +303,9 @@ def pearson_r(x, y) -> float:
     y = _as_sample(y, "y")
     if len(x) != len(y):
         raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
-    # each centered sample on its own power-of-two scale, which cancels exactly in r
+    # each sample, then its deviations, on a power-of-two scale of their own, which
+    # cancels exactly in r, so no mean or sum of squares can overflow or underflow
+    x, y = _scaled(x)[0], _scaled(y)[0]
     (dx,) = _scaled(x - np.mean(x))
     (dy,) = _scaled(y - np.mean(y))
     sxx = float(np.dot(dx, dx))

@@ -290,9 +290,10 @@ def test_pearson_zero_variance_errors():
         pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
-@pytest.mark.parametrize("k", [-1000, -560, 560, 1000])
+@pytest.mark.parametrize("k", [-1000, -560, 560, 1000, 1022])
 def test_pearson_scale_free(k):
-    # squares of values scaled by 2**560 overflow, and by 2**-560 underflow
+    # squares of values scaled by 2**560 overflow, and by 2**-560 underflow; at
+    # 2**1022 the sum behind the mean overflows too
     rng = np.random.RandomState(13)
     x = rng.normal(0, 1, 40)
     y = 0.3 * x + rng.normal(0, 1, 40)
