@@ -15,9 +15,10 @@ kernel (``OPENBLAS_CORETYPE``), the ``default`` case differs in
 ``rq1_summary_fits.csv`` alone, and
 ``test_golden_reports_do_not_depend_on_the_blas_kernel`` checks every other
 file under both; SkylakeX, Haswell and Zen give the committed hashes. At
-larger corpora the kernel also moves ``rq3_*`` cells and ``report.txt``. A mismatch confined to these files after a numpy or BLAS
-upgrade, or on another CPU, is not a regression in this package: regenerate
-with ``python tests/test_golden.py`` on the unchanged code first.
+larger corpora the kernel also moves ``rq3_*`` cells and ``report.txt``. A
+mismatch confined to these files after a numpy or BLAS upgrade, or on another
+CPU, is not a regression in this package: regenerate with
+``python tests/test_golden.py`` on the unchanged code first.
 """
 import hashlib
 import json
@@ -101,6 +102,7 @@ def test_golden_reports_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
     expected = json.loads(HASHES_PATH.read_text(encoding="utf-8"))
     assert sorted(actual) == sorted(expected)
     assert _kernel_bound(actual) == _kernel_bound(expected)
+
 
 if __name__ == "__main__":
     # regenerate the committed hashes
