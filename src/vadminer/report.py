@@ -91,7 +91,7 @@ def sign_table_rows(table: SignTable) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def summary_point_rows(summary: SummaryResult) -> tuple[list[str], Iterable[list]]:
+def summary_point_rows(summary: SummaryResult) -> tuple[list[str], Iterable[tuple]]:
     def points():
         for start in range(0, len(summary.ids), POINT_ROWS):
             block = slice(start, start + POINT_ROWS)
