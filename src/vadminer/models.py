@@ -12,12 +12,14 @@ The design holds its columns as the fits use them, built once at
 construction: an intercept column of ones followed by every predictor column
 centered on its mean and divided by its sd (a constant column is only
 centered, so it stays dependent and is named below). The sd, and each median
-and sd of the impact sizes, is taken on the column divided by the power of
-two of its largest magnitude: the division is exact, so ordinary data keeps
-every bit, and no square can underflow or overflow. A column whose sum or
-centered values leave the float range (values within a factor of about n of
-the float maximum) is divided by its power of two before it is centered, and
-that power goes into its scale. Every fit checks its response first, then
+and sd of the impact sizes, is taken on the column times 2**-e, where e is
+the exponent of its largest magnitude (``stats._magnitudes``, which the
+t-tests share): the scaling is exact, so ordinary data keeps every bit, no
+square can underflow or overflow, and ``ldexp`` by e maps a result back
+exactly. A column whose sum or centered values leave the float range (values
+within a factor of about n of the float maximum) is scaled the same way
+before it is centered, and its exponent goes into its scale. Every fit
+checks its response first, then
 that there are more rows than parameters, then runs a rank check that takes
 the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
 ``RANK_RTOL`` of the largest as zero; only a failed check looks for the
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import _as_sample, chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
+from .stats import _as_sample, _magnitudes, chi2_sf, normal_two_sided_p, pearson_r, student_t_two_sided_p
 
 _MAX_IRLS_ITER = 100
 _IRLS_TOL = 1e-8
@@ -101,22 +103,22 @@ class DesignMatrix:
         with np.errstate(over="ignore", invalid="ignore"):  # a sum or difference past the float range
             self.center = X.mean(axis=0) if n else np.zeros(p)  # no rows: the fits reject the design
             centered = np.subtract(X, self.center, out=self.Z[:, 1:])
-        magnitude = _magnitudes(centered)
+        magnitude = _magnitudes(centered, axis=0)
         outside = ~np.isfinite(magnitude)
-        power = np.ones(p)  # what a column was divided by before centering
-        if outside.any():  # center those columns divided by their power of two, an exact division
-            power[outside] = _powers_of_two(_magnitudes(X[:, outside]))
-            shrunk = X[:, outside] / power[outside]
+        shift = np.zeros(p, dtype=int)  # the exponent a column was scaled by before centering
+        if outside.any():  # center those columns scaled by their power of two, an exact scaling
+            shift[outside] = np.frexp(_magnitudes(X[:, outside], axis=0))[1]
+            shrunk = np.ldexp(X[:, outside], -shift[outside])
             center = shrunk.mean(axis=0)
             centered[:, outside] = shrunk - center
-            self.center[outside] = center * power[outside]
-            magnitude[outside] = _magnitudes(centered[:, outside])
-        step = _powers_of_two(magnitude)
-        centered /= step
+            self.center[outside] = np.ldexp(center, shift[outside])
+            magnitude[outside] = _magnitudes(centered[:, outside], axis=0)
+        step = np.frexp(magnitude)[1]
+        np.ldexp(centered, -step, out=centered)
         sd = np.sqrt(np.einsum("ij,ij->j", centered, centered) / max(n, 1))
         sd = np.where(sd > 0.0, sd, 1.0)
         centered /= sd
-        self.scale = sd * step * power
+        self.scale = np.ldexp(sd, step + shift)
 
     @property
     def n(self) -> int:
@@ -228,18 +230,6 @@ def _check_rank(gram: np.ndarray, names) -> None:
     """ValueError naming the collinear columns unless ``gram`` (a multiple of Z'Z) has full rank."""
     if _gram_rank(gram) < len(gram):
         raise ValueError(f"singular design; collinear columns: {_collinear_columns(gram, names)}")
-
-
-def _magnitudes(A: np.ndarray) -> np.ndarray:
-    """Per column, the largest magnitude (0.0 for no rows), from the extremes: no scratch of ``A``'s size."""
-    return np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0))
-
-
-def _powers_of_two(magnitude: np.ndarray) -> np.ndarray:
-    """The powers of two that bring each magnitude into [0.5, 1), or into
-    [1, 2) from 2**1023 up, where the next power leaves the float range; 1.0
-    for 0.0. Dividing by one is exact."""
-    return np.ldexp(1.0, np.minimum(np.frexp(magnitude)[1], 1023))
 
 
 def _response(y, n: int, binary: bool) -> np.ndarray:
@@ -519,10 +509,10 @@ def impact_sizes(model: FittedModel, columns) -> list[ImpactEntry]:
         raise ValueError("impact sizes are defined for logistic models")
     p = len(model.columns)
     X = np.column_stack([columns[name] for name in model.columns]).astype(float, copy=False) if p else np.empty((0, 0))
-    step = _powers_of_two(_magnitudes(X))  # so that the squares of the sds stay in range
-    X /= step
-    medians = step * np.median(X, axis=0) if len(X) else np.zeros(p)
-    sds = step * np.std(X, axis=0, ddof=1) if len(X) > 1 else np.zeros(p)
+    step = np.frexp(_magnitudes(X, axis=0))[1]  # so that the squares of the sds stay in range
+    np.ldexp(X, -step, out=X)
+    medians = np.ldexp(np.median(X, axis=0), step) if len(X) else np.zeros(p)
+    sds = np.ldexp(np.std(X, axis=0, ddof=1), step) if len(X) > 1 else np.zeros(p)
     base_eta = model.intercept
     for j, name in enumerate(model.columns):
         base_eta += model.coefficient(name) * float(medians[j])

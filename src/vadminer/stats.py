@@ -142,13 +142,15 @@ def chi2_sf(x: float, df: float) -> float:
         raise ValueError("degrees of freedom must be positive")
     if x <= 0.0:
         return 1.0
+    if math.isinf(x):
+        return 0.0
     a = df / 2.0
     half = x / 2.0
-    # exp underflows for extreme statistics; the tail is then numerically zero
-    if -half + a * math.log(half) - math.lgamma(a) < -745.0:
-        return 0.0
     if half < a + 1.0:
         return 1.0 - _gamma_series(a, half)
+    # exp underflows for extreme statistics; the upper tail is then numerically zero
+    if -half + a * math.log(half) - math.lgamma(a) < -745.0:
+        return 0.0
     return _gamma_contfrac(a, half)
 
 
@@ -194,21 +196,27 @@ def _as_sample(values, name: str, min_len: int = 2) -> np.ndarray:
     return arr
 
 
-def _scaled(*samples: np.ndarray) -> list[np.ndarray]:
-    """The samples divided by the one power of two that brings their largest
-    magnitude into [0.5, 1).
+def _magnitudes(A: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The largest magnitude in ``A``, per column for ``axis=0`` (0.0 for none), from its extremes, with no scratch."""
+    return np.maximum(A.max(axis=axis, initial=0.0), -A.min(axis=axis, initial=0.0))
 
-    The division is exact, barring underflow of values far below the largest,
+
+def _scaled(*samples: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The samples times 2**-e, and the one exponent e that brings their
+    largest magnitude into [0.5, 1).
+
+    The scaling is exact, barring underflow of values far below the largest,
     so statistics that do not depend on scale keep every bit on ordinary data,
     while their squares and sums of squares can no longer underflow or overflow.
+    A result in raw units, such as a mean, is exactly ``ldexp(result, e)``.
     """
-    exponent = math.frexp(max(float(np.max(np.abs(sample))) for sample in samples))[1]
-    return [np.ldexp(sample, -exponent) for sample in samples]
+    exponent = math.frexp(max(float(_magnitudes(sample)) for sample in samples))[1]
+    return [np.ldexp(sample, -exponent) for sample in samples], exponent
 
 
 def cohens_d(a, b) -> float:
     """Pooled-standard-deviation Cohen's d, (mean_a - mean_b) / s_pooled."""
-    a, b = _scaled(_as_sample(a, "a"), _as_sample(b, "b"))
+    (a, b), _ = _scaled(_as_sample(a, "a"), _as_sample(b, "b"))
     na, nb = len(a), len(b)
     va = float(np.var(a, ddof=1))
     vb = float(np.var(b, ddof=1))
@@ -240,24 +248,23 @@ def welch_t_test(a, b, alpha: float = 0.05) -> ComparisonResult:
     samples give t=0, p=1; two different constant samples give p=0 with a
     DegenerateVarianceWarning.
     """
-    a = _as_sample(a, "a")
-    b = _as_sample(b, "b")
+    (a, b), exponent = _scaled(_as_sample(a, "a"), _as_sample(b, "b"))
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    a, b = _scaled(a, b)
+    raw_a, raw_b = math.ldexp(mean_a, exponent), math.ldexp(mean_b, exponent)
     va = float(np.var(a, ddof=1))
     vb = float(np.var(b, ddof=1))
 
     if va == 0.0 and vb == 0.0:
         t = 0.0 if mean_a == mean_b else math.copysign(math.inf, mean_a - mean_b)
-        return _comparison(mean_a, mean_b, t, None, t, alpha,
+        return _comparison(raw_a, raw_b, t, None, t, alpha,
                            "both samples constant with different means; p forced to 0")
 
     na, nb = len(a), len(b)
     sa, sb = va / na, vb / nb
-    t = (float(np.mean(a)) - float(np.mean(b))) / math.sqrt(sa + sb)
+    t = (mean_a - mean_b) / math.sqrt(sa + sb)
     # a constant sample adds nothing to the Welch-Satterthwaite denominator
     df = (sa + sb) ** 2 / ((sa**2 / (na - 1) if va > 0 else 0.0) + (sb**2 / (nb - 1) if vb > 0 else 0.0))
-    return _comparison(mean_a, mean_b, t, df, cohens_d(a, b), alpha)
+    return _comparison(raw_a, raw_b, t, df, cohens_d(a, b), alpha)
 
 
 def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
@@ -272,11 +279,11 @@ def paired_t_test(before, after, alpha: float = 0.05) -> ComparisonResult:
     after = _as_sample(after, "after")
     if len(before) != len(after):
         raise ValueError(f"paired samples differ in length: {len(before)} vs {len(after)}")
-    after_scaled, before_scaled = _scaled(after, before)
-    diffs = after_scaled - before_scaled
+    (after, before), exponent = _scaled(after, before)
+    diffs = after - before
     mean_diff = float(np.mean(diffs))
     sd_diff = float(np.std(diffs, ddof=1))
-    mean_a, mean_b = float(np.mean(before)), float(np.mean(after))
+    mean_a, mean_b = math.ldexp(float(np.mean(before)), exponent), math.ldexp(float(np.mean(after)), exponent)
 
     if sd_diff == 0.0:
         t = 0.0 if mean_diff == 0.0 else math.copysign(math.inf, mean_diff)
@@ -305,9 +312,10 @@ def pearson_r(x, y) -> float:
         raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
     # each sample, then its deviations, on a power-of-two scale of their own, which
     # cancels exactly in r, so no mean or sum of squares can overflow or underflow
-    x, y = _scaled(x)[0], _scaled(y)[0]
-    (dx,) = _scaled(x - np.mean(x))
-    (dy,) = _scaled(y - np.mean(y))
+    (x,), _ = _scaled(x)
+    (y,), _ = _scaled(y)
+    (dx,), _ = _scaled(x - np.mean(x))
+    (dy,), _ = _scaled(y - np.mean(y))
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
     if sxx == 0.0 or syy == 0.0:

@@ -53,6 +53,18 @@ def test_chi2_tail_matches_scipy():
     assert chi2_sf(5000.0, 2) == 0.0  # numerically zero tail
 
 
+@pytest.mark.parametrize("x, df", [(40.0, 1000), (2.0, 400), (0.5, 1e6), (1e-3, 2000), (100.0, 2000)])
+def test_chi2_tail_far_below_df_is_one(x, df):
+    # the density's prefactor underflows here: that makes the lower tail 0, not the upper one
+    assert chi2_sf(x, df) == pytest.approx(sps.chi2.sf(x, df), abs=1e-12, rel=1e-9)
+    assert chi2_sf(x, df) == 1.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 15.5, 400])
+def test_chi2_tail_of_an_infinite_statistic_is_zero(df):
+    assert chi2_sf(math.inf, df) == sps.chi2.sf(math.inf, df) == 0.0
+
+
 def test_normal_tail_matches_scipy():
     for z in (-6.0, -1.96, 0.0, 0.5, 2.0, 4.5):
         assert normal_two_sided_p(z) == pytest.approx(2.0 * sps.norm.sf(abs(z)), abs=1e-14, rel=1e-12)
@@ -206,6 +218,25 @@ def test_paired_differences_that_overflow():
     halved = paired_t_test([v * 0.5 for v in before], [v * 0.5 for v in after])
     assert (result.t, result.p, result.d) == (halved.t, halved.p, halved.d)
     assert (result.t, result.p) == (1.0000000000000002, 0.4226497308103744)
+
+
+@pytest.mark.parametrize("test", [welch_t_test, paired_t_test])
+def test_t_test_means_are_exact_next_to_the_float_maximum(test):
+    # a raw mean of these samples overflows in its sum; any warning fails the test
+    result = test([1.7e308, 1.7e308, 0.0], [0.0, 1.0, 2.0])
+    assert (result.mean_a, result.mean_b) == (1.1333333333333334e+308, 1.0)
+
+
+def test_t_test_means_equal_numpy_means_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        magnitude = 10.0 ** rng.uniform(-300, 300)
+        n = int(rng.integers(2, 40))
+        a = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), size=n) * magnitude
+        b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.1, 3), size=n) * (magnitude * 10.0 ** rng.uniform(-3, 3))
+        welch_b = b[:int(rng.integers(2, n + 1))]
+        for result, sample_b in ((welch_t_test(a, welch_b), welch_b), (paired_t_test(a, b), b)):
+            assert (result.mean_a, result.mean_b) == (float(np.mean(a)), float(np.mean(sample_b)))
 
 
 def test_scale_free_variance_is_not_constant():
