@@ -34,6 +34,19 @@ class DegenerateVarianceWarning(UserWarning):
 # special functions
 # ---------------------------------------------------------------------------
 
+def _lentz(an: float, bn: float, c: float, d: float) -> tuple[float, float, float]:
+    # One modified-Lentz step through the partial term an / (bn + ...): the new
+    # c and d, each kept off zero, and the factor d * c that updates the fraction.
+    d = bn + an * d
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    c = bn + an / c
+    if abs(c) < _FPMIN:
+        c = _FPMIN
+    d = 1.0 / d
+    return c, d, d * c
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # Lentz's continued fraction for the incomplete beta function.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -45,24 +58,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
@@ -120,16 +118,8 @@ def _gamma_contfrac(a: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + a * math.log(x) - math.lgamma(a))

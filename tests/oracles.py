@@ -123,6 +123,74 @@ def logistic_oracle(X, y):
     return beta, se, p, deviance
 
 
+# The Lentz loops of the incomplete beta and gamma continued fractions as
+# they were written before ``stats._lentz`` took their shared step, each step
+# spelled out in place: the references that ``stats._betacf`` and
+# ``stats._gamma_contfrac`` must match bit for bit. Each also returns how many
+# times a denominator was clamped to ``_LENTZ_FPMIN``.
+_LENTZ_EPS = 1e-15
+_LENTZ_FPMIN = 1e-300
+_LENTZ_MAX_ITER = 500
+
+
+def betacf_reference(a: float, b: float, x: float) -> tuple[float, int]:
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    clamps = 0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _LENTZ_FPMIN:
+        d, clamps = _LENTZ_FPMIN, clamps + 1
+    d = 1.0 / d
+    h = d
+    for m in range(1, _LENTZ_MAX_ITER + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _LENTZ_FPMIN:
+            d, clamps = _LENTZ_FPMIN, clamps + 1
+        c = 1.0 + aa / c
+        if abs(c) < _LENTZ_FPMIN:
+            c, clamps = _LENTZ_FPMIN, clamps + 1
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _LENTZ_FPMIN:
+            d, clamps = _LENTZ_FPMIN, clamps + 1
+        c = 1.0 + aa / c
+        if abs(c) < _LENTZ_FPMIN:
+            c, clamps = _LENTZ_FPMIN, clamps + 1
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:
+            return h, clamps
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def gamma_contfrac_reference(a: float, x: float) -> tuple[float, int]:
+    b = x + 1.0 - a
+    clamps = 0
+    c = 1.0 / _LENTZ_FPMIN
+    d = 1.0 / b
+    h = d
+    for i in range(1, _LENTZ_MAX_ITER + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _LENTZ_FPMIN:
+            d, clamps = _LENTZ_FPMIN, clamps + 1
+        c = b + an / c
+        if abs(c) < _LENTZ_FPMIN:
+            c, clamps = _LENTZ_FPMIN, clamps + 1
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_EPS:
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a)), clamps
+    raise ArithmeticError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
+
+
 def auc_oracle(scores, labels):
     return float(sps.mannwhitneyu(
         np.asarray(scores)[np.asarray(labels) == 1],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from vadminer import stats
 from vadminer.models import polyfit
 from vadminer.stats import (
     DegenerateVarianceWarning,
@@ -63,6 +64,49 @@ def test_chi2_tail_far_below_df_is_one(x, df):
 @pytest.mark.parametrize("df", [1, 2, 15.5, 400])
 def test_chi2_tail_of_an_infinite_statistic_is_zero(df):
     assert chi2_sf(math.inf, df) == sps.chi2.sf(math.inf, df) == 0.0
+
+
+def _lentz_inputs(n=20_000, seed=27):
+    """Seeded (function, args) pairs for the continued fractions: random ones in
+    the range each serves, and families whose denominators reach ``_FPMIN``."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n // 2):
+        a, b = 10.0 ** rng.uniform(-1.0, 4.0, size=2)
+        cases.append((stats._betacf, float(a), float(b), float(rng.uniform(0.0, (a + 1.0) / (a + b + 2.0)))))
+        a = float(10.0 ** rng.uniform(-1.0, math.log10(20.0)))
+        cases.append((stats._gamma_contfrac, a, float(a + 1.0 + 10.0 ** rng.uniform(-3.0, 3.0))))
+    for k in range(1, 27):
+        # b0 = x + 1 - a = -2**-k makes the first step's d exactly zero
+        s = 1.0 - 2.0**-k
+        cases.append((stats._gamma_contfrac, 2.0 - s * s, 2.0**-k - 2.0**-(2 * k)))
+    for a in np.arange(1, 40) / 4:
+        # the first partial term is exactly -1, so the first step's c is zero
+        cases.extend((stats._betacf, float(a), float(1.0 - (a + 1.0) * (a + 2.0) * 2.0**k), 2.0**-k)
+                     for k in range(1, 8))
+    for a, b in 10.0 ** rng.uniform(-1.0, 3.0, size=(200, 2)):
+        # x = (a + 1) / (a + b) zeroes, or nearly zeroes, the set-up's d
+        cases.append((stats._betacf, float(a), float(b + 1.0), float((a + 1.0) / (a + b + 1.0))))
+    return cases
+
+
+def _bits_or_error(function, *args):
+    try:
+        value = function(*args)
+    except ArithmeticError as exc:
+        return str(exc), 0
+    return (value.hex(), None) if isinstance(value, float) else (value[0].hex(), value[1])
+
+
+def test_continued_fractions_match_the_unshared_lentz_loops_bit_for_bit():
+    references = {stats._betacf: oracles.betacf_reference,
+                  stats._gamma_contfrac: oracles.gamma_contfrac_reference}
+    clamped = 0
+    for function, *args in _lentz_inputs():
+        expected, clamps = _bits_or_error(references[function], *args)
+        assert _bits_or_error(function, *args)[0] == expected, (function.__name__, args)
+        clamped += bool(clamps)
+    assert clamped >= 400
 
 
 def test_normal_tail_matches_scipy():
