@@ -16,6 +16,7 @@ import numpy as np
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
+_STIRLING_MIN = 10.0
 
 # Cohen's d interpretation thresholds on |d|.
 D_LABELS = (
@@ -67,34 +68,50 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
+def _stirling_tail(z: float) -> float:
+    # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), by Stirling's series;
+    # the first term left out is below 1e-16 for z >= _STIRLING_MIN
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (1 / 1188 - w * (691 / 360360 - w / 156)))))) / z
+
+
+def _lgamma_ratio(a: float, b: float) -> float:
+    # lgamma(a + b) - lgamma(a), without the cancellation of two large lgammas for large a
+    if a < _STIRLING_MIN:
+        return math.lgamma(a + b) - math.lgamma(a)
+    return (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b + _stirling_tail(a + b) - _stirling_tail(a)
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    # I_x(a, b), given both x and y = 1 - x to full precision
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y > 0.5 else math.log(y)
+    front = math.exp(_lgamma_ratio(a, b) - math.lgamma(b) + a * log_x + b * log_y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if a <= 0 or b <= 0:
         raise ValueError("betainc_reg requires a > 0 and b > 0")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return _betainc(a, b, x, 1.0 - x)
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value for a Student-t statistic with df degrees of freedom."""
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 0.0
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return betainc_reg(df / 2.0, 0.5, x)
+    # I_x(df/2, 1/2) at x = df / (df + t^2); y = t^2 / (df + t^2) is computed on its
+    # own, not as 1 - x, which would lose its digits for small t or large df.
+    # An infinite t gives x = 0 and p = 0; t = 0 gives y = 0 and p = 1.
+    tt = t * t
+    return _betainc(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
 
 
 def _gamma_series(a: float, x: float) -> float:

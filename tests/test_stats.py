@@ -45,6 +45,21 @@ def test_student_t_tail_matches_scipy():
             assert student_t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-12, rel=1e-9)
 
 
+# the worst relative error allowed per decade of df, [lo, 10 * lo); the error grows
+# with df in the continued fraction's direct branch, for t from about 1.5 to 6
+T_TAIL_BOUNDS = {1: 1e-13, 10: 1e-13, 100: 1e-13, 1e3: 1e-12, 1e4: 2e-11, 1e5: 2e-10, 1e6: 1e-9}
+
+
+@pytest.mark.parametrize("lo", sorted(T_TAIL_BOUNDS))
+def test_student_t_tail_keeps_its_digits_per_df_decade(lo):
+    rng = np.random.default_rng(int(math.log10(lo)))
+    df = lo * 10.0 ** rng.uniform(0.0, 1.0, 1000)
+    t = 10.0 ** rng.uniform(-3.0, math.log10(16.0), 1000)
+    expected = 2.0 * sps.t.sf(t, df)
+    actual = np.array([student_t_two_sided_p(float(ti), float(dfi)) for ti, dfi in zip(t, df)])
+    assert np.max(np.abs(actual - expected) / expected) < T_TAIL_BOUNDS[lo]
+
+
 def test_chi2_tail_matches_scipy():
     for x in (0.01, 0.5, 1.0, 3.2, 7.0, 20.0, 55.0, 200.0):
         for df in (1, 2, 3, 9, 15.5, 40):
