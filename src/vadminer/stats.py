@@ -16,7 +16,10 @@ import numpy as np
 _EPS = 1e-15
 _FPMIN = 1e-300
 _MAX_ITER = 500
+# Stirling's series replaces lgamma from these a on: in the t tail's lgamma ratio,
+# and in the incomplete gamma prefactor, where it keeps chi2_sf's bits below df 40
 _STIRLING_MIN = 10.0
+_GAMMA_STIRLING_MIN = 20.0
 
 # Cohen's d interpretation thresholds on |d|.
 D_LABELS = (
@@ -114,17 +117,29 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     return _betainc(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
 
 
+def _gamma_log_front(a: float, x: float) -> float:
+    # log(x^a e^-x / Gamma(a)), the factor in front of both incomplete gamma
+    # expansions; for large a, without the cancellation of its large terms
+    if a < _GAMMA_STIRLING_MIN:
+        return -x + a * math.log(x) - math.lgamma(a)
+    u = (x - a) / a
+    # log(x / a): by log1p near x = a, where x / a would lose the digits of u
+    log_ratio = math.log1p(u) if u > -0.5 else math.log(x) - math.log(a)
+    return a * (log_ratio - u) + 0.5 * math.log(a / (2.0 * math.pi)) - _stirling_tail(a)
+
+
 def _gamma_series(a: float, x: float) -> float:
     # Series for the lower regularized incomplete gamma P(a, x), x < a + 1.
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(_MAX_ITER):
+    # near x = a the terms fall off only after some multiple of sqrt(a) of them
+    for _ in range(_MAX_ITER + int(10.0 * math.sqrt(a))):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * math.exp(_gamma_log_front(a, x))
     raise ArithmeticError(f"incomplete gamma series did not converge (a={a}, x={x})")
 
 
@@ -134,12 +149,12 @@ def _gamma_contfrac(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _MAX_ITER + int(10.0 * math.sqrt(a)) + 1):
         b += 2.0
         c, d, delta = _lentz(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * math.exp(_gamma_log_front(a, x))
     raise ArithmeticError(f"incomplete gamma continued fraction did not converge (a={a}, x={x})")
 
 
@@ -156,7 +171,7 @@ def chi2_sf(x: float, df: float) -> float:
     if half < a + 1.0:
         return 1.0 - _gamma_series(a, half)
     # exp underflows for extreme statistics; the upper tail is then numerically zero
-    if -half + a * math.log(half) - math.lgamma(a) < -745.0:
+    if _gamma_log_front(a, half) < -745.0:
         return 0.0
     return _gamma_contfrac(a, half)
 

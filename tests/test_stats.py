@@ -69,7 +69,24 @@ def test_chi2_tail_matches_scipy():
     assert chi2_sf(5000.0, 2) == 0.0  # numerically zero tail
 
 
-@pytest.mark.parametrize("x, df", [(40.0, 1000), (2.0, 400), (0.5, 1e6), (1e-3, 2000), (100.0, 2000)])
+@pytest.mark.parametrize("df", [2e4, 1e5, 1e6])
+def test_chi2_tail_converges_at_large_df(df):
+    # the series needs a multiple of sqrt(df) terms near x = df
+    for x in (0.999 * df, df, 1.001 * df):
+        assert chi2_sf(x, df) == pytest.approx(sps.chi2.sf(x, df), rel=1e-12)
+
+
+def test_chi2_tail_keeps_its_digits_at_large_df():
+    rng = np.random.default_rng(40)
+    df = 10.0 ** rng.uniform(3.0, 6.0, 400)
+    x = df * (1.0 + rng.uniform(-8.0, 8.0, 400) * np.sqrt(2.0 / df))
+    expected = sps.chi2.sf(x, df)
+    actual = np.array([chi2_sf(float(xi), float(dfi)) for xi, dfi in zip(x, df)])
+    assert np.max(np.abs(actual - expected) / expected) < 1e-12
+
+
+@pytest.mark.parametrize("x, df", [(40.0, 1000), (2.0, 400), (0.5, 1e6), (1e-3, 2000), (100.0, 2000),
+                                   (1e-20, 100), (1e-14, 1e6)])
 def test_chi2_tail_far_below_df_is_one(x, df):
     # the density's prefactor underflows here: that makes the lower tail 0, not the upper one
     assert chi2_sf(x, df) == pytest.approx(sps.chi2.sf(x, df), abs=1e-12, rel=1e-9)
