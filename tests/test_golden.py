@@ -12,9 +12,10 @@ depend on the numpy version, the BLAS it links, the kernel that OpenBLAS picks
 for the CPU, and the BLAS thread count when one is set explicitly (importing
 vadminer otherwise pins it to one). Under OpenBLAS's Sandybridge or Prescott
 kernel (``OPENBLAS_CORETYPE``), the ``default`` case differs in
-``rq1_summary_fits.csv`` alone, and
-``test_golden_reports_do_not_depend_on_the_blas_kernel`` checks every other
-file under both; SkylakeX, Haswell and Zen give the committed hashes. At
+``rq1_summary_fits.csv`` alone; SkylakeX, Haswell and Zen give the committed
+hashes. ``test_golden_reports_do_not_depend_on_the_blas_kernel`` checks every
+other file under each of these five kernels, and with numpy's loops held to
+its X86_V2 dispatch target (``NPY_DISABLE_CPU_FEATURES``). At
 larger corpora the kernel also moves ``rq3_*`` cells and ``report.txt``. A
 mismatch confined to these files after a numpy or BLAS upgrade, or on another
 CPU, is not a regression in this package: regenerate with
@@ -94,9 +95,18 @@ def _kernel_bound(hashes: dict[str, dict[str, str]]) -> dict[tuple[str, str], st
             if (case, name) not in KERNEL_EXCEPTIONS}
 
 
-@pytest.mark.parametrize("coretype", ["Prescott", "Sandybridge"])
-def test_golden_reports_do_not_depend_on_the_blas_kernel(coretype, tmp_path):
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+# the settings each child runs under: OpenBLAS's kernel by name, and numpy's own
+# loops held to AVX2-free code by switching off its newer CPU dispatch targets
+KERNEL_SETTINGS = {
+    **{coretype: {"OPENBLAS_CORETYPE": coretype}
+       for coretype in ("Prescott", "Sandybridge", "Haswell", "SkylakeX", "Zen")},
+    "numpy-x86-v2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+def test_golden_reports_do_not_depend_on_the_blas_kernel(setting, tmp_path):
+    env = {**os.environ, **KERNEL_SETTINGS[setting]}
     proc = run_python(["-c", _CASES_IN_CHILD, str(Path(__file__).parent), str(tmp_path)], env=env)
     actual = json.loads(proc.stdout.splitlines()[-1])
     expected = json.loads(HASHES_PATH.read_text(encoding="utf-8"))
