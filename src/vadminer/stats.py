@@ -2,8 +2,15 @@
 adjustment, Pearson correlation, and tail probabilities; fits are in ``models``.
 
 Tail probabilities come from in-module incomplete beta/gamma evaluations
-(continued fractions, ~1e-14), so no statistics library is required at
-runtime and the test suite can verify against independent oracles.
+(continued fractions and series, with Stirling's series for lgamma at large
+arguments), so no statistics library is required at runtime and the test
+suite can verify against independent oracles. Measured on seeded grids, the
+t-test p-value's worst relative error against scipy (t from 1e-3 to 16) is
+about 2e-14 for df below 100 and 1e-13 below 1,000; in each decade of df after
+that it grows tenfold, to about 1e-9 at df 1e7, all of it from the direct
+branch of the beta continued fraction at t of about 1.5 to 6. ``chi2_sf``'s,
+against 60-digit mpmath, is below 2e-14 up to df 1,000 (x from df/2 to 3df/2)
+and 3e-13 up to df 1e6 (x within eight standard deviations of df).
 """
 from __future__ import annotations
 
@@ -75,7 +82,8 @@ def _stirling_tail(z: float) -> float:
     # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), by Stirling's series;
     # the first term left out is below 1e-16 for z >= _STIRLING_MIN
     w = 1.0 / (z * z)
-    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (1 / 1188 - w * (691 / 360360 - w / 156)))))) / z
+    inner = 1 / 1188 - w * (691 / 360360 - w / 156)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * inner)))) / z
 
 
 def _lgamma_ratio(a: float, b: float) -> float:
