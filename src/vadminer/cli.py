@@ -39,7 +39,6 @@ LAZY_NAMES = {
     "write_reports": "report",
     "ConfigError": "synth",
     "GeneratorConfig": "synth",
-    "Vocabulary": "synth",
     "config_from_dict": "synth",
     "generate_corpus": "synth",
     "score_text": "textscore",
@@ -221,11 +220,12 @@ def _run_synth(args) -> int:
     for sidecar in (manifest_path, lexicon_path):
         _output_path(sidecar, directory=False)
     out.parent.mkdir(parents=True, exist_ok=True)
+    # issues are built as write_corpus asks for them; the manifest's histograms are complete after it
     issues, manifest = generate_corpus(config, args.seed)
     write_corpus(issues, out)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    write_lexicon(Vocabulary(config.vocabulary).lexicon(), lexicon_path)
-    print(f"wrote {len(issues)} issues to {out}")
+    write_lexicon(issues.vocab.lexicon(), lexicon_path)
+    print(f"wrote {manifest['histograms']['issues']} issues to {out}")
     print(f"wrote manifest to {manifest_path}")
     print(f"wrote lexicon to {lexicon_path}")
     return EXIT_OK

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 # what a byte that is not UTF-8 decodes to under errors="surrogateescape"
 UNDECODED = re.compile("[\udc80-\udcff]")
@@ -380,22 +380,36 @@ def write_corpus(issues: Iterable[IssueReport], target: str | Path | IO[str]) ->
         target.write("\n")
 
 
-def corpus_histograms(issues: Sequence[IssueReport]) -> dict:
-    """Field histograms used to cross-check a corpus against its manifest."""
-    priorities = {p: 0 for p in PRIORITIES}
-    types = {t: 0 for t in ISSUE_TYPES}
-    statuses = {s: 0 for s in STATUSES}
-    comment_counts: dict[str, int] = {}
-    for issue in issues:
+def corpus_histograms(issues: Iterable[IssueReport] = ()) -> dict:
+    """Field histograms used to cross-check a corpus against its manifest.
+
+    Counts any iterable once, through ``count_issues``; with no argument it
+    gives the empty histograms that a stream of issues is counted into.
+    """
+    histograms = {
+        "issues": 0,
+        "priority": dict.fromkeys(PRIORITIES, 0),
+        "type": dict.fromkeys(ISSUE_TYPES, 0),
+        "status": dict.fromkeys(STATUSES, 0),
+        "comment_count": {},
+    }
+    count_issues(histograms, issues)
+    return histograms
+
+
+def count_issues(histograms: dict, issues: Iterable[IssueReport]) -> None:
+    """Add issues to histograms made by ``corpus_histograms``: the one
+    counting rule of synth's manifest and of ``ingest``."""
+    priorities, types, statuses = histograms["priority"], histograms["type"], histograms["status"]
+    counts = histograms["comment_count"]
+    known = len(counts)
+    n = 0
+    for n, issue in enumerate(issues, start=1):
         priorities[issue.priority] += 1
         types[issue.issue_type] += 1
         statuses[issue.status] += 1
         key = str(len(issue.comments))
-        comment_counts[key] = comment_counts.get(key, 0) + 1
-    return {
-        "issues": len(issues),
-        "priority": priorities,
-        "type": types,
-        "status": statuses,
-        "comment_count": dict(sorted(comment_counts.items(), key=lambda kv: int(kv[0]))),
-    }
+        counts[key] = counts.get(key, 0) + 1
+    histograms["issues"] += n
+    if len(counts) > known:  # a comment count not seen before: keep the keys in numeric order
+        histograms["comment_count"] = dict(sorted(counts.items(), key=lambda kv: int(kv[0])))

@@ -7,7 +7,9 @@ Because a text's score is its baseline-folded extreme spread, drawing from
 a far band raises that dimension's score while near-band words keep it
 small, so group-level effects are planted by controlling how often each
 group's texts pick up far-band words. A manifest records the declared
-directions alongside field histograms for loader cross-checks.
+directions alongside field histograms for loader cross-checks. Issues are
+built as the caller asks for them, a small block at a time, and counted into
+the manifest on the way, so writing a corpus of any size holds a few dozen.
 
 Every generated name is a prefix plus the base-26 letters of its index:
 at least three for a word (``neutralaaa``), at least one, upper-cased, for
@@ -20,6 +22,7 @@ import math
 import random
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 from .corpus import (
     Comment,
@@ -28,6 +31,7 @@ from .corpus import (
     PRIORITY_LEVEL,
     TYPE_GROUPS,
     corpus_histograms,
+    count_issues,
 )
 from .lexicon import Lexicon, LexiconEntry
 
@@ -334,13 +338,39 @@ def _declared_effects(effects: EffectConfig) -> list[dict]:
     return declared
 
 
+# issues built per block: building one, then writing it, then building the
+# next ran about 10% slower than building 16 to 64 in a row (CPython 3.11 on a
+# 2-CPU x86-64 machine)
+_BLOCK = 32
+
+
 class _IssueFactory:
+    """An iterator over the issues of one config and random stream: each
+    ``next`` hands over the next issue, built by ``build`` in blocks of
+    ``_BLOCK``, and counts it into ``histograms``."""
+
     def __init__(self, config: GeneratorConfig, rng: random.Random):
         self.config = config
         self.rng = rng
         self.vocab = Vocabulary(config.vocabulary)
         self.counts = sorted(config.comment_count_weights)
         self.count_weights = [config.comment_count_weights[k] for k in self.counts]
+        self.histograms = corpus_histograms()
+        self.built = 0
+        self.block: list[IssueReport] = []  # built and not yet handed over, last first
+
+    def __iter__(self) -> _IssueFactory:
+        return self
+
+    def __next__(self) -> IssueReport:
+        if not self.block:
+            start, self.built = self.built, min(self.built + _BLOCK, self.config.n_issues)
+            self.block = [self.build(i) for i in range(start, self.built)][::-1]
+            if not self.block:
+                raise StopIteration
+        issue = self.block.pop()
+        count_issues(self.histograms, (issue,))
+        return issue
 
     def _text(self, n_words: int, p_vhi: float, p_ahi: float, p_dhi: float,
               graded: list[tuple[str, float]] | None = None) -> str:
@@ -468,21 +498,28 @@ class _IssueFactory:
         )
 
 
-def generate_corpus(config: GeneratorConfig, seed: int) -> tuple[list[IssueReport], dict]:
-    """Generate issues plus a manifest declaring the planted directions.
+def generate_corpus(config: GeneratorConfig, seed: int) -> tuple[Iterator[IssueReport], dict]:
+    """Issues plus a manifest declaring the planted directions.
+
+    The issues come from an iterator that builds them only as they are
+    asked for, so writing a corpus holds a few dozen at a time; call
+    ``list()`` for a list. The manifest's histograms count the issues as
+    they are yielded and are complete once the iterator is exhausted. The
+    iterator's ``vocab`` is the Vocabulary its words come from. The config
+    is validated and the vocabulary built here, before any issue is asked
+    for.
 
     Deterministic: the same (config, seed) pair reproduces the corpus byte
     for byte once serialized with write_corpus.
     """
     config.validate()
-    factory = _IssueFactory(config, random.Random(seed))
-    issues = [factory.build(i) for i in range(config.n_issues)]
+    issues = _IssueFactory(config, random.Random(seed))
     manifest = {
         "generator": "vadminer-synth",
         "version": 1,
         "seed": seed,
         "config": config_to_dict(config),
         "planted_effects": _declared_effects(config.effects),
-        "histograms": corpus_histograms(issues),
+        "histograms": issues.histograms,
     }
     return issues, manifest

@@ -44,7 +44,7 @@ def synth_lexicon():
 @pytest.fixture(scope="session")
 def planted_corpus(synth_lexicon):
     issues, manifest = generate_corpus(planted_config(2000), seed=11235)
-    return issues, manifest
+    return list(issues), manifest
 
 
 @pytest.fixture(scope="session")

@@ -87,6 +87,7 @@ def planted_run():
 
     start = time.perf_counter()
     issues, manifest = generate_corpus(planted_config(10_000), seed=ACCEPT_SEED)
+    issues = list(issues)
     lexicon = generate_lexicon()
     scored = score_corpus(issues, lexicon)
     run = PlantedRun(

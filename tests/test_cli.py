@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from vadminer import cli
+from vadminer import cli, synth
 from vadminer.analyses import ELEMENTS, RQ2_SCOPES, TIME_GROUPS
 from vadminer.cli import main
 from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, VAD_ELEMENT_KEYS, load_corpus
@@ -98,10 +98,27 @@ def test_synth_deterministic(tmp_path):
 
 def test_synth_invalid_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text('{"n_issues": -3}', encoding="utf-8")
-    code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")])
-    assert code == 2
-    assert "invalid generator spec" in capsys.readouterr().err
+    for text in ('{"n_issues": -3}', '{"vocabulary": {"pad_to": 10}}'):
+        spec.write_text(text, encoding="utf-8")
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "c.jsonl")])
+        assert code == 2
+        assert "invalid generator spec" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [spec]  # no output file was opened
+
+
+def test_synth_builds_its_vocabulary_once(tmp_path, monkeypatch):
+    builds = []
+    build = synth.Vocabulary.__init__
+
+    def counted(self, config):
+        builds.append(config)
+        build(self, config)
+
+    monkeypatch.setattr(synth.Vocabulary, "__init__", counted)
+    for seed in (1, 2):
+        builds.clear()
+        assert main(["synth", "--seed", str(seed), "--out", str(tmp_path / f"c{seed}.jsonl")]) == 0
+        assert len(builds) == 1
 
 
 def test_synth_spec_not_utf8_or_not_an_object(tmp_path, capsys):

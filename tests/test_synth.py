@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -49,7 +51,7 @@ def test_different_seed_differs():
 
 def test_zero_issue_corpus_valid_manifest():
     issues, manifest = generate_corpus(GeneratorConfig(n_issues=0), seed=0)
-    assert issues == []
+    assert list(issues) == []
     assert manifest["histograms"]["issues"] == 0
     assert manifest["seed"] == 0
 
@@ -152,6 +154,7 @@ def test_families_past_three_letters_get_unique_words():
 
 def test_projects_past_z_are_named_in_letters():
     issues, _ = generate_corpus(GeneratorConfig(n_issues=300, n_projects=40), seed=4)
+    issues = list(issues)
     projects = {issue.project for issue in issues}
     assert len(projects) > 26
     assert all(re.fullmatch("PRJ[A-Z]+", project) for project in projects)
@@ -171,11 +174,36 @@ import resource, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
 from vadminer.synth import GeneratorConfig, generate_corpus
 tracemalloc.start()
-generate_corpus(GeneratorConfig(n_issues=5, n_projects=10**9, participants_per_project=10**9), seed=3)
+issues, _ = generate_corpus(GeneratorConfig(n_issues=5, n_projects=10**9, participants_per_project=10**9), seed=3)
+assert len(list(issues)) == 5
 print(tracemalloc.get_traced_memory()[1])
 """
     # the 394-word vocabulary, 5 issues and their manifest take about 150 kB
     assert int(run_python(["-c", code]).stdout) < 2**20
+
+
+def test_synth_memory_does_not_grow_with_the_corpus():
+    # issues are built, counted and written a small block at a time: about
+    # 2 MB at any size (most of it the interpreter's table of interned
+    # strings), where a list of these 5,000 issues would peak above 8 MB
+    tracemalloc.start()
+    try:
+        issues, manifest = generate_corpus(planted_config(5_000), seed=3)
+        write_corpus(issues, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest["histograms"]["issues"] == 5_000
+    assert peak < 4 * 2**20
+
+
+def test_manifest_histograms_count_the_issues_as_they_are_yielded():
+    issues, manifest = generate_corpus(GeneratorConfig(n_issues=40), seed=6)
+    first = [next(issues) for _ in range(15)]
+    assert manifest["histograms"] == corpus_histograms(first)
+    rest = list(issues)
+    assert manifest["histograms"] == corpus_histograms(first + rest)
+    assert list(manifest["histograms"]["comment_count"]) == sorted(manifest["histograms"]["comment_count"], key=int)
 
 
 def test_generated_issues_satisfy_model_invariants():
