@@ -123,9 +123,9 @@ def _load_lexicon_checked(path: str):
         raise CliError(f"invalid lexicon: {exc}", EXIT_SCHEMA) from None
 
 
-def _load_corpus_checked(path: str):
+def _load_corpus_checked(path: str, **options):
     try:
-        return load_corpus(_existing_file(path, "corpus file"))
+        return load_corpus(_existing_file(path, "corpus file"), **options)
     except CorpusFormatError as exc:
         lines = [f"  line {line}: {message}" for line, message in exc.errors[:10]]
         raise CliError("corpus schema errors:\n" + "\n".join(lines), EXIT_SCHEMA) from None
@@ -232,7 +232,8 @@ def _run_synth(args) -> int:
 
 
 def _run_ingest(args) -> int:
-    issues = _load_corpus_checked(args.corpus)
+    # the histograms read no text, so none is kept
+    issues = _load_corpus_checked(args.corpus, keep_text=False)
     histograms = corpus_histograms(issues)
     print(f"valid corpus: {histograms['issues']} issues")
     for key in ("priority", "type", "status"):

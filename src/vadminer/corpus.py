@@ -28,6 +28,11 @@ external-feature key goes through ``sys.intern``, so a name that recurs on
 many lines is one string object rather than a copy per line; ids and texts
 are kept as decoded. The records hold no reference cycles: a collection frees
 none of them, yet walks them all, so the CLI runs with the collector off.
+
+The texts are most of a loaded corpus's memory. A caller that reads no text
+(``ingest`` counts issues) loads with ``keep_text=False``: every line is
+checked as before, and the records hold ``None`` for the title, the
+description and each comment body.
 """
 from __future__ import annotations
 
@@ -121,7 +126,7 @@ class CorpusFormatError(ValueError):
 class Comment:
     author: str
     created: int
-    body: str
+    body: str | None  # None when loaded with keep_text=False
 
 
 @dataclass(slots=True)
@@ -139,8 +144,8 @@ class IssueReport:
     watchers: int
     change_count: int
     developer_count: int
-    title: str
-    description: str
+    title: str | None  # the texts are None when loaded with keep_text=False
+    description: str | None
     comments: tuple[Comment, ...]
     external_features: dict[str, float] = field(default_factory=dict)
 
@@ -200,8 +205,13 @@ def _comment_fault(obj, index: int) -> ValueError:
     return ValueError(f"field comments[{index}].body must be a string")  # all that is left
 
 
-def parse_issue(obj: dict) -> IssueReport:
-    """Validate one decoded JSON object against the issue schema."""
+def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
+    """Validate one decoded JSON object against the issue schema.
+
+    With ``keep_text=False`` every check runs as it does by default, and then
+    the title, the description and each comment's body are left out: the
+    record holds ``None`` in their place.
+    """
     try:
         (issue_id, project, issue_type, priority, created, status, reporter,
          votes, watchers, changes, developers, title, description, raw_comments) = _REQUIRED(obj)
@@ -253,7 +263,7 @@ def parse_issue(obj: dict) -> IssueReport:
         if type(raw) is dict:
             author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
             if type(author) is str and author and type(posted) is int and type(body) is str:
-                comments.append(Comment(intern(author), posted, body))
+                comments.append(Comment(intern(author), posted, body if keep_text else None))
                 continue
         raise _comment_fault(raw, index)
     # out-of-order comments are sorted, not rejected
@@ -285,13 +295,15 @@ def parse_issue(obj: dict) -> IssueReport:
         if not 0 <= count <= _MAX_INT:
             raise ValueError(f"field {name} must be between 0 and 2**53")
 
+    if not keep_text:
+        title = description = None
     return IssueReport(
         issue_id, intern(project), kind, level, created, resolved, state, intern(reporter), assignee,
         votes, watchers, changes, developers, title, description, tuple(comments), parsed_features,
     )
 
 
-def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
+def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True) -> list[IssueReport]:
     """Load issues from JSONL, one object per line.
 
     All offending lines are collected and raised together as a
@@ -300,10 +312,16 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
     violations, and an issue id seen before, which is an error on the line
     that repeats it. A file may start with a UTF-8 byte-order mark. The
     cyclic collector is left as the caller set it (the CLI turns it off).
+
+    ``keep_text=False`` runs the same checks, with the same messages on the
+    same lines, and keeps no title, description or comment body (see
+    ``parse_issue``): memory then grows with the issues and comments, not with
+    their text. Such records are for counting, and their ``None`` texts must
+    not be scored or written back with ``write_corpus``.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-            return load_corpus(handle)
+            return load_corpus(handle, keep_text=keep_text)
 
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
@@ -330,7 +348,7 @@ def load_corpus(source: str | Path | IO[str]) -> list[IssueReport]:
             errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
             continue
         try:
-            issue = parse_issue(obj)
+            issue = parse_issue(obj, keep_text=keep_text)
         except ValueError as exc:
             errors.append((line_no, str(exc)))
             continue

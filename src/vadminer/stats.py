@@ -107,13 +107,6 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     return 1.0 - front * _betacf(b, a, y) / b
 
 
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("betainc_reg requires a > 0 and b > 0")
-    return _betainc(a, b, x, 1.0 - x)
-
-
 def student_t_two_sided_p(t: float, df: float) -> float:
     """Two-sided p-value for a Student-t statistic with df degrees of freedom."""
     if df <= 0:
@@ -121,8 +114,18 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     # I_x(df/2, 1/2) at x = df / (df + t^2); y = t^2 / (df + t^2) is computed on its
     # own, not as 1 - x, which would lose its digits for small t or large df.
     # An infinite t gives x = 0 and p = 0; t = 0 gives y = 0 and p = 1.
+    a = df / 2.0
     tt = t * t
-    return _betainc(df / 2.0, 0.5, df / (df + tt), tt / (df + tt))
+    x = df / (df + tt)
+    if math.isfinite(t):
+        if a < _FPMIN:  # p tends to 1 as df falls to 0, and is 1 to double precision here
+            return 1.0
+        if x < _FPMIN:
+            # x underflows, or t^2 overflows: y and the continued fraction are 1 to double
+            # precision, so p = x^a / (a B(a, 1/2)), with log x = log df - 2 log|t|
+            log_x = math.log(df) - 2.0 * math.log(abs(t))
+            return math.exp(a * log_x + math.lgamma(a + 0.5) - math.lgamma(a + 1.0) - math.lgamma(0.5))
+    return _betainc(a, 0.5, x, tt / (df + tt))
 
 
 def _gamma_log_front(a: float, x: float) -> float:

@@ -394,12 +394,12 @@ class _IssueFactory:
         effects = cfg.effects
 
         # names are made from the drawn index, so no list of every project or person
-        # is built; interned, so the issues that name one project or person share a string
-        project = sys.intern(f"PRJ{_letters(rng.randrange(cfg.n_projects), 1).upper()}")
+        # is built; not interned, since a streamed issue is freed soon after it is written
+        project = f"PRJ{_letters(rng.randrange(cfg.n_projects), 1).upper()}"
         home = f"{project.lower()}.dev"
 
         def person() -> str:
-            return sys.intern(f"{home}{rng.randrange(cfg.participants_per_project):02d}")
+            return f"{home}{rng.randrange(cfg.participants_per_project):02d}"
 
         priority = rng.choices(PRIORITIES, weights=[cfg.priority_weights.get(p, 0.0) for p in PRIORITIES])[0]
         types = list(cfg.type_weights)
@@ -455,13 +455,13 @@ class _IssueFactory:
                 author = reporter if rng.random() < 0.45 else person()
             position_frac = j / (n_comments - 1) if n_comments > 1 else 0.0
             pc_vhi = p_vhi + effects.last_valence * position_frac + 0.5 * effects.valence_resolution * v_int
+            # a step of at least 600 s and a jitter under 300 s: the times increase
             when = created + (j + 1) * (span // (n_comments + 1)) + rng.randrange(0, 300)
             comments.append(Comment(
                 author=author,
                 created=when,
                 body=self._text(rng.randint(4, 10), pc_vhi, p_ahi, p_dhi, graded),
             ))
-        comments.sort(key=lambda c: c.created)
 
         votes = min(40, int(rng.expovariate(0.7)))
         watchers = sum(1 for _ in range(6) if rng.random() < 0.15 + 0.25 * d_int)

@@ -263,6 +263,28 @@ sys.exit(code)
     assert run_python(["-c", code]).stdout.splitlines()[-1] == "load_lexicon load_corpus run_analyses write_reports"
 
 
+def test_a_loader_set_on_the_module_before_main_is_the_one_ingest_calls(synth_paths):
+    # how a tracer counts ingest's issues and comments: from the list its loader returns
+    corpus_path, _, _ = synth_paths
+    code = f"""
+import sys
+from vadminer import cli
+
+calls = []
+def wrapper(*args, _original=cli.load_corpus, **kwargs):
+    calls.append(kwargs)
+    issues = _original(*args, **kwargs)
+    calls.append((type(issues).__name__, len(issues), all(hasattr(issue, "comments") for issue in issues)))
+    return issues
+cli.load_corpus = wrapper
+code = cli.main(["ingest", "--corpus", {str(corpus_path)!r}])
+print(calls)
+sys.exit(code)
+"""
+    called = run_python(["-c", code]).stdout.splitlines()[-1]
+    assert called == str([{"keep_text": False}, ("list", 150, True)])
+
+
 def test_ingest_missing_file_exit_2(capsys):
     assert main(["ingest", "--corpus", "/does/not/exist.jsonl"]) == 2
 
@@ -867,9 +889,9 @@ def test_commands_run_with_the_collector_off_and_restore_it(tmp_path, synth_path
     corpus_path, lexicon_path, _ = synth_paths
     seen = []
 
-    def load(path):
+    def load(path, **options):
         seen.append(gc.isenabled())
-        return load_corpus(path)
+        return load_corpus(path, **options)
 
     monkeypatch.setattr(cli, "load_corpus", load)
     bad = tmp_path / "bad.jsonl"

@@ -1,6 +1,11 @@
+import dataclasses
+import gc
 import io
 import json
+import tracemalloc
 from collections import Counter
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from vadminer.corpus import (
     parse_issue,
     write_corpus,
 )
+from vadminer.synth import GeneratorConfig, generate_corpus, planted_config
 from vadminer.textscore import tokenize
 
 import oracles
@@ -56,6 +62,24 @@ def issue_json(**overrides):
     return obj
 
 
+def load_error(source: str | Path) -> CorpusFormatError:
+    """The error of loading a path or the text of a file, once loading it with
+    keep_text=False has failed with the same (line, message) list."""
+    raised = []
+    for keep_text in (True, False):
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(source if isinstance(source, Path) else io.StringIO(source), keep_text=keep_text)
+        raised.append(info.value)
+    assert raised[1].errors == raised[0].errors
+    return raised[0]
+
+
+def without_text(issue: IssueReport) -> IssueReport:
+    """The record that loading with keep_text=False gives for a default load's."""
+    comments = tuple(dataclasses.replace(comment, body=None) for comment in issue.comments)
+    return dataclasses.replace(issue, title=None, description=None, comments=comments)
+
+
 def test_load_single_issue_round_trip():
     line = json.dumps(issue_json())
     issues = load_corpus(io.StringIO(line + "\n"))
@@ -68,30 +92,23 @@ def test_load_single_issue_round_trip():
 def test_load_missing_priority_reports_line():
     obj = issue_json()
     del obj["priority"]
-    stream = io.StringIO(json.dumps(issue_json()) + "\n" + json.dumps(obj) + "\n")
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(stream)
-    assert excinfo.value.errors == [(2, "missing field priority")]
-    assert "missing field priority" in str(excinfo.value)
-    assert "line 2" in str(excinfo.value)
+    error = load_error(json.dumps(issue_json()) + "\n" + json.dumps(obj) + "\n")
+    assert error.errors == [(2, "missing field priority")]
+    assert "missing field priority" in str(error)
+    assert "line 2" in str(error)
 
 
 def test_load_collects_multiple_errors():
     bad1 = issue_json(priority="Urgent")
     bad2 = "not json at all"
-    stream = io.StringIO(json.dumps(bad1) + "\n" + bad2 + "\n")
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(stream)
-    assert [line for line, _ in excinfo.value.errors] == [1, 2]
+    errors = load_error(json.dumps(bad1) + "\n" + bad2 + "\n").errors
+    assert [line for line, _ in errors] == [1, 2]
 
 
 def test_duplicate_issue_id_names_both_lines():
     first = json.dumps(issue_json())
     other = json.dumps(issue_json(id="PRJ-2"))
-    stream = io.StringIO("\n".join([first, other, "", first, first]) + "\n")
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(stream)
-    assert excinfo.value.errors == [
+    assert load_error("\n".join([first, other, "", first, first]) + "\n").errors == [
         (4, "duplicate issue id 'PRJ-1', first on line 1"),
         (5, "duplicate issue id 'PRJ-1', first on line 1"),
     ]
@@ -101,9 +118,7 @@ def test_duplicate_issue_id_names_both_lines():
 def test_non_finite_external_feature_rejected(raw):
     good = json.dumps(issue_json(external_features={"avg_sentiment": 0.5}))
     bad = json.dumps(issue_json(id="PRJ-2", external_features={"avg_sentiment": 0.5})).replace("0.5", raw)
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(io.StringIO(good + "\n" + bad + "\n"))
-    [(line, message)] = excinfo.value.errors
+    [(line, message)] = load_error(good + "\n" + bad + "\n").errors
     assert line == 2
     assert message.startswith("field external_features.avg_sentiment must be finite")
 
@@ -118,9 +133,7 @@ def test_non_finite_external_feature_rejected(raw):
 def test_integer_beyond_float_columns_rejected(name, value, message):
     # the analyses read these fields as floats; 10**400 overflows one
     lines = [json.dumps(issue_json(votes=2**53)), json.dumps(issue_json(id="PRJ-2", **{name: value}))]
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(io.StringIO("\n".join(lines) + "\n"))
-    assert info.value.errors == [(2, message)]
+    assert load_error("\n".join(lines) + "\n").errors == [(2, message)]
 
 
 @pytest.mark.parametrize("key", ["n_comments", "title_v", "Critical", "votes", "closed",
@@ -128,9 +141,7 @@ def test_integer_beyond_float_columns_rejected(name, value, message):
 def test_reserved_external_feature_rejected(key):
     good = json.dumps(issue_json(external_features={"avg_sentiment": 0.5}))
     bad = json.dumps(issue_json(id="PRJ-2", external_features={"avg_sentiment": 0.5, key: 1}))
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(io.StringIO(good + "\n" + bad + "\n"))
-    assert info.value.errors == [(2, f"field external_features.{key} takes the name of a built-in column")]
+    assert load_error(good + "\n" + bad + "\n").errors == [(2, f"field external_features.{key} takes the name of a built-in column")]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -159,9 +170,7 @@ def test_reserved_external_feature_rejected(key):
 def test_loader_messages(line, message):
     if isinstance(line, dict):
         line = json.dumps(issue_json(**{"id": "PRJ-2", **line}))
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(io.StringIO(json.dumps(issue_json()) + "\n" + line + "\n"))
-    assert info.value.errors == [(2, message)]
+    assert load_error(json.dumps(issue_json()) + "\n" + line + "\n").errors == [(2, message)]
 
 
 def test_null_or_missing_external_features_load():
@@ -176,9 +185,7 @@ def test_null_or_missing_external_features_load():
 def test_project_must_be_non_empty_string(project):
     # str(project) used to load null as "None" and write it back
     lines = [json.dumps(issue_json()), json.dumps(issue_json(id="PRJ-2", project=project))]
-    with pytest.raises(CorpusFormatError) as info:
-        load_corpus(io.StringIO("\n".join(lines) + "\n"))
-    assert info.value.errors == [(2, "field project must be a non-empty string")]
+    assert load_error("\n".join(lines) + "\n").errors == [(2, "field project must be a non-empty string")]
 
 
 def test_repeated_names_share_one_object():
@@ -225,9 +232,7 @@ def test_type_priority_status_are_module_constants():
 def test_malformed_comment_messages(bad, message):
     good = {"author": "a", "created": 1, "body": "fine"}
     line = json.dumps(issue_json(comments=[good, bad, good]))
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(io.StringIO(json.dumps(issue_json(id="PRJ-0")) + "\n" + line + "\n"))
-    assert excinfo.value.errors == [(2, message)]
+    assert load_error(json.dumps(issue_json(id="PRJ-0")) + "\n" + line + "\n").errors == [(2, message)]
 
 
 def test_non_utf8_lines_reported(tmp_path):
@@ -236,9 +241,7 @@ def test_non_utf8_lines_reported(tmp_path):
     bad_body = json.dumps(issue_json(id="PRJ-3")).replace("first", "caf\udce9").encode("utf-8", "surrogateescape")
     path = tmp_path / "mixed.jsonl"
     path.write_bytes(b"\n".join([good, accented, b"\xff\xfe" + good, bad_body, b"\x80"]) + b"\n")
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(path)
-    assert excinfo.value.errors == [(3, "not valid UTF-8"), (4, "not valid UTF-8"), (5, "not valid UTF-8")]
+    assert load_error(path).errors == [(3, "not valid UTF-8"), (4, "not valid UTF-8"), (5, "not valid UTF-8")]
     path.write_bytes(b"\n".join([good, accented]) + b"\n")
     assert load_corpus(path)[1].comments[0].body == "café"
 
@@ -250,9 +253,7 @@ def test_byte_order_mark_at_file_start_skipped(tmp_path):
     assert load_corpus(path) == load_corpus(io.StringIO(b"\n".join(lines).decode()))
     # a mark anywhere but the start of the file is not JSON
     path.write_bytes(b"\xef\xbb\xbf" + lines[0] + b"\n\xef\xbb\xbf" + lines[1] + b"\n")
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(path)
-    assert excinfo.value.errors == [(2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
+    assert load_error(path).errors == [(2, "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")]
 
 
 def test_integer_past_the_digit_limit_is_invalid_json():
@@ -260,9 +261,7 @@ def test_integer_past_the_digit_limit_is_invalid_json():
     # literal of more digits than int() converts
     huge = json.dumps(issue_json(id="PRJ-2")).replace('"votes": 2', '"votes": ' + "1" * 5000)
     lines = [json.dumps(issue_json()), huge, '{"id": "PRJ-3",']
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(io.StringIO("\n".join(lines) + "\n"))
-    (line, message), unterminated = excinfo.value.errors
+    (line, message), unterminated = load_error("\n".join(lines) + "\n").errors
     assert line == 2 and message.startswith("invalid JSON: Exceeds the limit (4300 digits) for integer string")
     assert unterminated == (3, "invalid JSON: Expecting property name enclosed in double quotes")
 
@@ -282,9 +281,7 @@ def test_unpaired_surrogate_escape_rejected(overrides, upper):
     if upper:
         line = line.replace("\\ud", "\\uD")
     text = json.dumps(issue_json(id="PRJ-0")) + "\n" + line + "\n"
-    with pytest.raises(CorpusFormatError) as excinfo:
-        load_corpus(io.StringIO(text))
-    assert excinfo.value.errors == [(2, "unpaired surrogate escape: not valid UTF-8")]
+    assert load_error(text).errors == [(2, "unpaired surrogate escape: not valid UTF-8")]
 
 
 def test_escaped_surrogate_pair_and_escaped_backslash_load():
@@ -355,7 +352,11 @@ def _outcome(validate, obj):
 @pytest.mark.parametrize("obj", _validator_cases())
 def test_validator_matches_reference(obj):
     decoded = json.loads(json.dumps(obj))  # the exact types that json gives
-    assert _outcome(parse_issue, decoded) == _outcome(oracles.parse_issue_oracle, decoded)
+    expected = _outcome(oracles.parse_issue_oracle, decoded)
+    assert _outcome(parse_issue, decoded) == expected
+    # the same checks, and then the same record with no text
+    textless = expected if isinstance(expected, str) else without_text(expected)
+    assert _outcome(partial(parse_issue, keep_text=False), decoded) == textless
 
 
 def test_planted_corpus_loads_as_the_reference_does(planted_corpus):
@@ -376,6 +377,61 @@ def test_serialize_then_load_is_identity():
     write_corpus(issues, buffer)
     reloaded = load_corpus(io.StringIO(buffer.getvalue()))
     assert reloaded == issues
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(n_issues=300),
+    planted_config(300),
+    GeneratorConfig(n_issues=300, n_projects=30, external_features=True),
+], ids=["default", "planted", "features"])
+def test_loading_without_text_keeps_every_other_field(tmp_path, config):
+    issues, _ = generate_corpus(config, seed=4)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(issues, path)
+    full = load_corpus(path)
+    assert load_corpus(path, keep_text=False) == [without_text(issue) for issue in full]
+
+
+def test_loading_without_text_reads_a_marked_file_of_non_ascii_text(tmp_path):
+    accented = issue_json(title="Überfluss ☃", description="naïve café", reporter="Zoë", assignee="Łukasz",
+                          comments=[{"author": "Łukasz", "created": 150, "body": "smile 😀"}],
+                          external_features={"größe": 1.5})
+    escaped = issue_json(id="PRJ-2", title="日本語", comments=[{"author": "Zoë", "created": 9, "body": "é"}])
+    path = tmp_path / "marked.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + "\n".join([json.dumps(accented, ensure_ascii=False),
+                                                   json.dumps(escaped)]).encode() + b"\n")
+    full = load_corpus(path)
+    assert [issue.title for issue in full] == ["Überfluss ☃", "日本語"]
+    assert load_corpus(path, keep_text=False) == [without_text(issue) for issue in full]
+
+
+def _load_peak(path, **options) -> int:
+    gc.collect()  # empties the free lists, whose objects tracemalloc would not count
+    tracemalloc.start()
+    try:
+        load_corpus(path, **options)  # the peak is reached with every record alive
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loading_without_text_takes_memory_that_does_not_grow_with_the_text(tmp_path):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=2_000), seed=2)
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    write_corpus(issues, short)
+    # the same issues with every title, description and comment body ten times as long
+    longer = []
+    for line in short.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["title"], obj["description"] = " ".join([obj["title"]] * 10), " ".join([obj["description"]] * 10)
+        for comment in obj["comments"]:
+            comment["body"] = " ".join([comment["body"]] * 10)
+        longer.append(json.dumps(obj))
+    long.write_text("\n".join(longer) + "\n", encoding="utf-8")
+    assert long.stat().st_size > 5 * short.stat().st_size
+    textless_short, textless_long = _load_peak(short, keep_text=False), _load_peak(long, keep_text=False)
+    assert textless_long < 1.05 * textless_short
+    assert _load_peak(long) > 3 * _load_peak(short)
 
 
 def test_role_precedence(table1_lexicon):

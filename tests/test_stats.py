@@ -60,6 +60,27 @@ def test_student_t_tail_keeps_its_digits_per_df_decade(lo):
     assert np.max(np.abs(actual - expected) / expected) < T_TAIL_BOUNDS[lo]
 
 
+def test_student_t_tail_tends_to_one_as_df_falls_to_zero():
+    # x = df / (df + t^2) underflows, or t^2 overflows, at a finite t
+    assert student_t_two_sided_p(2.0, 5e-324) == 2.0 * sps.t.sf(2.0, 5e-324) == 1.0
+    assert student_t_two_sided_p(1e160, 1e-300) == 1.0
+    for t in (-1e300, 1e200, 1e154, 3.0, 0.0):
+        assert student_t_two_sided_p(t, 1e-310) == 1.0
+    # an infinite t still gives 0
+    assert student_t_two_sided_p(math.inf, 1e-300) == student_t_two_sided_p(-math.inf, 3.0) == 0.0
+
+
+# (t, df, p) where x underflows: the tail is 2 atan(1 / t) / pi at df 1 and
+# 1 - t / sqrt(2 + t^2) at df 2, which is 1 / t^2 to double precision here
+UNDERFLOWING_X = [(t, 1.0, 2.0 * math.atan(1.0 / t) / math.pi) for t in (1e149, 1.5e150, 1e154, 1e160, 1e300)]
+UNDERFLOWING_X += [(t, 2.0, t**-2) for t in (1e149, 1.5e150, 1e153)]
+
+
+@pytest.mark.parametrize("t,df,p", UNDERFLOWING_X)
+def test_student_t_tail_keeps_its_digits_where_x_underflows(t, df, p):
+    assert student_t_two_sided_p(t, df) == pytest.approx(p, rel=1e-13, abs=0.0)
+
+
 def test_chi2_tail_matches_scipy():
     for x in (0.01, 0.5, 1.0, 3.2, 7.0, 20.0, 55.0, 200.0):
         for df in (1, 2, 3, 9, 15.5, 40):

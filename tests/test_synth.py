@@ -184,8 +184,7 @@ print(tracemalloc.get_traced_memory()[1])
 
 def test_synth_memory_does_not_grow_with_the_corpus():
     # issues are built, counted and written a small block at a time: about
-    # 2 MB at any size (most of it the interpreter's table of interned
-    # strings), where a list of these 5,000 issues would peak above 8 MB
+    # 0.2 MB at any size, where a list of these 5,000 issues would peak above 8 MB
     tracemalloc.start()
     try:
         issues, manifest = generate_corpus(planted_config(5_000), seed=3)
@@ -194,7 +193,7 @@ def test_synth_memory_does_not_grow_with_the_corpus():
     finally:
         tracemalloc.stop()
     assert manifest["histograms"]["issues"] == 5_000
-    assert peak < 4 * 2**20
+    assert peak < 2**20
 
 
 def test_manifest_histograms_count_the_issues_as_they_are_yielded():
@@ -204,6 +203,19 @@ def test_manifest_histograms_count_the_issues_as_they_are_yielded():
     rest = list(issues)
     assert manifest["histograms"] == corpus_histograms(first + rest)
     assert list(manifest["histograms"]["comment_count"]) == sorted(manifest["histograms"]["comment_count"], key=int)
+
+
+@pytest.mark.parametrize("config", [
+    GeneratorConfig(n_issues=200),
+    # so many comments that the step's floor of 600 s sets the span of most issues
+    GeneratorConfig(n_issues=200, closed_share=1.0, comment_count_weights={0: 1.0, 1: 1.0, 25: 1.0, 400: 1.0},
+                    effects=EffectConfig(valence_resolution=1.0, slow_dominance=1.0)),
+], ids=["default", "crowded"])
+def test_synth_comments_come_out_in_time_order(config):
+    for issue in generate_corpus(config, seed=8)[0]:
+        times = [comment.created for comment in issue.comments]
+        assert all(earlier < later for earlier, later in zip(times, times[1:]))
+        assert all(time > issue.created for time in times)
 
 
 def test_generated_issues_satisfy_model_invariants():
