@@ -52,7 +52,7 @@ from .models import (
     zero_r,
 )
 from .stats import ComparisonResult, bonferroni_alpha, paired_t_test, welch_t_test
-from .textscore import fold, scan_texts
+from .textscore import scan_texts
 
 ELEMENTS = tuple(key.capitalize() for key in VAD_ELEMENT_KEYS)
 
@@ -149,12 +149,12 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     with the issue attributes, read by the getters of ``corpus.ATTRIBUTES``,
     and the history counts as its feature columns.
 
-    First and Last are their comment's row. All folds the per-comment
-    extremes, which equals scoring the newline-joined comments: a newline
-    never joins two words, and min/max are exact. The table holds copies of
-    the ids and nothing else of the records, so they can be freed once it is
-    built. ``jobs`` is accepted for compatibility and has no effect; scoring
-    runs in this process.
+    First and Last are their comment's row. All is the spread of the clamped
+    per-comment extremes, which equals scoring the newline-joined comments: a
+    newline never joins two words, and min/max are exact. The table holds
+    copies of the ids and nothing else of the records, so they can be freed
+    once it is built. ``jobs`` is accepted for compatibility and has no
+    effect; scoring runs in this process.
 
     Roles and history counts compare one integer code per name, under the
     rules of ``ScoreTable``: Assignee wins over Reporter, "prior" means a
@@ -164,18 +164,16 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     n = len(issues)
     counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=n)
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    baselines = np.array([lexicon.baseline(dim) for dim in DIMENSIONS])
 
     elements = np.full((n, len(ELEMENTS), len(DIMENSIONS)), np.nan)
     lo, hi, _ = scan_texts([text for issue in issues for text in (issue.title, issue.description)], lexicon)
-    elements[:, :2] = fold(lo, hi, baselines).reshape(n, 2, len(DIMENSIONS))
+    elements[:, :2] = (hi - lo).reshape(n, 2, len(DIMENSIONS))
     lo, hi, _ = scan_texts([c.body for issue in issues for c in issue.comments], lexicon)
-    comments = fold(lo, hi, baselines)
+    comments = hi - lo
     threaded = counts > 0
     firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
     if len(firsts):
-        elements[threaded, 2] = fold(np.fmin.reduceat(lo, firsts, axis=0),
-                                     np.fmax.reduceat(hi, firsts, axis=0), baselines)
+        elements[threaded, 2] = np.fmax.reduceat(hi, firsts, axis=0) - np.fmin.reduceat(lo, firsts, axis=0)
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
     del lo, hi  # the per-comment extremes go before the feature columns are built

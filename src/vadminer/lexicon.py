@@ -76,10 +76,10 @@ class Lexicon:
         self.vad = np.array([(math.nan,) * 3] + [(e.valence, e.arousal, e.dominance)
                                                   for e in table.values()])
         self.vad.flags.writeable = False
-        self._baselines = {
-            dim: math.fsum(getattr(e, dim) for e in table.values()) / len(table)
-            for dim in DIMENSIONS
-        }
+        # the baseline b of each dimension, in DIMENSIONS order
+        self.baselines = np.array([math.fsum(getattr(e, dim) for e in table.values()) / len(table)
+                                   for dim in DIMENSIONS])
+        self.baselines.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -99,7 +99,7 @@ class Lexicon:
         return self._entries.get(word.lower())
 
     def baseline(self, dimension: str) -> float:
-        return self._baselines[canonical_dimension(dimension)]
+        return float(self.baselines[DIMENSIONS.index(canonical_dimension(dimension))])
 
 
 def _parse_header(row: list[str]) -> dict[str, int]:

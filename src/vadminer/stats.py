@@ -108,9 +108,11 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value for a Student-t statistic with df degrees of freedom."""
-    if df <= 0:
+    """Two-sided p-value for a Student-t statistic with df degrees of freedom; NaN for a NaN t."""
+    if not df > 0:  # NaN df too
         raise ValueError("degrees of freedom must be positive")
+    if math.isnan(t):
+        return math.nan
     # I_x(df/2, 1/2) at x = df / (df + t^2); y = t^2 / (df + t^2) is computed on its
     # own, not as 1 - x, which would lose its digits for small t or large df.
     # An infinite t gives x = 0 and p = 0; t = 0 gives y = 0 and p = 1.
@@ -170,9 +172,11 @@ def _gamma_contfrac(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Upper tail probability of a chi-square distribution."""
-    if df <= 0:
+    """Upper tail probability of a chi-square distribution; NaN for a NaN x."""
+    if not df > 0:  # NaN df too
         raise ValueError("degrees of freedom must be positive")
+    if math.isnan(x):
+        return math.nan
     if x <= 0.0:
         return 1.0
     if math.isinf(x):
@@ -188,7 +192,7 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def normal_two_sided_p(z: float) -> float:
-    """Two-sided p-value for a standard normal statistic."""
+    """Two-sided p-value for a standard normal statistic; NaN for a NaN z."""
     if math.isinf(z):
         return 0.0
     return math.erfc(abs(z) / math.sqrt(2.0))

@@ -7,6 +7,9 @@ folded at the lexicon-wide mean when all matched words sit on one side of it:
 * every word below the baseline  -> ``baseline - min``
 * words straddle the baseline    -> ``max - min`` (ties fall here)
 
+The three cases are ``max(max, baseline) - min(min, baseline)`` bit for bit:
+``max`` and ``min`` return one of their operands, so each subtracts the same floats.
+
 Words absent from the lexicon contribute nothing, which also filters out
 code fragments, identifiers and stack traces.
 
@@ -15,10 +18,10 @@ their word lists stay small at any corpus size: it tokenizes each text once,
 looks every word of the batch up in the lexicon's word -> row dict in one
 ``np.fromiter`` pass (row 0 is a miss) and counts each text's hits with
 ``np.bincount``; per-text minima and maxima are then taken over the lexicon's
-rows x 3 score array with ``np.minimum.reduceat`` and ``np.maximum.reduceat``.
-The score depends on nothing but these extremes, so ``score_text`` folds the
-scan of a one-text batch, and the corpus score table folds the per-comment
-extremes to score a whole comment thread without scanning it again.
+rows x 3 score array with ``np.minimum.reduceat`` and ``np.maximum.reduceat``
+and clamped at the baselines. Every score is then ``hi - lo``: ``score_text``
+subtracts the scan of a one-text batch, and the corpus score table the spread
+of each thread's clamped per-comment extremes, with no second scan.
 ``tokenize`` and ``range_score`` are thin wrappers for inspection.
 """
 from __future__ import annotations
@@ -75,11 +78,12 @@ def _words(text: str) -> list[str]:
 
 
 def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extremes of each text's matched words.
+    """Extremes of each text's matched words, clamped at the lexicon mean.
 
-    Returns ``(lo, hi, counts)`` for the sequence ``texts``: the per-dimension
-    minima and maxima, shape ``(len(texts), 3)`` and NaN where no word is in
-    the lexicon, and the match counts.
+    Returns ``(lo, hi, counts)`` for the sequence ``texts``: per dimension,
+    the lesser of the minimum and the baseline and the greater of the maximum
+    and the baseline, shape ``(len(texts), 3)`` and NaN where no word is in
+    the lexicon, and the match counts. A text's range score is ``hi - lo``.
     """
     n = len(texts)
     lo, hi = np.full((2, n, len(DIMENSIONS)), np.nan)
@@ -96,17 +100,9 @@ def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndar
             firsts = (np.cumsum(batch) - batch)[matched]
             lo[start + matched] = np.minimum.reduceat(values, firsts)
             hi[start + matched] = np.maximum.reduceat(values, firsts)
+    np.minimum(lo, lexicon.baselines, out=lo)  # NaN stays NaN
+    np.maximum(hi, lexicon.baselines, out=hi)
     return lo, hi, counts
-
-
-def fold(lo, hi, baseline):
-    """Range score from extreme word scores, element-wise over arrays; NaN
-    extremes give NaN."""
-    # lo > baseline and hi < baseline never hold together, and both fail on NaN
-    out = np.asarray(np.subtract(hi, lo), dtype=float)
-    np.subtract(hi, baseline, out=out, where=lo > baseline)
-    np.subtract(baseline, lo, out=out, where=hi < baseline)
-    return out
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:
@@ -129,7 +125,8 @@ def range_score(matched_words: list[str] | tuple[str, ...], lexicon: Lexicon, di
         if entry is None:
             raise LookupError(f"word {word!r} not in lexicon; range_score requires matched words")
         values.append(getattr(entry, dim))
-    return float(fold(min(values), max(values), lexicon.baseline(dim)))
+    b = lexicon.baseline(dim)
+    return max(max(values), b) - min(min(values), b)
 
 
 def score_text(text: str, lexicon: Lexicon) -> VadScore:
@@ -138,5 +135,4 @@ def score_text(text: str, lexicon: Lexicon) -> VadScore:
     count = int(counts[0])
     if count == 0:
         return VadScore(valence=None, arousal=None, dominance=None, matched_count=0)
-    scores = fold(lo[0], hi[0], np.array([lexicon.baseline(dim) for dim in DIMENSIONS]))
-    return VadScore(*scores.tolist(), matched_count=count)
+    return VadScore(*(hi[0] - lo[0]).tolist(), matched_count=count)

@@ -27,6 +27,18 @@ def one_pass_mean(values) -> float:
     return total / count
 
 
+def range_score_oracle(lo: float, hi: float, baseline: float) -> float:
+    """README's three-case range score from a text's extreme word scores
+    ``lo`` and ``hi``; NaN when nothing matched (NaN extremes)."""
+    if math.isnan(lo) or math.isnan(hi):
+        return math.nan
+    if lo > baseline:  # every word above the mean
+        return hi - baseline
+    if hi < baseline:  # every word below the mean
+        return baseline - lo
+    return hi - lo  # straddling, ties included
+
+
 def welch_oracle(a, b):
     a = np.asarray(a, float)
     b = np.asarray(b, float)

@@ -165,6 +165,33 @@ def test_continued_fractions_match_the_unshared_lentz_loops_bit_for_bit():
 def test_normal_tail_matches_scipy():
     for z in (-6.0, -1.96, 0.0, 0.5, 2.0, 4.5):
         assert normal_two_sided_p(z) == pytest.approx(2.0 * sps.norm.sf(abs(z)), abs=1e-14, rel=1e-12)
+    assert normal_two_sided_p(math.inf) == normal_two_sided_p(-math.inf) == 0.0
+
+
+# one rule for the three tails: a NaN statistic gives a NaN p, and a NaN df
+# is rejected as not positive
+@pytest.mark.parametrize("tail, args", [
+    (student_t_two_sided_p, (math.nan, 3.0)),
+    (student_t_two_sided_p, (math.nan, 1e-300)),
+    (chi2_sf, (math.nan, 3.0)),
+    (chi2_sf, (math.nan, 1e6)),
+    (normal_two_sided_p, (math.nan,)),
+])
+def test_tails_give_nan_for_a_nan_statistic(tail, args):
+    assert math.isnan(tail(*args))
+
+
+@pytest.mark.parametrize("tail, args", [
+    (student_t_two_sided_p, (1.0, math.nan)),
+    (student_t_two_sided_p, (math.nan, math.nan)),
+    (student_t_two_sided_p, (math.inf, math.nan)),
+    (chi2_sf, (3.0, math.nan)),
+    (chi2_sf, (math.nan, math.nan)),
+    (chi2_sf, (0.0, math.nan)),
+])
+def test_tails_reject_a_nan_df(tail, args):
+    with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+        tail(*args)
 
 
 # ---------------------------------------------------------------------------

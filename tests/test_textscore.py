@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
-from vadminer.textscore import _BATCH, fold, range_score, scan_texts, score_text, tokenize
+from vadminer.textscore import _BATCH, range_score, scan_texts, score_text, tokenize
+
+import oracles
 
 # Hand-evaluated anchors over the four-word lexicon (baselines
 # V=5.2775, A=4.9125, D=5.475).
@@ -100,9 +102,14 @@ def test_score_text_agrees_with_range_score(table1_lexicon):
         assert score.get(dim) == range_score(list(matched), table1_lexicon, dim)
 
 
+def _word(i):
+    """Word ``i`` of a test lexicon, in letters, since digits split tokens: 12 -> "wbc"."""
+    return "w" + "".join(chr(ord("a") + int(digit)) for digit in str(i))
+
+
 def _random_lexicon(rng, size):
     return Lexicon([
-        LexiconEntry(word=f"w{i}", valence=round(rng.uniform(1, 9), 3),
+        LexiconEntry(word=_word(i), valence=round(rng.uniform(1, 9), 3),
                      arousal=round(rng.uniform(1, 9), 3),
                      dominance=round(rng.uniform(1, 9), 3))
         for i in range(size)
@@ -113,7 +120,7 @@ def test_case_exhaustiveness_and_bounds():
     rng = random.Random(99)
     for _ in range(200):
         lexicon = _random_lexicon(rng, rng.randint(2, 30))
-        words = [f"w{rng.randrange(len(lexicon))}" for _ in range(rng.randint(1, 8))]
+        words = [_word(rng.randrange(len(lexicon))) for _ in range(rng.randint(1, 8))]
         for dim in DIMENSIONS:
             values = [lexicon.lookup(w).score(dim) for w in words]
             mn, mx = min(values), max(values)
@@ -128,7 +135,7 @@ def test_permutation_and_duplicate_invariance():
     rng = random.Random(7)
     lexicon = _random_lexicon(rng, 25)
     for _ in range(50):
-        words = [f"w{rng.randrange(25)}" for _ in range(rng.randint(1, 6))]
+        words = [_word(rng.randrange(25)) for _ in range(rng.randint(1, 6))]
         shuffled = words[:]
         rng.shuffle(shuffled)
         duplicated = words + [rng.choice(words)]
@@ -142,13 +149,13 @@ def test_monotone_in_new_maximum():
     rng = random.Random(21)
     for _ in range(50):
         lexicon = _random_lexicon(rng, 20)
-        words = [f"w{rng.randrange(20)}" for _ in range(rng.randint(1, 5))]
+        words = [_word(rng.randrange(20)) for _ in range(rng.randint(1, 5))]
         for dim in DIMENSIONS:
             b = lexicon.baseline(dim)
             values = [lexicon.lookup(w).score(dim) for w in words]
             if min(values) > b:
                 continue  # monotonicity is only claimed when min <= baseline
-            above = [w for w in (f"w{i}" for i in range(20))
+            above = [w for w in (_word(i) for i in range(20))
                      if lexicon.lookup(w).score(dim) > max(values)]
             if not above:
                 continue
@@ -198,15 +205,20 @@ def loop_scan(text, lexicon):
 def assert_kernel_equals_loop(texts, lexicon):
     lo, hi, counts = scan_texts(texts, lexicon)
     assert lo.shape == hi.shape == (len(texts), 3) and counts.shape == (len(texts),)
+    baselines = [lexicon.baseline(dim) for dim in DIMENSIONS]
     for k, text in enumerate(texts):
         ref_lo, ref_hi, ref_count = loop_scan(text, lexicon)
-        assert np.array_equal(lo[k], ref_lo, equal_nan=True), text
-        assert np.array_equal(hi[k], ref_hi, equal_nan=True), text
         assert counts[k] == ref_count, text
         score = score_text(text, lexicon)
         assert score.matched_count == ref_count
-        expected = [None] * 3 if ref_count == 0 else [
-            fold(ref_lo[i], ref_hi[i], lexicon.baseline(dim)) for i, dim in enumerate(DIMENSIONS)]
+        if ref_count == 0:
+            assert np.isnan(lo[k]).all() and np.isnan(hi[k]).all(), text
+            assert [score.valence, score.arousal, score.dominance] == [None] * 3
+            continue
+        # the kernel's extremes are clamped at the baselines
+        assert lo[k].tolist() == [min(v, b) for v, b in zip(ref_lo, baselines)], text
+        assert hi[k].tolist() == [max(v, b) for v, b in zip(ref_hi, baselines)], text
+        expected = [oracles.range_score_oracle(*extremes) for extremes in zip(ref_lo, ref_hi, baselines)]
         assert [score.valence, score.arousal, score.dominance] == expected
 
 
@@ -244,3 +256,66 @@ def test_kernel_without_matches(table1_lexicon, texts):
     assert lo.shape == hi.shape == (len(texts), 3)
     assert np.isnan(lo).all() and np.isnan(hi).all()
     assert counts.tolist() == [0] * len(texts)
+
+
+# ---------------------------------------------------------------------------
+# hi - lo of the clamped extremes is README's three-case rule, bit for bit
+# ---------------------------------------------------------------------------
+
+def _mirrored_lexicon(rng, pairs):
+    """Words in mirrored pairs v and 10 - v, plus "mid" at 5.0: every baseline
+    is exactly 5.0, so "mid" sits on the mean in every dimension."""
+    entries = [LexiconEntry(word="mid", valence=5.0, arousal=5.0, dominance=5.0)]
+    for i in range(pairs):
+        v, a, d = (rng.randint(4, 36) / 4 for _ in range(3))
+        entries.append(LexiconEntry(word=_word(i), valence=v, arousal=a, dominance=d))
+        entries.append(LexiconEntry(word=_word(pairs + i), valence=10 - v, arousal=10 - a, dominance=10 - d))
+    return Lexicon(entries)
+
+
+def _bits(value):
+    return "nan" if value is None or math.isnan(value) else value.hex()
+
+
+def test_clamped_spread_equals_the_three_case_rule_bit_for_bit():
+    rng = random.Random(30)
+    seen = {"no match": 0, "one word": 0, "lo == hi": 0, "word at the mean": 0,
+            "above": 0, "below": 0, "straddling": 0}
+    for trial in range(60):
+        if trial % 2:
+            lexicon = _mirrored_lexicon(rng, rng.randint(1, 12))
+        else:
+            lexicon = _random_lexicon(rng, rng.randint(1, 30))
+        words = [entry.word for entry in lexicon]
+        texts = []
+        for _ in range(100):
+            shape = rng.randrange(5)
+            if shape == 0:
+                texts.append(rng.choice(["", "zzz", "no match here", "r2d2 x_y"]))
+            elif shape == 1:
+                texts.append(rng.choice(words))
+            elif shape == 2:
+                texts.append(" ".join([rng.choice(words)] * rng.randint(2, 4)))
+            else:
+                texts.append(" ".join(rng.choice(words + ["zzz"]) for _ in range(rng.randint(1, 8))))
+        baselines = [lexicon.baseline(dim) for dim in DIMENSIONS]
+        lo, hi, _ = scan_texts(texts, lexicon)
+        spread = hi - lo
+        for k, text in enumerate(texts):
+            ref_lo, ref_hi, ref_count = loop_scan(text, lexicon)
+            expected = [oracles.range_score_oracle(*extremes) for extremes in zip(ref_lo, ref_hi, baselines)]
+            assert list(map(_bits, spread[k].tolist())) == list(map(_bits, expected)), text
+            score = score_text(text, lexicon)
+            assert list(map(_bits, (score.valence, score.arousal, score.dominance))) == list(map(_bits, expected))
+            matched = tokenize(text, lexicon).matched
+            for dim, value in zip(DIMENSIONS, expected):
+                assert _bits(range_score(matched, lexicon, dim)) == _bits(value), text
+            seen["no match"] += ref_count == 0
+            seen["one word"] += ref_count == 1
+            seen["lo == hi"] += ref_count > 1 and ref_lo == ref_hi
+            seen["word at the mean"] += any(v == b for v, b in zip(ref_lo + ref_hi, baselines * 2))
+            if ref_count:
+                seen["above"] += ref_lo[0] > baselines[0]
+                seen["below"] += ref_hi[0] < baselines[0]
+                seen["straddling"] += ref_lo[0] <= baselines[0] <= ref_hi[0]
+    assert min(seen.values()) >= 50, seen
