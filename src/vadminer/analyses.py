@@ -1,10 +1,11 @@
 """Analysis pipelines over a scored issue corpus.
 
-``score_corpus`` walks the issues once: it scans every title, description
-and comment into a columnar ``ScoreTable`` and takes the issue ids and
-attributes as columns of that table. Every pipeline takes that table and
-nothing else, and so does ``run_analyses``, which runs the selected ones; the
-records can be freed once the table is built. Four pipelines compose the
+``score_corpus`` builds a columnar ``ScoreTable`` from the text scores of a
+``textscore.TextScan``, which scanned every title, description and comment
+(during loading, for ``analyze``), and takes the issue ids and attributes as
+columns of that table. Every pipeline takes that table and nothing else, and
+so does ``run_analyses``, which runs the selected ones; the records can be
+freed once the table is built. Four pipelines compose the
 score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
@@ -52,7 +53,7 @@ from .models import (
     zero_r,
 )
 from .stats import ComparisonResult, bonferroni_alpha, paired_t_test, welch_t_test
-from .textscore import scan_texts
+from .textscore import TextScan
 
 ELEMENTS = tuple(key.capitalize() for key in VAD_ELEMENT_KEYS)
 
@@ -144,10 +145,17 @@ class ScoreTable:
                           {name: column[rows] for name, column in self.features.items()})
 
 
-def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
+def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | None = None) -> ScoreTable:
     """Scan every title, description and comment once into a ScoreTable,
     with the issue attributes, read by the getters of ``corpus.ATTRIBUTES``,
     and the history counts as its feature columns.
+
+    The texts come from ``scan``, a ``textscore.TextScan`` over ``lexicon``
+    that was handed these issues in this order, say by the loader as it read
+    them; the records' own texts are then not read, and may be None. Without
+    it, the issues are handed to a new scan here, so both ways run the one
+    scanning path and build equal tables. A scan that counted other issues
+    or comments, or used another lexicon, is a ValueError.
 
     First and Last are their comment's row. All is the spread of the clamped
     per-comment extremes, which equals scoring the newline-joined comments: a
@@ -161,14 +169,24 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1) -> ScoreTable:
     lower (created, id) rank, and the issue's own activity is excluded.
     """
     issues = tuple(issues)
+    if scan is None:
+        scan = TextScan(lexicon)
+        for issue in issues:
+            scan.add(issue)
     n = len(issues)
     counts = np.fromiter((len(issue.comments) for issue in issues), dtype=np.int64, count=n)
     offsets = np.concatenate(([0], np.cumsum(counts)))
+    if scan.lexicon is not lexicon:
+        raise ValueError("the scan used another lexicon")
+    if (scan.issues, scan.comments) != (n, offsets[-1]):
+        raise ValueError(f"the scan holds {scan.issues} issues and {scan.comments} comments, "
+                         f"but {n} issues with {offsets[-1]} comments were given")
 
     elements = np.full((n, len(ELEMENTS), len(DIMENSIONS)), np.nan)
-    lo, hi, _ = scan_texts([text for issue in issues for text in (issue.title, issue.description)], lexicon)
+    lo, hi = scan.extremes("issue")
     elements[:, :2] = (hi - lo).reshape(n, 2, len(DIMENSIONS))
-    lo, hi, _ = scan_texts([c.body for issue in issues for c in issue.comments], lexicon)
+    del lo, hi
+    lo, hi = scan.extremes("comment")
     comments = hi - lo
     threaded = counts > 0
     firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1

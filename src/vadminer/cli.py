@@ -41,6 +41,7 @@ LAZY_NAMES = {
     "GeneratorConfig": "synth",
     "config_from_dict": "synth",
     "generate_corpus": "synth",
+    "TextScan": "textscore",
     "score_text": "textscore",
 }
 
@@ -289,8 +290,11 @@ def _run_analyze(args) -> int:
         _output_path(out / name, directory=False)
 
     lexicon = _load_lexicon_checked(lexicon_path)
-    # the records are freed as soon as they are scored; the pipelines read the table
-    table = analyses.score_corpus(_load_corpus_checked(corpus_path), lexicon)
+    # the loader hands each issue's texts to the scan and keeps none of them; the
+    # records are freed as soon as the table is built, and the pipelines read the table
+    scan = TextScan(lexicon)
+    table = analyses.score_corpus(_load_corpus_checked(corpus_path, keep_text=False, on_issue=scan.add),
+                                  lexicon, scan=scan)
     # a full collection also empties the free lists that the records' tuples filled
     gc.collect()
     results = run_analyses(table, which=selected, seed=seed, alpha=alpha)
@@ -317,7 +321,7 @@ def main(argv=None) -> int:
         "score": (_run_score, ("lexicon", "textscore")),
         "synth": (_run_synth, ("lexicon", "synth")),
         "ingest": (_run_ingest, ()),
-        "analyze": (_run_analyze, ("analyses", "lexicon", "report")),
+        "analyze": (_run_analyze, ("analyses", "lexicon", "report", "textscore")),
     }
     handler, layers = handlers[args.command]
     collecting = gc.isenabled()

@@ -18,8 +18,9 @@ read off a record.
 The records are plain slotted dataclasses, not frozen ones: a frozen
 dataclass's ``__init__`` sets each field through ``object.__setattr__``, which
 makes building a record three to seven times slower, and a corpus holds
-hundreds of thousands of them. Nothing assigns to a record or hashes one, and
-``dataclasses.replace`` works on both kinds.
+hundreds of thousands of them. Nothing hashes a record, only the loader
+assigns to one (to drop its texts, below), and ``dataclasses.replace`` works
+on both kinds.
 
 Loaded records share their repeated values. ``type``, ``priority`` and
 ``status`` are the module's own constants (ISSUE_TYPES, PRIORITIES,
@@ -32,7 +33,10 @@ none of them, yet walks them all, so the CLI runs with the collector off.
 The texts are most of a loaded corpus's memory. A caller that reads no text
 (``ingest`` counts issues) loads with ``keep_text=False``: every line is
 checked as before, and the records hold ``None`` for the title, the
-description and each comment body.
+description and each comment body. A caller that reads each text once
+passes ``on_issue`` as well: the loader hands it every accepted issue with
+its texts, then drops them. ``analyze`` scores them there
+(``textscore.TextScan``), so its records hold no text either.
 """
 from __future__ import annotations
 
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from sys import intern
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 # what a byte that is not UTF-8 decodes to under errors="surrogateescape"
 UNDECODED = re.compile("[\udc80-\udcff]")
@@ -303,7 +307,14 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
     )
 
 
-def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True) -> list[IssueReport]:
+def _drop_text(issue: IssueReport) -> None:
+    issue.title = issue.description = None
+    for comment in issue.comments:
+        comment.body = None
+
+
+def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
+                on_issue: Callable[[IssueReport], object] | None = None) -> list[IssueReport]:
     """Load issues from JSONL, one object per line.
 
     All offending lines are collected and raised together as a
@@ -316,12 +327,19 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True) -> list
     ``keep_text=False`` runs the same checks, with the same messages on the
     same lines, and keeps no title, description or comment body (see
     ``parse_issue``): memory then grows with the issues and comments, not with
-    their text. Such records are for counting, and their ``None`` texts must
-    not be scored or written back with ``write_corpus``.
+    their text. Such records are scored only through a scan that the loader
+    fed (``on_issue``), and are never written back with ``write_corpus``.
+
+    ``on_issue``, if given, is called with each issue as it is accepted, its
+    texts included and its comments in time order, before ``keep_text=False``
+    drops them. An issue that fails a check, or repeats an id, is never
+    handed over, and neither is any issue after it: the file raises once it
+    has been read, so the caller discards what the hook received, and the
+    rest of the file is only checked.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-            return load_corpus(handle, keep_text=keep_text)
+            return load_corpus(handle, keep_text=keep_text, on_issue=on_issue)
 
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
@@ -348,7 +366,7 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True) -> list
             errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
             continue
         try:
-            issue = parse_issue(obj, keep_text=keep_text)
+            issue = parse_issue(obj, keep_text=keep_text or (on_issue is not None and not errors))
         except ValueError as exc:
             errors.append((line_no, str(exc)))
             continue
@@ -356,6 +374,10 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True) -> list
         if first != line_no:
             errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
             continue
+        if on_issue is not None and not errors:  # after an error the load raises: hand over no more
+            on_issue(issue)
+            if not keep_text:
+                _drop_text(issue)
         issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)

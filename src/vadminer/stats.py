@@ -108,11 +108,16 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value for a Student-t statistic with df degrees of freedom; NaN for a NaN t."""
+    """Two-sided p-value for a Student-t statistic with df degrees of freedom; NaN for a NaN t.
+
+    An infinite df gives the limit, the normal tail.
+    """
     if not df > 0:  # NaN df too
         raise ValueError("degrees of freedom must be positive")
     if math.isnan(t):
         return math.nan
+    if math.isinf(df):
+        return normal_two_sided_p(t)
     # I_x(df/2, 1/2) at x = df / (df + t^2); y = t^2 / (df + t^2) is computed on its
     # own, not as 1 - x, which would lose its digits for small t or large df.
     # An infinite t gives x = 0 and p = 0; t = 0 gives y = 0 and p = 1.
@@ -172,7 +177,10 @@ def _gamma_contfrac(a: float, x: float) -> float:
 
 
 def chi2_sf(x: float, df: float) -> float:
-    """Upper tail probability of a chi-square distribution; NaN for a NaN x."""
+    """Upper tail probability of a chi-square distribution; NaN for a NaN x.
+
+    An infinite df gives the limit, 1 at any finite x.
+    """
     if not df > 0:  # NaN df too
         raise ValueError("degrees of freedom must be positive")
     if math.isnan(x):
@@ -181,6 +189,8 @@ def chi2_sf(x: float, df: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
+    if math.isinf(df):
+        return 1.0
     a = df / 2.0
     half = x / 2.0
     if half < a + 1.0:

@@ -13,8 +13,7 @@ The three cases are ``max(max, baseline) - min(min, baseline)`` bit for bit:
 Words absent from the lexicon contribute nothing, which also filters out
 code fragments, identifiers and stack traces.
 
-``scan_texts`` is the one kernel. It takes ``_BATCH`` texts at a time, so that
-their word lists stay small at any corpus size: it tokenizes each text once,
+``scan_texts`` is the one kernel. It tokenizes each text of a batch once,
 looks every word of the batch up in the lexicon's word -> row dict in one
 ``np.fromiter`` pass (row 0 is a miss) and counts each text's hits with
 ``np.bincount``; per-text minima and maxima are then taken over the lexicon's
@@ -23,6 +22,16 @@ and clamped at the baselines. Every score is then ``hi - lo``: ``score_text``
 subtracts the scan of a one-text batch, and the corpus score table the spread
 of each thread's clamped per-comment extremes, with no second scan.
 ``tokenize`` and ``range_score`` are thin wrappers for inspection.
+
+A corpus is scanned through a ``TextScan``, which takes one issue at a time
+and hands its queued texts to ``scan_texts`` whenever they reach
+``_BATCH_CHARS`` characters, so the word lists of a batch stay small at any
+corpus size or text length. It keeps only the clamped extremes, so
+``analyze`` hands it each issue as the loader accepts it (``load_corpus``'s
+``on_issue``) and then the loader drops the texts: no more than one batch of
+text is alive at once. ``analyses.score_corpus`` reads the table's text
+scores from it, and feeds one itself when given records that hold their
+texts.
 """
 from __future__ import annotations
 
@@ -40,8 +49,10 @@ _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 # ASCII letters to lowercase, every other ASCII character to a space
 _ASCII_WORDS = str.maketrans({chr(i): chr(i).lower() if chr(i).isalpha() else " " for i in range(128)})
 
-# texts per batch: bounds the word lists held at once
-_BATCH = 256
+# characters per batch of a TextScan (about 300 synth texts), each text counted
+# one longer, so that empty texts fill a batch too: bounds the word lists held
+# at once, while the numpy calls of a batch stay few per text
+_BATCH_CHARS = 32_768
 
 
 @dataclass(frozen=True)
@@ -84,25 +95,98 @@ def scan_texts(texts, lexicon: Lexicon) -> tuple[np.ndarray, np.ndarray, np.ndar
     the lesser of the minimum and the baseline and the greater of the maximum
     and the baseline, shape ``(len(texts), 3)`` and NaN where no word is in
     the lexicon, and the match counts. A text's range score is ``hi - lo``.
+    The texts are scanned as one batch, so their word lists are held at
+    once; a corpus goes through ``TextScan``, which bounds its batches.
     """
     n = len(texts)
     lo, hi = np.full((2, n, len(DIMENSIONS)), np.nan)
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, _BATCH):
-        words = list(map(_words, texts[start:start + _BATCH]))
-        rows = np.fromiter(map(lexicon.row_of, chain.from_iterable(words), repeat(0)), dtype=np.intp)
-        hit = rows > 0
-        batch = np.bincount(np.repeat(np.arange(len(words)), list(map(len, words)))[hit], minlength=len(words))
-        counts[start:start + len(words)] = batch
-        matched = np.flatnonzero(batch)
-        if len(matched):
-            values = lexicon.vad[rows[hit]]
-            firsts = (np.cumsum(batch) - batch)[matched]
-            lo[start + matched] = np.minimum.reduceat(values, firsts)
-            hi[start + matched] = np.maximum.reduceat(values, firsts)
+    words = list(map(_words, texts))
+    rows = np.fromiter(map(lexicon.row_of, chain.from_iterable(words), repeat(0)), dtype=np.intp)
+    hit = rows > 0
+    counts = np.bincount(np.repeat(np.arange(n), list(map(len, words)))[hit], minlength=n)
+    matched = np.flatnonzero(counts)
+    if len(matched):
+        values = lexicon.vad[rows[hit]]
+        # add.accumulate, not cumsum: the same bits, and cumsum leaves small blocks
+        # allocated that keep a loader's freed records' arenas from being returned
+        firsts = (np.add.accumulate(counts) - counts)[matched]
+        lo[matched] = np.minimum.reduceat(values, firsts)
+        hi[matched] = np.maximum.reduceat(values, firsts)
     np.minimum(lo, lexicon.baselines, out=lo)  # NaN stays NaN
     np.maximum(hi, lexicon.baselines, out=hi)
     return lo, hi, counts
+
+
+def _join(chunks: list[np.ndarray]) -> np.ndarray:
+    """The chunks' rows in order; the list is emptied, so the chunks go as the join is made."""
+    joined = np.concatenate(chunks) if chunks else np.empty((0, len(DIMENSIONS)))
+    chunks.clear()
+    return joined
+
+
+class _Queue:
+    """Texts waiting for a scan, their length, and the extremes scanned before them."""
+
+    def __init__(self) -> None:
+        self.texts: list[str] = []
+        self.chars = 0
+        self.los: list[np.ndarray] = []
+        self.his: list[np.ndarray] = []
+
+    def scan(self, lexicon: Lexicon) -> None:
+        lo, hi, _ = scan_texts(self.texts, lexicon)
+        self.los.append(lo)
+        self.his.append(hi)
+        self.texts.clear()
+        self.chars = 0
+
+
+class TextScan:
+    """The clamped extremes of a stream of issues' texts, scanned as they arrive.
+
+    ``add`` takes one issue record with its texts. Its title and description
+    join one queue and its comment bodies another, and a queue goes through
+    ``scan_texts`` once it holds ``_BATCH_CHARS`` characters, so the word
+    lists of a scan stay small however long the texts are. Only the extremes
+    are kept, so a loader can hand each issue over and then drop its texts
+    (``load_corpus(path, keep_text=False, on_issue=scan.add)``); ``issues``
+    and ``comments`` count what was added.
+    """
+
+    def __init__(self, lexicon: Lexicon) -> None:
+        self.lexicon = lexicon
+        self.issues = self.comments = 0
+        self._texts, self._bodies = _Queue(), _Queue()
+
+    def add(self, issue) -> None:
+        title, description, comments = issue.title, issue.description, issue.comments
+        queue = self._texts
+        queue.texts += (title, description)
+        queue.chars += len(title) + len(description) + 2
+        if queue.chars >= _BATCH_CHARS:
+            queue.scan(self.lexicon)
+        if comments:
+            bodies = [comment.body for comment in comments]
+            queue = self._bodies
+            queue.texts += bodies
+            queue.chars += sum(map(len, bodies)) + len(bodies)
+            if queue.chars >= _BATCH_CHARS:
+                queue.scan(self.lexicon)
+        self.issues += 1
+        self.comments += len(comments)
+
+    def extremes(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` as ``scan_texts`` gives them for every text of ``kind`` added so far, in order.
+
+        ``"issue"`` has two rows per issue, its title then its description;
+        ``"comment"`` has one per comment. The scan lets go of them: each array
+        is joined after the one before has been, with its chunks freed.
+        """
+        queue = {"issue": self._texts, "comment": self._bodies}[kind]
+        if queue.texts:
+            queue.scan(self.lexicon)
+        lo = _join(queue.los)
+        return lo, _join(queue.his)
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:

@@ -8,8 +8,8 @@ import pytest
 from vadminer import cli, synth
 from vadminer.analyses import ELEMENTS, RQ2_SCOPES, TIME_GROUPS
 from vadminer.cli import main
-from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, VAD_ELEMENT_KEYS, load_corpus
-from vadminer.lexicon import DIMENSIONS, load_lexicon
+from vadminer.corpus import PRIORITIES, ROLES, TYPE_GROUP_ORDER, VAD_ELEMENT_KEYS, load_corpus, write_corpus
+from vadminer.lexicon import DIMENSIONS, load_lexicon, write_lexicon
 from vadminer.synth import GeneratorConfig, config_to_dict
 
 from conftest import TABLE1_CSV, run_python
@@ -283,6 +283,72 @@ sys.exit(code)
 """
     called = run_python(["-c", code]).stdout.splitlines()[-1]
     assert called == str([{"keep_text": False}, ("list", 150, True)])
+
+
+def test_a_loader_set_on_the_module_before_main_is_the_one_analyze_calls(synth_paths, tmp_path):
+    # how a tracer counts analyze's issues and comments: from the list its loader
+    # returns, which keeps every record though the records hold no text
+    corpus_path, lexicon_path, _ = synth_paths
+    code = f"""
+import sys
+from vadminer import analyses, cli
+
+calls = []
+def wrapper(*args, _original=cli.load_corpus, **kwargs):
+    calls.append(kwargs.get("keep_text"))
+    issues = _original(*args, **kwargs)
+    calls.append((type(issues).__name__, len(issues), sum(len(issue.comments) for issue in issues)))
+    return issues
+def score(*args, _original=analyses.score_corpus, **kwargs):
+    calls.append("score_corpus")
+    return _original(*args, **kwargs)
+cli.load_corpus = wrapper
+analyses.score_corpus = score
+code = cli.main(["analyze", "--lexicon", {str(lexicon_path)!r}, "--corpus", {str(corpus_path)!r},
+                 "--out", {str(tmp_path / "rpt")!r}, "--analyses", "rq1"])
+print(calls)
+sys.exit(code)
+"""
+    called = run_python(["-c", code]).stdout.splitlines()[-1]
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    n_comments = sum(len(json.loads(line)["comments"]) for line in lines)
+    assert called == str([False, ("list", 150, n_comments), "score_corpus"])
+
+
+def _analyze_peak(corpus_path, lexicon_path, out) -> float:
+    """The tracemalloc peak of one ``analyze`` run through rq1, in a fresh interpreter."""
+    code = f"""
+import gc, tracemalloc
+from vadminer import analyses, cli, corpus, lexicon, report, textscore
+
+gc.collect()  # empties the free lists, whose objects tracemalloc would not count
+tracemalloc.start()
+code = cli.main(["analyze", "--lexicon", {str(lexicon_path)!r}, "--corpus", {str(corpus_path)!r},
+                 "--out", {str(out)!r}, "--analyses", "rq1"])
+assert code == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+    return int(run_python(["-c", code]).stdout.splitlines()[-1])
+
+
+def test_analyze_takes_memory_that_does_not_grow_with_the_text(tmp_path):
+    issues, _ = synth.generate_corpus(GeneratorConfig(n_issues=2_000), seed=2)
+    short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+    write_corpus(issues, short)
+    lexicon_path = tmp_path / "lexicon.csv"
+    write_lexicon(issues.vocab.lexicon(), lexicon_path)
+    # the same issues with every title, description and comment body ten times as long
+    longer = []
+    for line in short.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["title"], obj["description"] = " ".join([obj["title"]] * 10), " ".join([obj["description"]] * 10)
+        for comment in obj["comments"]:
+            comment["body"] = " ".join([comment["body"]] * 10)
+        longer.append(json.dumps(obj))
+    long.write_text("\n".join(longer) + "\n", encoding="utf-8")
+    assert long.stat().st_size > 5 * short.stat().st_size
+    peaks = [_analyze_peak(path, lexicon_path, tmp_path / path.stem) for path in (short, long)]
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 def test_ingest_missing_file_exit_2(capsys):

@@ -405,6 +405,32 @@ def test_loading_without_text_reads_a_marked_file_of_non_ascii_text(tmp_path):
     assert load_corpus(path, keep_text=False) == [without_text(issue) for issue in full]
 
 
+@pytest.mark.parametrize("keep_text", [True, False])
+def test_the_hook_sees_each_accepted_issue_with_its_texts(keep_text):
+    late = issue_json(id="PRJ-3", comments=[{"author": "rep", "created": 300, "body": "later"},
+                                            {"author": "asg", "created": 120, "body": "earlier"}])
+    lines = [issue_json(), issue_json(id="PRJ-2", priority="Urgent"), late, issue_json(title="again"),
+             issue_json(id="PRJ-4", title="Überfluss ☃", comments=[])]
+    text, accepted = ("\n".join(map(json.dumps, chosen)) + "\n" for chosen in (lines, lines[0:3:2] + lines[4:]))
+    full = load_corpus(io.StringIO(accepted))
+    assert [c.body for c in full[1].comments] == ["earlier", "later"]
+    seen = []
+
+    def hook(issue):
+        seen.append(dataclasses.replace(issue, comments=tuple(map(dataclasses.replace, issue.comments))))
+
+    # the load fails on the bad line and the repeated id, as without a hook;
+    # once a line has failed, no issue is handed over
+    with pytest.raises(CorpusFormatError) as info:
+        load_corpus(io.StringIO(text), keep_text=keep_text, on_issue=hook)
+    assert info.value.errors == load_error(text).errors
+    assert seen == full[:1]
+    seen.clear()
+    loaded = load_corpus(io.StringIO(accepted), keep_text=keep_text, on_issue=hook)
+    assert seen == full
+    assert loaded == (full if keep_text else [without_text(issue) for issue in full])
+
+
 def _load_peak(path, **options) -> int:
     gc.collect()  # empties the free lists, whose objects tracemalloc would not count
     tracemalloc.start()

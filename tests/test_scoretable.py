@@ -4,6 +4,8 @@ A table cell is NaN exactly where ``score_text`` gives None (or the element
 is absent), and otherwise holds the very same float.
 """
 import dataclasses
+import io
+import json
 import math
 import random
 
@@ -20,8 +22,11 @@ from vadminer.corpus import (
     TYPE_GROUP_ORDER,
     Comment,
     IssueReport,
+    load_corpus,
+    write_corpus,
 )
-from vadminer.textscore import score_text
+from vadminer.synth import GeneratorConfig, generate_corpus, null_config, planted_config
+from vadminer.textscore import TextScan, score_text
 
 import oracles
 
@@ -272,3 +277,79 @@ def test_ids_belong_to_the_table(planted_corpus, table1_lexicon):
     assert table.ids.dtype == object
     assert table.ids.tolist() == [issue.id for issue in issues]
     assert not any(own is issue.id for own, issue in zip(table.ids, issues))
+
+
+def _edge_file(path, config, seed, lexicon):
+    """A synth corpus rewritten so that it holds non-ASCII and empty texts,
+    issues without comments and comments out of time order, written after a
+    UTF-8 byte-order mark; returns how many of each edge it holds."""
+    words = sorted(entry.word for entry in lexicon)
+    edges = dict.fromkeys(("non_ascii", "empty", "no_comments", "out_of_order"), 0)
+    lines = []
+    buffer = io.StringIO()
+    write_corpus(generate_corpus(config, seed)[0], buffer)
+    for i, line in enumerate(buffer.getvalue().splitlines()):
+        obj = json.loads(line)
+        comments = obj["comments"]
+        if i % 5 == 0:  # a lexicon word in capitals among words that are not ASCII
+            obj["title"] = f"Überfluss ☃ {words[i % len(words)].upper()} naïve {obj['title']}"
+            edges["non_ascii"] += 1
+        if i % 7 == 0:
+            obj["description"] = ""
+            edges["empty"] += 1
+        if i % 6 == 0:
+            obj["comments"] = []
+            edges["no_comments"] += 1
+        elif len(comments) > 1 and i % 4 == 1:
+            comments.reverse()
+            comments[0]["body"] = f"😀 {words[-i % len(words)]} café {comments[0]['body']}"
+            comments[-1]["body"] = ""
+            edges["out_of_order"] += 1
+        lines.append(json.dumps(obj, ensure_ascii=i % 2 == 0))
+    path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode("utf-8"))
+    return edges
+
+
+@pytest.mark.parametrize("config, seed", [
+    (planted_config(400), 6),
+    (null_config(300), 7),
+    (GeneratorConfig(n_issues=300, comment_count_weights={0: 1.0, 1: 1.0, 12: 1.0}), 8),
+])
+def test_scanning_while_loading_builds_the_table_of_the_records_with_text(tmp_path, synth_lexicon, config, seed):
+    path = tmp_path / "corpus.jsonl"
+    edges = _edge_file(path, config, seed, synth_lexicon)
+    assert min(edges.values()) >= 10, edges
+    full = load_corpus(path)
+    expected = score_corpus(full, synth_lexicon)
+    scan = TextScan(synth_lexicon)
+    loaded = load_corpus(path, keep_text=False, on_issue=scan.add)
+    assert all(issue.title is None and all(c.body is None for c in issue.comments) for issue in loaded)
+    table = score_corpus(loaded, synth_lexicon, scan=scan)
+    assert table == expected
+    assert list(table.features) == list(expected.features)
+    for name, column in expected.features.items():
+        assert np.array_equal(table.features[name], column, equal_nan=True), name
+    # First and Last follow the comments sorted by time, not their order in the file
+    assert_table_matches_kernel(table, full, synth_lexicon)
+
+
+def test_a_scan_of_other_issues_or_another_lexicon_is_an_error(planted_corpus, synth_lexicon, table1_lexicon):
+    issues = [issue for issue in planted_corpus[0][:40] if issue.comments][:20]
+    n_comments = sum(len(issue.comments) for issue in issues)
+
+    def scanned(records, lexicon=synth_lexicon):
+        scan = TextScan(lexicon)
+        for issue in records:
+            scan.add(issue)
+        return scan
+
+    with pytest.raises(ValueError, match=rf"^the scan holds 19 issues and {n_comments - len(issues[-1].comments)} "
+                                         rf"comments, but 20 issues with {n_comments} comments were given$"):
+        score_corpus(issues, synth_lexicon, scan=scanned(issues[:19]))
+    fewer = [dataclasses.replace(issues[0], comments=issues[0].comments[1:]), *issues[1:]]
+    with pytest.raises(ValueError, match=rf"^the scan holds 20 issues and {n_comments - 1} comments, "
+                                         rf"but 20 issues with {n_comments} comments were given$"):
+        score_corpus(issues, synth_lexicon, scan=scanned(fewer))
+    with pytest.raises(ValueError, match="^the scan used another lexicon$"):
+        score_corpus(issues, synth_lexicon, scan=scanned(issues, table1_lexicon))
+    assert score_corpus(issues, synth_lexicon, scan=scanned(issues)) == score_corpus(issues, synth_lexicon)

@@ -176,6 +176,8 @@ def test_normal_tail_matches_scipy():
     (chi2_sf, (math.nan, 3.0)),
     (chi2_sf, (math.nan, 1e6)),
     (normal_two_sided_p, (math.nan,)),
+    (student_t_two_sided_p, (math.nan, math.inf)),
+    (chi2_sf, (math.nan, math.inf)),
 ])
 def test_tails_give_nan_for_a_nan_statistic(tail, args):
     assert math.isnan(tail(*args))
@@ -192,6 +194,18 @@ def test_tails_give_nan_for_a_nan_statistic(tail, args):
 def test_tails_reject_a_nan_df(tail, args):
     with pytest.raises(ValueError, match="degrees of freedom must be positive"):
         tail(*args)
+
+
+# an infinite df is the limit: the t tail becomes the normal tail, and the
+# chi-square tail is 1 at any finite x
+@pytest.mark.parametrize("t", [0.0, 1e-3, 1.0, -1.96, 6.0, 40.0, 1e160, math.inf, -math.inf])
+def test_student_t_tail_at_an_infinite_df_is_the_normal_tail(t):
+    assert student_t_two_sided_p(t, math.inf) == normal_two_sided_p(t)
+
+
+@pytest.mark.parametrize("x, p", [(0.0, 1.0), (3.0, 1.0), (1e6, 1.0), (1e300, 1.0), (math.inf, 0.0)])
+def test_chi2_tail_at_an_infinite_df(x, p):
+    assert chi2_sf(x, math.inf) == p
 
 
 # ---------------------------------------------------------------------------

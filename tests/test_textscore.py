@@ -1,12 +1,14 @@
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vadminer.lexicon import DIMENSIONS, Lexicon, LexiconEntry
-from vadminer.textscore import _BATCH, range_score, scan_texts, score_text, tokenize
+from vadminer import textscore
+from vadminer.textscore import TextScan, range_score, scan_texts, score_text, tokenize
 
 import oracles
 
@@ -202,9 +204,12 @@ def loop_scan(text, lexicon):
     return [min(c) for c in columns], [max(c) for c in columns], len(rows)
 
 
-def assert_kernel_equals_loop(texts, lexicon):
+def assert_kernel_equals_loop(texts, lexicon, extremes=None):
+    """``extremes``: the (lo, hi) of a TextScan over ``texts``, checked in place of ``scan_texts``'."""
     lo, hi, counts = scan_texts(texts, lexicon)
     assert lo.shape == hi.shape == (len(texts), 3) and counts.shape == (len(texts),)
+    if extremes is not None:
+        lo, hi = extremes
     baselines = [lexicon.baseline(dim) for dim in DIMENSIONS]
     for k, text in enumerate(texts):
         ref_lo, ref_hi, ref_count = loop_scan(text, lexicon)
@@ -233,20 +238,34 @@ def test_kernel_equals_loop_on_edge_texts(table1_lexicon):
     assert_kernel_equals_loop(KERNEL_TEXTS, table1_lexicon)
 
 
-def test_kernel_equals_loop_across_batches(table1_lexicon):
-    # a first batch with no match at all, then batches with hits on their edges,
-    # then one that starts with empty texts and ends on a hit
-    texts = ["no match here"] * _BATCH + ["joy"] + ["zzz"] * (_BATCH - 2) + ["anger love"]
-    texts += [""] * (_BATCH - 1) + ["sadness joy"]
-    texts += KERNEL_TEXTS * 3
-    assert_kernel_equals_loop(texts, table1_lexicon)
+def test_kernel_equals_loop_across_batches(table1_lexicon, monkeypatch):
+    # A TextScan scans its queue once an issue brings it to _BATCH_CHARS
+    # characters, counting one more per text: here a first batch with no match
+    # at all, then one with hits on its edges, then one that starts with empty
+    # texts and ends on a hit.
+    monkeypatch.setattr(textscore, "_BATCH_CHARS", 30)
+    batches = []
+    scan_batch = textscore.scan_texts
+    monkeypatch.setattr(textscore, "scan_texts",
+                        lambda texts, lexicon: (batches.append(list(texts)), scan_batch(texts, lexicon))[1])
+    threads = [["no match here", "no match here"], ["zzz"],
+               ["joy", "zzz zzz zzz zzz zzz zzz", "anger love"],
+               ["", "", ""], ["", "sadness joy love anger zzz zzz"]]
+    threads += [KERNEL_TEXTS[k:k + 3] for k in range(0, len(KERNEL_TEXTS), 3)] * 3
+    scan = TextScan(table1_lexicon)
+    for bodies in threads:  # as the comments of issues with empty titles and descriptions
+        scan.add(SimpleNamespace(title="", description="", comments=[SimpleNamespace(body=b) for b in bodies]))
+    extremes = scan.extremes("comment")
+    batches = [batch for batch in batches if any(batch)]  # not the empty titles' and descriptions'
+    assert batches[:3] == [threads[0] + threads[1], threads[2], threads[3] + threads[4]]
+    assert len(batches) > 6
+    assert_kernel_equals_loop([body for bodies in threads for body in bodies], table1_lexicon, extremes)
 
 
 def test_kernel_equals_loop_on_planted_corpus(planted_corpus, synth_lexicon):
     issues, _ = planted_corpus
     texts = [t for issue in issues for t in (issue.title, issue.description)]
     texts += [c.body for issue in issues for c in issue.comments]
-    assert len(texts) > 2 * _BATCH
     assert_kernel_equals_loop(texts, synth_lexicon)
 
 
