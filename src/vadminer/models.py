@@ -35,7 +35,11 @@ by the inverse factor and leaves every p-value and the deviance as they
 were. ``polyfit`` is ``fit_linear`` on the powers of x minus its mean, so one
 rank rule decides every fit.
 
-Cross-validation fits each fold on a copy of its training rows, freed when
+Cross-validation deals each class's rows out to the folds in the order of a
+seeded integer hash of their positions (the SplitMix64 finalizer), so the
+folds depend on the seed and the rows alone, and on no random number stream
+of numpy's, whose output a numpy release may change; ``numpy.random`` is
+never imported. It fits each fold on a copy of its training rows, freed when
 the fold's fit returns. A caller that fits several nested models of one
 design (rq3's stages) passes its column prefixes (``DesignMatrix.prefix``) to
 ``fit_logistic`` and ``crossval``. The correlation filter and the impact
@@ -51,6 +55,7 @@ looped forms (the tests keep those as references).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +68,7 @@ _MU_CLIP = 1e-10
 RANK_RTOL = 1e-10  # Gram eigenvalues at or below this share of the largest count as zero
 _GRAM_BLOCK = 8192  # rows per block of the weighted Gram sum
 CV_FOLDS = 10
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15  # 2**64 over the golden ratio, SplitMix64's increment
 CORRELATION_THRESHOLD = 0.7
 
 
@@ -456,10 +462,38 @@ def _classification_report(y: np.ndarray, predictions: np.ndarray, auc: float) -
     )
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of each uint64 (Steele, Lea and Flood, OOPSLA
+    2014): a bijection whose every output bit depends on every input bit."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _folds(y: np.ndarray, seed: int) -> np.ndarray:
+    """The fold of each row: each class's rows, ordered by the hash of their
+    position plus ``seed`` times the 64-bit golden ratio, dealt out in turn."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    offset = np.uint64(seed * _GOLDEN_GAMMA % 2**64)  # reduced in Python ints: no scalar overflow
+    fold_of = np.empty(len(y), dtype=int)
+    for cls in (0.0, 1.0):
+        members = np.flatnonzero(y == cls)
+        if len(members) < CV_FOLDS:
+            raise ValueError(f"class {'Long' if cls else 'Short'} has fewer members ({len(members)}) than folds")
+        order = np.argsort(_splitmix64(members.astype(np.uint64) + offset), kind="stable")
+        fold_of[members[order]] = np.arange(len(members)) % CV_FOLDS
+    return fold_of
+
+
 def crossval(design: DesignMatrix, y, seed: int = 0) -> CvReport:
     """Stratified ``CV_FOLDS``-fold logistic cross-validation of ``y``, deterministic per seed.
 
-    Each fold is fitted by ``_irls`` on a copy of its training rows of the
+    ``seed`` is an integer >= 0 (else TypeError or ValueError). Each class's
+    rows are ordered by the SplitMix64 finalizer of their position plus
+    ``seed`` times 0x9E3779B97F4A7C15, modulo 2**64, and dealt out to the
+    folds in turn, so the fold sizes of a class differ by at most one. Each fold is fitted by ``_irls`` on a copy of its training rows of the
     design's standardized matrix, after its own row-count and rank checks.
     Class metrics are computed on the pooled out-of-fold predictions at a 0.5
     threshold; AUC is the rank statistic over the pooled probabilities.
@@ -467,15 +501,7 @@ def crossval(design: DesignMatrix, y, seed: int = 0) -> CvReport:
     y = _response(y, design.n, binary=True)
     if design.n < CV_FOLDS:
         raise ValueError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold cross-validation")
-    rng = np.random.default_rng(seed)
-
-    fold_of = np.empty(design.n, dtype=int)
-    for cls in (0.0, 1.0):
-        members = np.flatnonzero(y == cls)
-        if len(members) < CV_FOLDS:
-            raise ValueError(f"class {'Long' if cls else 'Short'} has fewer members ({len(members)}) than folds")
-        rng.shuffle(members)
-        fold_of[members] = np.arange(len(members)) % CV_FOLDS
+    fold_of = _folds(y, seed)
 
     Z = design.Z
     probabilities = np.empty(design.n)

@@ -222,6 +222,22 @@ def test_ingest_as_a_module_imports_the_corpus_layer_alone(synth_paths):
     assert imported.isdisjoint({"numpy", *NUMERIC_LAYERS})
 
 
+def test_analyze_as_a_module_never_imports_numpy_random(tmp_path, synth_paths):
+    # rq3's folds come from an integer hash; numpy.random alone adds about 5 MB of RSS
+    corpus_path, lexicon_path, _ = synth_paths
+    out = tmp_path / "rpt"
+    proc = run_python(["-X", "importtime", "-m", "vadminer.cli", "analyze", "--lexicon", str(lexicon_path),
+                       "--corpus", str(corpus_path), "--out", str(out)])
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "vadminer.models" in imported
+    assert not {name for name in imported if name.split(".")[:2] == ["numpy", "random"]}
+    # every stage was cross-validated
+    with open(out / "rq3_performance.csv", encoding="utf-8") as handle:
+        stages = {row["classifier"] for row in csv.DictReader(handle)} - {"ZeroR"}
+    assert stages == {"controls", "controls+vad"}
+
+
 @pytest.mark.parametrize("command, unused", [
     ("ingest", ("numpy", *NUMERIC_LAYERS)),
     ("score", ("vadminer.analyses", "vadminer.models", "vadminer.stats", "vadminer.report", "vadminer.synth")),

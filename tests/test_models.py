@@ -246,6 +246,65 @@ def test_crossval_deterministic():
     assert crossval(design, y, seed=5) != crossval(design, y, seed=6)
 
 
+def _folds_reference(y, seed):
+    """The fold rule in Python ints: each class's row positions ordered by the
+    SplitMix64 finalizer of position + seed * 0x9E3779B97F4A7C15, mod 2**64,
+    then dealt out to the folds in turn."""
+    mask = 2**64 - 1
+
+    def mix(x):
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & mask
+        return x ^ (x >> 31)
+
+    folds = [None] * len(y)
+    for cls in (0.0, 1.0):
+        members = sorted((i for i in range(len(y)) if y[i] == cls), key=lambda i: mix((i + seed * 0x9E3779B97F4A7C15) & mask))
+        for k, i in enumerate(members):
+            folds[i] = k % models.CV_FOLDS
+    return folds
+
+
+# every third row is Long: 10 Long and 20 Short rows
+PINNED_FOLD_LABELS = (np.arange(30) % 3 == 0).astype(float)
+PINNED_FOLDS = {
+    0: [0, 8, 4, 2, 0, 9, 6, 2, 1, 5, 0, 5, 4, 5, 3, 1, 3, 4, 9, 7, 1, 8, 9, 6, 7, 2, 8, 3, 6, 7],
+    7: [2, 5, 1, 0, 7, 9, 3, 8, 8, 5, 3, 3, 1, 0, 0, 6, 5, 1, 9, 9, 4, 8, 4, 6, 7, 7, 2, 4, 6, 2],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_FOLDS))
+def test_crossval_folds_are_pinned(seed):
+    # the folds come from an integer hash, not from numpy's random streams,
+    # so no numpy release can move them
+    assert models._folds(PINNED_FOLD_LABELS, seed).tolist() == PINNED_FOLDS[seed]
+    assert _folds_reference(PINNED_FOLD_LABELS, seed) == PINNED_FOLDS[seed]
+
+
+@pytest.mark.parametrize("n, long_share, seed", [(40, 0.5, 0), (57, 0.3, 5), (1000, 0.5, 6), (2345, 0.61, 2**70 + 3)])
+def test_crossval_fold_sizes_differ_by_at_most_one_per_class(n, long_share, seed):
+    y = (np.random.RandomState(n).uniform(size=n) < long_share).astype(float)
+    folds = models._folds(y, seed)
+    if n <= 1000:
+        assert folds.tolist() == _folds_reference(y, seed)
+    for cls in (0.0, 1.0):
+        sizes = np.bincount(folds[y == cls], minlength=models.CV_FOLDS)
+        assert len(sizes) == models.CV_FOLDS and sizes.max() - sizes.min() <= 1
+
+
+def test_crossval_seeds_give_different_folds():
+    y = (np.random.RandomState(21).uniform(size=300) < 0.5).astype(float)
+    assert not np.array_equal(models._folds(y, 5), models._folds(y, 6))
+    assert np.array_equal(models._folds(y, np.int64(5)), models._folds(y, 5))
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.0, TypeError), (2.5, TypeError), ("3", TypeError)])
+def test_crossval_rejects_a_seed_that_is_negative_or_not_an_integer(seed, error):
+    x = np.arange(40.0)
+    with pytest.raises(error):
+        crossval(design_of(x), (x % 2 == 0).astype(float), seed=seed)
+
+
 def test_crossval_requires_class_support():
     x = np.arange(20.0)
     y = np.array([1.0] * 15 + [0.0] * 5)
