@@ -571,8 +571,8 @@ def rq3_resolution_model(table: ScoreTable, seed: int = 0) -> Rq3Report:
             return empty_report(f"stage {name} failed: {exc}", len(rows))
         if not model.converged:
             notices.append(f"stage {name}: fit did not converge (possible separation)")
-        try:
-            cv = crossval(stage_design, labels, seed=seed)
+        try:  # each fold's fit starts from the stage's, when that converged
+            cv = crossval(stage_design, labels, seed=seed, start=model)
         except ValueError as exc:
             cv = None
             notices.append(f"stage {name}: cross-validation skipped ({exc})")

@@ -23,8 +23,9 @@ checks its response first, then
 that there are more rows than parameters, then runs a rank check that takes
 the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
 ``RANK_RTOL`` of the largest as zero; only a failed check looks for the
-collinear columns to name. The logistic check reads the first IRLS Gram,
-which is Z'Z / 4 as every weight is 1/4 at beta = 0. No step takes an SVD of
+collinear columns to name. The logistic check reads Z'Z / 4, the first IRLS
+Gram from a zero start, where every weight is 1/4; a fold fit that starts
+from its stage's coefficients computes that Gram for its check. No step takes an SVD of
 the n-row design. One inference tail, ``_fitted``, maps either fit's
 coefficients and covariance back to raw units (``T cov T'``, with ``T`` split
 into powers of two and factors near 1, so no reciprocal of a scale is
@@ -42,7 +43,9 @@ of numpy's, whose output a numpy release may change; ``numpy.random`` is
 never imported. It fits each fold on a copy of its training rows, freed when
 the fold's fit returns. A caller that fits several nested models of one
 design (rq3's stages) passes its column prefixes (``DesignMatrix.prefix``) to
-``fit_logistic`` and ``crossval``. The correlation filter and the impact
+``fit_logistic`` and ``crossval``, and may pass each stage's fit to
+``crossval`` so that the folds' fits start from its coefficients on the
+standardized scale, which saves IRLS iterations. The correlation filter and the impact
 sizes read raw values from a mapping of column names to arrays.
 
 The fits do no work twice: IRLS carries the fitted probabilities of each
@@ -261,20 +264,28 @@ def _weighted_gram(Z: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _irls(Z: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, float, bool]:
+def _irls(Z: np.ndarray, y: np.ndarray, names,
+          start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float, bool]:
     """Logistic maximum likelihood on an intercept-prefixed design with
-    feature columns ``names``: the coefficients, their fitted probabilities,
-    the deviance and whether the fit converged. The design must have more
-    rows than parameters, then full column rank; otherwise ValueError, in
-    that order of checks. The rank check reads the first iteration's Gram."""
+    feature columns ``names``, from the coefficients ``start`` (default
+    zero): the coefficients, their fitted probabilities, the deviance and
+    whether the fit converged. The design must have more rows than
+    parameters, then full column rank; otherwise ValueError, in that order of
+    checks. The rank check reads Z'Z / 4, the first iteration's Gram from a
+    zero start."""
     _check_rows(len(Z), len(names))
-    beta = np.zeros(Z.shape[1])
-    mu = np.full(len(Z), 0.5)  # always the fitted probabilities of beta
+    mu = np.full(len(Z), 0.5)  # the fitted probabilities at beta = 0, where every weight is 1/4
+    if start is None:
+        beta = np.zeros(Z.shape[1])
+    else:
+        _check_rank(_weighted_gram(Z, mu), names)
+        beta, mu = start, _sigmoid(Z @ start)
+    # mu is always the fitted probabilities of beta
     deviance = _binomial_deviance(y, mu)
     converged = False
     for iteration in range(_MAX_IRLS_ITER):
         xtwx = _weighted_gram(Z, mu)
-        if not iteration:  # every weight is 1/4 at beta = 0: this is Z'Z / 4
+        if not iteration and start is None:
             _check_rank(xtwx, names)
         score = Z.T @ (y - mu)
         try:
@@ -300,6 +311,14 @@ def _irls(Z: np.ndarray, y: np.ndarray, names) -> tuple[np.ndarray, np.ndarray, 
         if np.max(np.abs(beta)) > 1e8:  # diverging: separation
             break
     return beta, mu, deviance, converged
+
+
+def _standardized(model: FittedModel, design: DesignMatrix) -> np.ndarray:
+    """``model``'s coefficients on ``design``'s standardized columns, the
+    inverse of ``_fitted``'s map up to rounding."""
+    mantissa, exponent = np.frexp(design.scale)
+    slopes = np.ldexp(model.coefficients[1:], exponent) * mantissa
+    return np.concatenate(([model.intercept + np.dot(design.center / design.scale, slopes)], slopes))
 
 
 def _fitted(kind: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray,
@@ -487,27 +506,35 @@ def _folds(y: np.ndarray, seed: int) -> np.ndarray:
     return fold_of
 
 
-def crossval(design: DesignMatrix, y, seed: int = 0) -> CvReport:
+def crossval(design: DesignMatrix, y, seed: int = 0, start: FittedModel | None = None) -> CvReport:
     """Stratified ``CV_FOLDS``-fold logistic cross-validation of ``y``, deterministic per seed.
 
     ``seed`` is an integer >= 0 (else TypeError or ValueError). Each class's
     rows are ordered by the SplitMix64 finalizer of their position plus
     ``seed`` times 0x9E3779B97F4A7C15, modulo 2**64, and dealt out to the
-    folds in turn, so the fold sizes of a class differ by at most one. Each fold is fitted by ``_irls`` on a copy of its training rows of the
-    design's standardized matrix, after its own row-count and rank checks.
-    Class metrics are computed on the pooled out-of-fold predictions at a 0.5
-    threshold; AUC is the rank statistic over the pooled probabilities.
+    folds in turn, so the fold sizes of a class differ by at most one.
+
+    Each fold is fitted by ``_irls`` on a copy of its training rows of the
+    design's standardized matrix, after its own row-count check and its rank
+    check on Z'Z / 4 of those rows. When ``start``, a logistic fit of the
+    whole design, converged, the fold fits start from its coefficients,
+    near which every fold's optimum lies; otherwise from zero. Class metrics are computed on the pooled out-of-fold
+    predictions at a 0.5 threshold; AUC is the rank statistic over the pooled
+    probabilities.
     """
     y = _response(y, design.n, binary=True)
     if design.n < CV_FOLDS:
         raise ValueError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold cross-validation")
     fold_of = _folds(y, seed)
+    if start is not None and (start.kind, start.columns, start.n_obs) != ("logistic", tuple(design.columns), design.n):
+        raise ValueError("start is not a logistic fit of this design")
+    beta0 = _standardized(start, design) if start is not None and start.converged else None
 
     Z = design.Z
     probabilities = np.empty(design.n)
     for fold in range(CV_FOLDS):
         test = fold_of == fold
-        beta = _irls(Z[~test], y[~test], design.columns)[0]
+        beta = _irls(Z[~test], y[~test], design.columns, beta0)[0]
         probabilities[test] = _sigmoid(Z[test] @ beta)
 
     predictions = (probabilities >= 0.5).astype(float)

@@ -271,6 +271,19 @@ def test_rq3_deterministic(planted_scored):
     assert first == second
 
 
+def test_rq3_folds_start_from_their_stage_fit(planted_scored, monkeypatch):
+    starts = []
+    crossval = analyses.crossval
+
+    def recorded(design, y, seed=0, start=None):
+        starts.append(start)
+        return crossval(design, y, seed=seed, start=start)
+
+    monkeypatch.setattr(analyses, "crossval", recorded)
+    report = rq3_resolution_model(planted_scored, seed=4)
+    assert len(report.stages) == 3 and starts == [stage.model for stage in report.stages]
+
+
 @pytest.mark.parametrize("case,notice", [
     ("title_d = title_v", "dropped title_d (|r|=1.000 with title_v)"),
     ("constant n_developers", "stage controls failed: singular design; collinear columns: ['n_developers']"),

@@ -711,6 +711,55 @@ def test_crossval_fold_rank_check_names_the_fold_columns():
     assert str(raised.value) == "singular design; collinear columns: ['rare']"
 
 
+def test_crossval_from_the_full_fit_reports_as_from_zero(monkeypatch):
+    # every fold's optimum lies near the fit of all rows; IRLS converges to it
+    # from either start
+    rng = np.random.RandomState(70)
+    X = rng.normal(0, 1, size=(3000, 4)) * [1.0, 1e-6, 1e8, 3.0] + [0.0, 5.0, -2e9, 1.0]
+    y = (rng.uniform(size=3000) < sps.logistic.cdf(X[:, 0] - 2e-6 * X[:, 3])).astype(float)
+    design = design_of(X)
+    model = fit_logistic(design, y)
+    assert model.converged
+    np.testing.assert_allclose(models._standardized(model, design),
+                               models._irls(design.Z, y, design.columns)[0], rtol=1e-12, atol=1e-10)
+    starts = []
+    irls = models._irls
+
+    def recorded(Z, y, names, start=None):
+        starts.append(start)
+        return irls(Z, y, names, start)
+
+    monkeypatch.setattr(models, "_irls", recorded)
+    for seed in (0, 9):
+        assert crossval(design, y, seed=seed, start=model) == crossval(design, y, seed=seed)
+    assert [start is None for start in starts] == ([False] * 10 + [True] * 10) * 2
+    # a fit that did not converge gives the folds a zero start
+    starts.clear()
+    crossval(design, y, seed=0, start=dataclasses.replace(model, converged=False))
+    assert starts == [None] * 10
+    with pytest.raises(ValueError, match="start is not a logistic fit of this design"):
+        crossval(design.prefix(3), y, start=model)
+
+
+def test_crossval_from_the_full_fit_checks_each_fold_rank():
+    # "rare" is 1 on a Short and a Long row of one fold, so the fit of all rows
+    # converges and that fold's training rows see a constant column
+    rng = np.random.RandomState(71)
+    x = rng.normal(0, 1, size=200)
+    y = (rng.uniform(size=200) < 0.5).astype(float)
+    fold_of = models._folds(y, 0)
+    short = np.flatnonzero(y == 0.0)[0]
+    long_ = np.flatnonzero((y == 1.0) & (fold_of == fold_of[short]))[0]
+    rare = np.zeros(200)
+    rare[[short, long_]] = 1.0
+    design = design_of(np.column_stack([x, rare]), names=["x", "rare"])
+    model = fit_logistic(design, y)
+    assert model.converged
+    with pytest.raises(ValueError) as raised:
+        crossval(design, y, seed=0, start=model)
+    assert str(raised.value) == "singular design; collinear columns: ['rare']"
+
+
 @pytest.mark.parametrize("n", [1, 8192, 8193, 20_000])
 def test_weighted_gram_sums_fixed_row_blocks(n):
     rng = np.random.RandomState(65)
