@@ -96,19 +96,25 @@ def diff_reports(left: Path, right: Path) -> tuple[list[str], dict[str, list[Mov
     return lonely, {name: diff_file(Path(left) / name, Path(right) / name) for name in sorted(names_a & names_b)}
 
 
+def summary(left, right) -> tuple[list[str], bool]:
+    """The per-file lines that ``main`` prints, and whether any cell or file differs."""
+    lonely, files = diff_reports(Path(left), Path(right))
+    lines = [f"{name}: only in {left if (Path(left) / name).is_file() else right}" for name in lonely]
+    for name, moved in files.items():
+        worst = max(moved, key=lambda cell: cell.error, default=None)
+        lines.append(f"{name}: {len(moved)} moved cells" + (f", worst {worst}" if worst else ""))
+    return lines, bool(lonely or any(files.values()))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2 or not all(Path(arg).is_dir() for arg in args):
         print("usage: reportdiff.py A B  (two report directories)", file=sys.stderr)
         return 2
-    lonely, files = diff_reports(Path(args[0]), Path(args[1]))
-    for name in lonely:
-        side = args[0] if (Path(args[0]) / name).is_file() else args[1]
-        print(f"{name}: only in {side}")
-    for name, moved in files.items():
-        worst = max(moved, key=lambda cell: cell.error, default=None)
-        print(f"{name}: {len(moved)} moved cells" + (f", worst {worst}" if worst else ""))
-    return 1 if lonely or any(files.values()) else 0
+    lines, differ = summary(*args)
+    for line in lines:
+        print(line)
+    return int(differ)
 
 
 if __name__ == "__main__":

@@ -10,14 +10,18 @@ The rq1 summary fits and the rq3 files hold floats from least-squares and
 IRLS fits, which go through numpy's linear algebra; their last digits can
 depend on the numpy version, the BLAS it links, the kernel that OpenBLAS picks
 for the CPU, and the BLAS thread count when one is set explicitly (importing
-vadminer otherwise pins it to one). Under OpenBLAS's Sandybridge or Prescott
-kernel (``OPENBLAS_CORETYPE``), the ``default`` case differs in
+vadminer otherwise pins it to one). The rq3 files do not depend on numpy's
+random number streams, since rq3's cross-validation folds come from a seeded
+integer hash of the row positions (``test_crossval_folds_are_pinned``), but
+they still depend on BLAS. Under OpenBLAS's Sandybridge or Prescott kernel
+(``OPENBLAS_CORETYPE``), the ``default`` case differs in
 ``rq1_summary_fits.csv`` alone; SkylakeX, Haswell and Zen give the committed
 hashes. ``test_golden_reports_do_not_depend_on_the_blas_kernel`` checks every
 other file under each of these five kernels, and with numpy's loops held to
-its X86_V2 dispatch target (``NPY_DISABLE_CPU_FEATURES``). At
-larger corpora the kernel also moves ``rq3_*`` cells and ``report.txt``. A
-mismatch confined to these files after a numpy or BLAS upgrade, or on another
+its X86_V2 dispatch target (``NPY_DISABLE_CPU_FEATURES``); on failure it
+prints ``tests/reportdiff.py``'s per-file summary against this process's
+reports. At larger corpora the kernel also moves ``rq3_*`` cells and
+``report.txt``. A mismatch confined to these files after a numpy or BLAS upgrade, or on another
 CPU, is not a regression in this package: regenerate with
 ``python tests/test_golden.py`` on the unchanged code first.
 """
@@ -29,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import reportdiff
 from conftest import run_python
 from vadminer.cli import main
 
@@ -104,6 +109,18 @@ KERNEL_SETTINGS = {
 }
 
 
+def _moved_from_this_process(workdir: Path) -> str:
+    """reportdiff's per-file summary of each case's report tree from the child,
+    under ``workdir``, against this process's, as a failure message."""
+    lines = []
+    for case in sorted(CASES):
+        reference = workdir / "this-process" / case
+        reference.mkdir(parents=True)
+        report_hashes(case, reference)
+        lines += [f"{case}: {line}" for line in reportdiff.summary(reference / "report", workdir / case / "report")[0]]
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
 def test_golden_reports_do_not_depend_on_the_blas_kernel(setting, tmp_path):
     env = {**os.environ, **KERNEL_SETTINGS[setting]}
@@ -111,7 +128,7 @@ def test_golden_reports_do_not_depend_on_the_blas_kernel(setting, tmp_path):
     actual = json.loads(proc.stdout.splitlines()[-1])
     expected = json.loads(HASHES_PATH.read_text(encoding="utf-8"))
     assert sorted(actual) == sorted(expected)
-    assert _kernel_bound(actual) == _kernel_bound(expected)
+    assert _kernel_bound(actual) == _kernel_bound(expected), _moved_from_this_process(tmp_path)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ import random
 
 import pytest
 
+import reportdiff
 from vadminer.analyses import ANALYSIS_NAMES
 from vadminer.cli import main
 from vadminer.synth import config_to_dict, planted_config
@@ -45,6 +46,11 @@ def _analyze(corpus, lexicon, out, *extra) -> dict[str, bytes]:
     assert main(["analyze", "--lexicon", str(lexicon), "--corpus", str(corpus), "--out", str(out),
                  "--seed", str(ANALYZE_SEED), *extra]) == 0
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _moved(expected, actual) -> str:
+    """reportdiff's per-file summary of two report trees, as a failure message."""
+    return "\n".join(reportdiff.summary(expected, actual)[0])
 
 
 def _write_lines(issues, path, dumps=lambda issue: json.dumps(issue, sort_keys=True, separators=(",", ":"))):
@@ -96,7 +102,8 @@ def _reversed_keys(value):
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
-    """The corpus as decoded lines, its path, its lexicon's path and its report tree."""
+    """The corpus as decoded lines, its path, its lexicon's path, its report
+    files' bytes by name and their directory."""
     workdir = tmp_path_factory.mktemp("metamorphic")
     spec = workdir / "spec.json"
     spec.write_text(json.dumps(config_to_dict(planted_config(1500))), encoding="utf-8")
@@ -106,43 +113,43 @@ def base(tmp_path_factory):
     issues = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
     reports = _analyze(corpus, lexicon, workdir / "report")
     assert len(reports) == 13
-    return issues, corpus, lexicon, reports
+    return issues, corpus, lexicon, reports, workdir / "report"
 
 
 @pytest.mark.parametrize("transform", [rename_persons, shuffle_comments, rename_projects])
 def test_reports_do_not_see_the_transform(base, tmp_path, transform):
-    issues, _, lexicon, reports = base
+    issues, _, lexicon, reports, expected = base
     corpus = _write_lines(transform(issues), tmp_path / "corpus.jsonl")
-    assert _analyze(corpus, lexicon, tmp_path / "report") == reports
+    assert _analyze(corpus, lexicon, tmp_path / "report") == reports, _moved(expected, tmp_path / "report")
 
 
 def test_reports_do_not_see_key_order_separators_or_escapes(base, tmp_path):
-    issues, _, lexicon, reports = base
+    issues, _, lexicon, reports, expected = base
     def dumps(issue):
         return json.dumps(_reversed_keys(issue), separators=(" , ", " : "), ensure_ascii=False)
 
     corpus = _write_lines(rename_persons(issues), tmp_path / "corpus.jsonl", dumps)
     assert not corpus.read_bytes().isascii()
-    assert _analyze(corpus, lexicon, tmp_path / "report") == reports
+    assert _analyze(corpus, lexicon, tmp_path / "report") == reports, _moved(expected, tmp_path / "report")
 
 
 def test_reports_do_not_see_the_lexicon_row_order(base, tmp_path):
-    _, corpus, lexicon, reports = base
+    _, corpus, lexicon, reports, expected = base
     header, *rows = lexicon.read_text(encoding="utf-8").splitlines(keepends=True)
     random.Random(4).shuffle(rows)
     shuffled = tmp_path / "lexicon.csv"
     shuffled.write_text(header + "".join(rows), encoding="utf-8")
-    assert _analyze(corpus, shuffled, tmp_path / "report") == reports
+    assert _analyze(corpus, shuffled, tmp_path / "report") == reports, _moved(expected, tmp_path / "report")
 
 
 def test_renamed_ids_change_only_the_points_id_column(base, tmp_path):
-    issues, _, lexicon, reports = base
+    issues, _, lexicon, reports, expected = base
     new = {issue["id"]: f"Ⅹ-{k}" for k, issue in enumerate(reversed(issues))}
     corpus = _write_lines([{**issue, "id": new[issue["id"]]} for issue in issues], tmp_path / "corpus.jsonl")
     renamed = _analyze(corpus, lexicon, tmp_path / "report")
     points = "rq1_summary_points.csv"
     assert {name: data for name, data in renamed.items() if name != points} == \
-        {name: data for name, data in reports.items() if name != points}
+        {name: data for name, data in reports.items() if name != points}, _moved(expected, tmp_path / "report")
 
     def rows(data):
         return list(csv.reader(io.StringIO(data.decode("utf-8"))))
@@ -154,7 +161,7 @@ def test_renamed_ids_change_only_the_points_id_column(base, tmp_path):
 
 @pytest.mark.parametrize("analysis", ANALYSIS_NAMES)
 def test_each_analysis_alone_writes_the_full_runs_tables(base, tmp_path, analysis):
-    _, corpus, lexicon, reports = base
+    _, corpus, lexicon, reports, expected = base
     tables = {name: data for name, data in _analyze(corpus, lexicon, tmp_path / "report", "--analyses", analysis)
               .items() if name.endswith(".csv")}
-    assert tables and tables == {name: reports[name] for name in tables}
+    assert tables and tables == {name: reports[name] for name in tables}, _moved(expected, tmp_path / "report")
