@@ -25,8 +25,8 @@ the eigenvalues of the (p+1)x(p+1) Gram matrix and counts one at or below
 ``RANK_RTOL`` of the largest as zero; only a failed check looks for the
 collinear columns to name. The logistic check reads Z'Z / 4, the first IRLS
 Gram from a zero start, where every weight is 1/4; a fold fit that starts
-from its stage's coefficients computes that Gram for its check. No step takes an SVD of
-the n-row design. One inference tail, ``_fitted``, maps either fit's
+from its stage's coefficients computes that Gram for its check. No step
+takes an SVD of the n-row design. One inference tail, ``_fitted``, maps either fit's
 coefficients and covariance back to raw units (``T cov T'``, with ``T`` split
 into powers of two and factors near 1, so no reciprocal of a scale is
 squared) and applies the fit's p-value rule. So a fit does not depend on the
@@ -45,8 +45,8 @@ the fold's fit returns. A caller that fits several nested models of one
 design (rq3's stages) passes its column prefixes (``DesignMatrix.prefix``) to
 ``fit_logistic`` and ``crossval``, and may pass each stage's fit to
 ``crossval`` so that the folds' fits start from its coefficients on the
-standardized scale, which saves IRLS iterations. The correlation filter and the impact
-sizes read raw values from a mapping of column names to arrays.
+standardized scale, which saves IRLS iterations. The correlation filter and
+the impact sizes read raw values from a mapping of column names to arrays.
 
 The fits do no work twice: IRLS carries the fitted probabilities of each
 accepted step into the next iteration and into the covariance, and sums the
@@ -517,17 +517,15 @@ def crossval(design: DesignMatrix, y, seed: int = 0, start: FittedModel | None =
     Each fold is fitted by ``_irls`` on a copy of its training rows of the
     design's standardized matrix, after its own row-count check and its rank
     check on Z'Z / 4 of those rows. When ``start``, a logistic fit of the
-    whole design, converged, the fold fits start from its coefficients,
-    near which every fold's optimum lies; otherwise from zero. Class metrics are computed on the pooled out-of-fold
-    predictions at a 0.5 threshold; AUC is the rank statistic over the pooled
-    probabilities.
+    whole design, converged, the fold fits start from its coefficients, near
+    which every fold's optimum lies; otherwise from zero. Class metrics are
+    computed on the pooled out-of-fold predictions at a 0.5 threshold; AUC is
+    the rank statistic over the pooled probabilities.
     """
     y = _response(y, design.n, binary=True)
     if design.n < CV_FOLDS:
         raise ValueError(f"need at least {CV_FOLDS} rows for {CV_FOLDS}-fold cross-validation")
     fold_of = _folds(y, seed)
-    if start is not None and (start.kind, start.columns, start.n_obs) != ("logistic", tuple(design.columns), design.n):
-        raise ValueError("start is not a logistic fit of this design")
     beta0 = _standardized(start, design) if start is not None and start.converged else None
 
     Z = design.Z

@@ -21,9 +21,9 @@ other file under each of these five kernels, and with numpy's loops held to
 its X86_V2 dispatch target (``NPY_DISABLE_CPU_FEATURES``); on failure it
 prints ``tests/reportdiff.py``'s per-file summary against this process's
 reports. At larger corpora the kernel also moves ``rq3_*`` cells and
-``report.txt``. A mismatch confined to these files after a numpy or BLAS upgrade, or on another
-CPU, is not a regression in this package: regenerate with
-``python tests/test_golden.py`` on the unchanged code first.
+``report.txt``. A mismatch confined to these files after a numpy or BLAS
+upgrade, or on another CPU, is not a regression in this package: regenerate
+with ``python tests/test_golden.py`` on the unchanged code first.
 """
 import hashlib
 import json
