@@ -32,10 +32,15 @@ none of them, yet walks them all, so the CLI runs with the collector off.
 
 The texts are most of a loaded corpus's memory. A caller that reads no text
 (``ingest`` counts issues) loads with ``keep_text=False``: every line is
-checked as before, and the records hold ``None`` for the title, the
-description and each comment body. A caller that reads each text once
+checked as before, and the records hold ``None`` for the title and the
+description. Their comments keep only the author and the time order: each
+is ``Comment(author, None, None)``, one object that every comment by that
+author in the same load shares, so a comment costs its record one tuple
+slot; being shared, they are read-only. A caller that reads each text once
 passes ``on_issue`` as well: the loader hands it every accepted issue with
-its texts, then drops them. ``analyze`` scores them there
+its texts and full comments, then gives the record the title, description
+and comments of a textless load. A hook that keeps ``issue.comments`` keeps
+those full comments. ``analyze`` scores the texts there
 (``textscore.TextScan``), so its records hold no text either.
 """
 from __future__ import annotations
@@ -129,8 +134,10 @@ class CorpusFormatError(ValueError):
 @dataclass(slots=True)
 class Comment:
     author: str
-    created: int
-    body: str | None  # None when loaded with keep_text=False
+    # both None when loaded with keep_text=False, where one such comment
+    # stands for each comment by its author
+    created: int | None
+    body: str | None
 
 
 @dataclass(slots=True)
@@ -183,6 +190,23 @@ _REQUIRED = itemgetter(*_REQUIRED_FIELDS)
 _COUNT_FIELDS = ("votes", "watchers", "changes", "developers")
 
 _CREATED = attrgetter("created")
+_TIME = itemgetter(0)
+
+
+class _Authors(dict):
+    """Author -> the textless comment that stands for each of their comments.
+
+    It lives only as long as one load: a module-level one would keep every
+    author's comment alive after the records are freed.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, author: str) -> Comment:
+        author = intern(author)
+        comment = self[author] = Comment(author, None, None)
+        return comment
+
 
 # the analyses hold the integer fields in float columns, exact up to 2**53
 _MAX_INT = 2**53
@@ -213,9 +237,18 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
     """Validate one decoded JSON object against the issue schema.
 
     With ``keep_text=False`` every check runs as it does by default, and then
-    the title, the description and each comment's body are left out: the
-    record holds ``None`` in their place.
+    the texts and comment times are left out: the record holds ``None`` for
+    the title and the description, and its comments, still in time order,
+    are ``Comment(author, None, None)``, one object per author that each of
+    their comments shares. Called on its own, it shares within its one
+    issue; ``load_corpus`` shares across the whole load.
     """
+    return _parse_issue(obj, None if keep_text else _Authors())
+
+
+def _parse_issue(obj: dict, authors: _Authors | None) -> IssueReport:
+    """``parse_issue``, which keeps the texts when ``authors`` is None and
+    otherwise takes each comment from ``authors``."""
     try:
         (issue_id, project, issue_type, priority, created, status, reporter,
          votes, watchers, changes, developers, title, description, raw_comments) = _REQUIRED(obj)
@@ -262,16 +295,22 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
 
     if type(raw_comments) is not list:
         raise ValueError("field comments must be a list")
+    # a textless load keeps (time, author) pairs until the sort, so that it
+    # builds no Comment of its own
     comments = []
     for index, raw in enumerate(raw_comments):
         if type(raw) is dict:
             author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
             if type(author) is str and author and type(posted) is int and type(body) is str:
-                comments.append(Comment(intern(author), posted, body if keep_text else None))
+                comments.append(Comment(intern(author), posted, body) if authors is None else (posted, author))
                 continue
         raise _comment_fault(raw, index)
-    # out-of-order comments are sorted, not rejected
-    comments.sort(key=_CREATED)
+    # out-of-order comments are sorted, not rejected, in a stable sort by time
+    if authors is None:
+        comments.sort(key=_CREATED)
+    else:
+        comments.sort(key=_TIME)
+        comments = [authors[author] for _, author in comments]
 
     features = obj.get("external_features")  # missing or null: no features
     if features is not None and type(features) is not dict:
@@ -299,7 +338,7 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
         if not 0 <= count <= _MAX_INT:
             raise ValueError(f"field {name} must be between 0 and 2**53")
 
-    if not keep_text:
+    if authors is not None:
         title = description = None
     return IssueReport(
         issue_id, intern(project), kind, level, created, resolved, state, intern(reporter), assignee,
@@ -307,10 +346,10 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
     )
 
 
-def _drop_text(issue: IssueReport) -> None:
+def _drop_text(issue: IssueReport, authors: _Authors) -> None:
+    """Leave the issue as ``_parse_issue`` with ``authors`` would have made it."""
     issue.title = issue.description = None
-    for comment in issue.comments:
-        comment.body = None
+    issue.comments = tuple([authors[comment.author] for comment in issue.comments])
 
 
 def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
@@ -325,17 +364,22 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     cyclic collector is left as the caller set it (the CLI turns it off).
 
     ``keep_text=False`` runs the same checks, with the same messages on the
-    same lines, and keeps no title, description or comment body (see
-    ``parse_issue``): memory then grows with the issues and comments, not with
-    their text. Such records are scored only through a scan that the loader
-    fed (``on_issue``), and are never written back with ``write_corpus``.
+    same lines, and keeps no title, description, comment body or comment
+    time (see ``parse_issue``): every comment by one author is one shared
+    ``Comment(author, None, None)``, made anew for each load, so memory grows
+    with the issues and by one tuple slot per comment, not with the text.
+    Such records are scored only through a scan that the loader fed
+    (``on_issue``), and ``write_corpus`` refuses them.
 
     ``on_issue``, if given, is called with each issue as it is accepted, its
-    texts included and its comments in time order, before ``keep_text=False``
-    drops them. An issue that fails a check, or repeats an id, is never
-    handed over, and neither is any issue after it: the file raises once it
-    has been read, so the caller discards what the hook received, and the
-    rest of the file is only checked.
+    texts included and its full comments in time order. With
+    ``keep_text=False`` the record then gets a textless load's title,
+    description and comments tuple; the comments the hook saw are not
+    changed, so a hook that keeps ``issue.comments`` keeps them whole. An
+    issue that fails a check, or repeats an id, is never handed over, and
+    neither is any issue after it: the file raises once it has been read, so
+    the caller discards what the hook received, and the rest of the file is
+    only checked.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -344,6 +388,7 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # issue id -> line it first appeared on
+    authors = None if keep_text else _Authors()
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -366,7 +411,7 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
             errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
             continue
         try:
-            issue = parse_issue(obj, keep_text=keep_text or (on_issue is not None and not errors))
+            issue = _parse_issue(obj, None if (on_issue is not None and not errors) else authors)
         except ValueError as exc:
             errors.append((line_no, str(exc)))
             continue
@@ -376,8 +421,8 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
             continue
         if on_issue is not None and not errors:  # after an error the load raises: hand over no more
             on_issue(issue)
-            if not keep_text:
-                _drop_text(issue)
+            if authors is not None:
+                _drop_text(issue, authors)
         issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)
@@ -385,6 +430,13 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
 
 
 def issue_to_dict(issue: IssueReport) -> dict:
+    """The JSON object that ``write_corpus`` writes for a record.
+
+    A record loaded with ``keep_text=False`` has no text or comment times to
+    write, and raises ValueError: its line would fail to load.
+    """
+    if issue.title is None or issue.description is None or any(c.body is None for c in issue.comments):
+        raise ValueError(f"issue {issue.id!r} holds no text (loaded with keep_text=False) and cannot be written")
     return {
         "id": issue.id,
         "project": issue.project,

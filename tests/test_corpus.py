@@ -76,7 +76,7 @@ def load_error(source: str | Path) -> CorpusFormatError:
 
 def without_text(issue: IssueReport) -> IssueReport:
     """The record that loading with keep_text=False gives for a default load's."""
-    comments = tuple(dataclasses.replace(comment, body=None) for comment in issue.comments)
+    comments = tuple(dataclasses.replace(comment, created=None, body=None) for comment in issue.comments)
     return dataclasses.replace(issue, title=None, description=None, comments=comments)
 
 
@@ -429,6 +429,55 @@ def test_the_hook_sees_each_accepted_issue_with_its_texts(keep_text):
     loaded = load_corpus(io.StringIO(accepted), keep_text=keep_text, on_issue=hook)
     assert seen == full
     assert loaded == (full if keep_text else [without_text(issue) for issue in full])
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+def test_a_textless_load_holds_one_comment_per_author(tmp_path, hooked):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=300), seed=4)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(issues, path)
+    full = load_corpus(path)
+    options = {"keep_text": False, "on_issue": (lambda issue: None) if hooked else None}
+    first, second = load_corpus(path, **options), load_corpus(path, **options)
+    held = {id(comment): comment for issue in first for comment in issue.comments}
+    assert sorted(comment.author for comment in held.values()) == sorted(
+        {comment.author for issue in full for comment in issue.comments})
+    assert not held.keys() & {id(comment) for issue in second for comment in issue.comments}
+    # parse_issue on its own shares within its one issue
+    line = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+    line["comments"] += line["comments"]
+    comments = parse_issue(line, keep_text=False).comments
+    assert len({id(comment) for comment in comments}) == len({comment.author for comment in comments})
+    assert len(comments) == 2 * len(full[0].comments)
+
+
+def test_a_textless_comment_costs_its_record_one_tuple_slot(tmp_path):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=2_000), seed=2)
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    write_corpus(issues, once)
+    # the same issues with each issue's comments repeated, by the same authors
+    doubled = []
+    for line in once.read_text(encoding="utf-8").splitlines():
+        obj = json.loads(line)
+        obj["comments"] += obj["comments"]
+        doubled.append(json.dumps(obj))
+    twice.write_text("\n".join(doubled) + "\n", encoding="utf-8")
+    added = sum(len(issue.comments) for issue in load_corpus(once, keep_text=False))
+    assert added > 5_000
+    grown = _load_peak(twice, keep_text=False) - _load_peak(once, keep_text=False)
+    assert grown < 24 * added
+
+
+def test_write_corpus_rejects_a_textless_record(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([make_issue(), make_issue(id="PRJ-2", comments=())], path)
+    for record in load_corpus(path, keep_text=False):
+        with pytest.raises(ValueError, match=f"issue {record.id!r} holds no text"):
+            write_corpus([record], io.StringIO())
+    # a full load writes back the bytes it read
+    buffer = io.StringIO()
+    write_corpus(load_corpus(path), buffer)
+    assert buffer.getvalue() == path.read_text(encoding="utf-8")
 
 
 def _load_peak(path, **options) -> int:
