@@ -1,12 +1,12 @@
 """Analysis pipelines over a scored issue corpus.
 
-``score_corpus`` builds a columnar ``ScoreTable`` from the text scores of a
-``textscore.TextScan``, which scanned every title, description and comment
-(during loading, for ``analyze``), and takes the issue ids and attributes as
-columns of that table. Every pipeline takes that table and nothing else, and
-so does ``run_analyses``, which runs the selected ones; the records can be
-freed once the table is built. Four pipelines compose the
-score table with the statistics and model layers:
+``score_corpus`` builds a columnar ``ScoreTable`` from the text scores and
+name codes of a ``textscore.TextScan``, which scanned every title,
+description and comment (during loading, for ``analyze``), and takes the
+issue ids and attributes as columns of that table. Every pipeline takes
+that table and nothing else, and so does ``run_analyses``, which runs the
+selected ones; the records can be freed once the table is built. Four
+pipelines compose the score table with the statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
    resolution-time halves (adjacent-pair tests, Bonferroni-adjusted);
@@ -150,9 +150,10 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
     with the issue attributes, read by the getters of ``corpus.ATTRIBUTES``,
     and the history counts as its feature columns.
 
-    The texts come from ``scan``, a ``textscore.TextScan`` over ``lexicon``
-    that was handed these issues in this order, say by the loader as it read
-    them; the records' own texts are then not read, and may be None. Without
+    The texts and names come from ``scan``, a ``textscore.TextScan`` over
+    ``lexicon`` that was handed these issues in this order, say by the loader
+    as it read them; of the records' texts and comments only the comment
+    counts are then read, so they may be a textless load's. Without
     it, the issues are handed to a new scan here, so both ways run the one
     scanning path and build equal tables. A scan that counted other issues
     or comments, or used another lexicon, is a ValueError.
@@ -164,9 +165,11 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
     once it is built. ``jobs`` is accepted for compatibility and has no
     effect; scoring runs in this process.
 
-    Roles and history counts compare one integer code per name, under the
-    rules of ``ScoreTable``: Assignee wins over Reporter, "prior" means a
-    lower (created, id) rank, and the issue's own activity is excluded.
+    Roles and history counts compare the scan's integer code of each name
+    (``TextScan.codes``, which the scan then lets go of), so no name is
+    matched here, under the rules of ``ScoreTable``: Assignee wins over
+    Reporter, "prior" means a lower (created, id) rank, and the issue's own
+    activity is excluded.
     """
     issues = tuple(issues)
     if scan is None:
@@ -187,23 +190,18 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
     elements[:, :2] = (hi - lo).reshape(n, 2, len(DIMENSIONS))
     del lo, hi
     lo, hi = scan.extremes("comment")
-    comments = hi - lo
     threaded = counts > 0
     firsts, lasts = offsets[:-1][threaded], offsets[1:][threaded] - 1
     if len(firsts):
         elements[threaded, 2] = np.fmax.reduceat(hi, firsts, axis=0) - np.fmin.reduceat(lo, firsts, axis=0)
+    # in place: the comment scores take hi's memory, beside the codes that the scan holds
+    comments = np.subtract(hi, lo, out=hi)
+    del lo, hi
+    if len(firsts):
         elements[threaded, 3] = comments[firsts]
         elements[threaded, 4] = comments[lasts]
-    del lo, hi  # the per-comment extremes go before the feature columns are built
 
-    # one code per name (-1: no assignee); the only place that matches names
-    people: dict[str, int] = {}
-    reporters = np.fromiter((people.setdefault(issue.reporter, len(people)) for issue in issues),
-                            dtype=np.int64, count=n)
-    assignees = np.fromiter((-1 if issue.assignee is None else people.setdefault(issue.assignee, len(people))
-                             for issue in issues), dtype=np.int64, count=n)
-    authors = np.fromiter((people.setdefault(c.author, len(people)) for issue in issues for c in issue.comments),
-                          dtype=np.int64, count=offsets[-1])
+    reporters, assignees, authors = scan.codes()  # -1: no assignee
     owner = np.repeat(np.arange(n), counts)
     roles = np.full(offsets[-1], ROLES.index("Other"), dtype=np.int8)
     roles[authors == reporters[owner]] = ROLES.index("Reporter")
@@ -220,6 +218,7 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
         _prior(np.sort(assignees[assigned] * n + rank[assigned]), assignees, rank),
         _prior(np.sort(reporters * n + rank), reporters, rank),
     )))
+    del reporters, assignees, authors, owner, comment_events  # before the ids are copied
     external: dict[str, np.ndarray] = {}
     for row, issue in enumerate(issues):
         for key, value in issue.external_features.items():

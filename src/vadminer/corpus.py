@@ -33,15 +33,14 @@ none of them, yet walks them all, so the CLI runs with the collector off.
 The texts are most of a loaded corpus's memory. A caller that reads no text
 (``ingest`` counts issues) loads with ``keep_text=False``: every line is
 checked as before, and the records hold ``None`` for the title and the
-description. Their comments keep only the author and the time order: each
-is ``Comment(author, None, None)``, one object that every comment by that
-author in the same load shares, so a comment costs its record one tuple
-slot; being shared, they are read-only. A caller that reads each text once
-passes ``on_issue`` as well: the loader hands it every accepted issue with
-its texts and full comments, then gives the record the title, description
-and comments of a textless load. A hook that keeps ``issue.comments`` keeps
-those full comments. ``analyze`` scores the texts there
-(``textscore.TextScan``), so its records hold no text either.
+description. Their comments keep only their number: each is ``TEXTLESS``,
+the one module-level ``Comment(None, None, None)``, so a comment costs its
+record one tuple slot. A caller that reads each text once passes
+``on_issue`` as well: the loader hands it every accepted issue with its
+texts and full comments, then gives the record the title, description and
+comments of a textless load. A hook that keeps ``issue.comments`` keeps
+those full comments. ``analyze`` scores the texts and codes the names there
+(``textscore.TextScan``), so its records hold no text and no comment author.
 """
 from __future__ import annotations
 
@@ -133,11 +132,14 @@ class CorpusFormatError(ValueError):
 
 @dataclass(slots=True)
 class Comment:
-    author: str
-    # both None when loaded with keep_text=False, where one such comment
-    # stands for each comment by its author
+    # all three None only in TEXTLESS
+    author: str | None
     created: int | None
     body: str | None
+
+
+# every comment of a record loaded with keep_text=False
+TEXTLESS = Comment(None, None, None)
 
 
 @dataclass(slots=True)
@@ -190,23 +192,6 @@ _REQUIRED = itemgetter(*_REQUIRED_FIELDS)
 _COUNT_FIELDS = ("votes", "watchers", "changes", "developers")
 
 _CREATED = attrgetter("created")
-_TIME = itemgetter(0)
-
-
-class _Authors(dict):
-    """Author -> the textless comment that stands for each of their comments.
-
-    It lives only as long as one load: a module-level one would keep every
-    author's comment alive after the records are freed.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, author: str) -> Comment:
-        author = intern(author)
-        comment = self[author] = Comment(author, None, None)
-        return comment
-
 
 # the analyses hold the integer fields in float columns, exact up to 2**53
 _MAX_INT = 2**53
@@ -237,18 +222,9 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
     """Validate one decoded JSON object against the issue schema.
 
     With ``keep_text=False`` every check runs as it does by default, and then
-    the texts and comment times are left out: the record holds ``None`` for
-    the title and the description, and its comments, still in time order,
-    are ``Comment(author, None, None)``, one object per author that each of
-    their comments shares. Called on its own, it shares within its one
-    issue; ``load_corpus`` shares across the whole load.
+    the texts and comments are left out: the record holds ``None`` for the
+    title and the description, and ``TEXTLESS`` for each comment.
     """
-    return _parse_issue(obj, None if keep_text else _Authors())
-
-
-def _parse_issue(obj: dict, authors: _Authors | None) -> IssueReport:
-    """``parse_issue``, which keeps the texts when ``authors`` is None and
-    otherwise takes each comment from ``authors``."""
     try:
         (issue_id, project, issue_type, priority, created, status, reporter,
          votes, watchers, changes, developers, title, description, raw_comments) = _REQUIRED(obj)
@@ -295,22 +271,19 @@ def _parse_issue(obj: dict, authors: _Authors | None) -> IssueReport:
 
     if type(raw_comments) is not list:
         raise ValueError("field comments must be a list")
-    # a textless load keeps (time, author) pairs until the sort, so that it
-    # builds no Comment of its own
     comments = []
     for index, raw in enumerate(raw_comments):
         if type(raw) is dict:
             author, posted, body = raw.get("author"), raw.get("created"), raw.get("body")
             if type(author) is str and author and type(posted) is int and type(body) is str:
-                comments.append(Comment(intern(author), posted, body) if authors is None else (posted, author))
+                if keep_text:
+                    comments.append(Comment(intern(author), posted, body))
                 continue
         raise _comment_fault(raw, index)
-    # out-of-order comments are sorted, not rejected, in a stable sort by time
-    if authors is None:
+    if keep_text:  # out-of-order comments are sorted, not rejected, in a stable sort by time
         comments.sort(key=_CREATED)
     else:
-        comments.sort(key=_TIME)
-        comments = [authors[author] for _, author in comments]
+        comments = (TEXTLESS,) * len(raw_comments)
 
     features = obj.get("external_features")  # missing or null: no features
     if features is not None and type(features) is not dict:
@@ -338,7 +311,7 @@ def _parse_issue(obj: dict, authors: _Authors | None) -> IssueReport:
         if not 0 <= count <= _MAX_INT:
             raise ValueError(f"field {name} must be between 0 and 2**53")
 
-    if authors is not None:
+    if not keep_text:
         title = description = None
     return IssueReport(
         issue_id, intern(project), kind, level, created, resolved, state, intern(reporter), assignee,
@@ -346,10 +319,10 @@ def _parse_issue(obj: dict, authors: _Authors | None) -> IssueReport:
     )
 
 
-def _drop_text(issue: IssueReport, authors: _Authors) -> None:
-    """Leave the issue as ``_parse_issue`` with ``authors`` would have made it."""
+def _drop_text(issue: IssueReport) -> None:
+    """Leave the issue as ``parse_issue`` with ``keep_text=False`` would have made it."""
     issue.title = issue.description = None
-    issue.comments = tuple([authors[comment.author] for comment in issue.comments])
+    issue.comments = (TEXTLESS,) * len(issue.comments)
 
 
 def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
@@ -364,10 +337,9 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     cyclic collector is left as the caller set it (the CLI turns it off).
 
     ``keep_text=False`` runs the same checks, with the same messages on the
-    same lines, and keeps no title, description, comment body or comment
-    time (see ``parse_issue``): every comment by one author is one shared
-    ``Comment(author, None, None)``, made anew for each load, so memory grows
-    with the issues and by one tuple slot per comment, not with the text.
+    same lines, and keeps no title, description or comment (see
+    ``parse_issue``): every comment is ``TEXTLESS``, so memory grows with the
+    issues and by one tuple slot per comment, not with the text.
     Such records are scored only through a scan that the loader fed
     (``on_issue``), and ``write_corpus`` refuses them.
 
@@ -379,7 +351,7 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     issue that fails a check, or repeats an id, is never handed over, and
     neither is any issue after it: the file raises once it has been read, so
     the caller discards what the hook received, and the rest of the file is
-    only checked.
+    only checked, with no record kept.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -388,7 +360,6 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # issue id -> line it first appeared on
-    authors = None if keep_text else _Authors()
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -410,8 +381,9 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
         if _SURROGATE_ESCAPE.search(stripped) and _SURROGATE.search(json.dumps(obj, ensure_ascii=False)):
             errors.append((line_no, "unpaired surrogate escape: not valid UTF-8"))
             continue
+        # after an error the load raises: keep no more records and hand over none
         try:
-            issue = _parse_issue(obj, None if (on_issue is not None and not errors) else authors)
+            issue = parse_issue(obj, keep_text=(keep_text or on_issue is not None) and not errors)
         except ValueError as exc:
             errors.append((line_no, str(exc)))
             continue
@@ -419,10 +391,12 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
         if first != line_no:
             errors.append((line_no, f"duplicate issue id {issue.id!r}, first on line {first}"))
             continue
-        if on_issue is not None and not errors:  # after an error the load raises: hand over no more
+        if errors:
+            continue
+        if on_issue is not None:
             on_issue(issue)
-            if authors is not None:
-                _drop_text(issue, authors)
+            if not keep_text:
+                _drop_text(issue)
         issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)

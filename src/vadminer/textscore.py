@@ -26,16 +26,18 @@ of each thread's clamped per-comment extremes, with no second scan.
 A corpus is scanned through a ``TextScan``, which takes one issue at a time
 and hands its queued texts to ``scan_texts`` whenever they reach
 ``_BATCH_CHARS`` characters, so the word lists of a batch stay small at any
-corpus size or text length. It keeps only the clamped extremes, so
-``analyze`` hands it each issue as the loader accepts it (``load_corpus``'s
-``on_issue``) and then the loader drops the texts: no more than one batch of
+corpus size or text length. It keeps only the clamped extremes and one
+integer code per reporter, assignee and comment author, so ``analyze`` hands
+it each issue as the loader accepts it (``load_corpus``'s ``on_issue``) and
+then the loader drops the texts and the comments: no more than one batch of
 text is alive at once. ``analyses.score_corpus`` reads the table's text
-scores from it, and feeds one itself when given records that hold their
-texts.
+scores and roles from it, and feeds one itself when given records that hold
+their texts.
 """
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -142,13 +144,17 @@ class _Queue:
 
 
 class TextScan:
-    """The clamped extremes of a stream of issues' texts, scanned as they arrive.
+    """The clamped extremes of a stream of issues' texts, scanned as they arrive,
+    and a code for each name.
 
-    ``add`` takes one issue record with its texts. Its title and description
-    join one queue and its comment bodies another, and a queue goes through
-    ``scan_texts`` once it holds ``_BATCH_CHARS`` characters, so the word
-    lists of a scan stay small however long the texts are. Only the extremes
-    are kept, so a loader can hand each issue over and then drop its texts
+    ``add`` takes one issue record with its texts and its comments' authors.
+    Its title and description join one queue and its comment bodies another,
+    and a queue goes through ``scan_texts`` once it holds ``_BATCH_CHARS``
+    characters, so the word lists of a scan stay small however long the texts
+    are. Its reporter, assignee and each comment's author get one integer
+    code per distinct name, in order of first appearance. Only the extremes
+    and the codes are kept, so a loader can hand each issue over and then
+    drop its texts and comments
     (``load_corpus(path, keep_text=False, on_issue=scan.add)``); ``issues``
     and ``comments`` count what was added.
     """
@@ -157,15 +163,22 @@ class TextScan:
         self.lexicon = lexicon
         self.issues = self.comments = 0
         self._texts, self._bodies = _Queue(), _Queue()
+        self._people: dict[str, int] = {}
+        self._reporters, self._assignees, self._authors = array("q"), array("q"), array("q")
 
     def add(self, issue) -> None:
         title, description, comments = issue.title, issue.description, issue.comments
+        people = self._people
+        self._reporters.append(people.setdefault(issue.reporter, len(people)))
+        assignee = issue.assignee
+        self._assignees.append(-1 if assignee is None else people.setdefault(assignee, len(people)))
         queue = self._texts
         queue.texts += (title, description)
         queue.chars += len(title) + len(description) + 2
         if queue.chars >= _BATCH_CHARS:
             queue.scan(self.lexicon)
         if comments:
+            self._authors.extend([people.setdefault(comment.author, len(people)) for comment in comments])
             bodies = [comment.body for comment in comments]
             queue = self._bodies
             queue.texts += bodies
@@ -187,6 +200,17 @@ class TextScan:
             queue.scan(self.lexicon)
         lo = _join(queue.los)
         return lo, _join(queue.his)
+
+    def codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(reporters, assignees, authors)``: int64 name codes, one per issue
+        added so far (-1: no assignee), and one per comment, in order.
+
+        Equal codes are equal names. The scan lets go of them and of its names.
+        """
+        columns = self._reporters, self._assignees, self._authors
+        self._people = {}
+        self._reporters, self._assignees, self._authors = array("q"), array("q"), array("q")
+        return tuple(np.frombuffer(column, dtype=np.int64) for column in columns)
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:

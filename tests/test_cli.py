@@ -946,12 +946,12 @@ def test_analyze_frees_the_records_before_the_pipelines(tmp_path, synth_paths):
 import gc, sys
 from vadminer import analyses
 from vadminer.cli import main
-from vadminer.corpus import Comment, IssueReport
+from vadminer.corpus import TEXTLESS, Comment, IssueReport
 
 counts = {{}}
 def counted(name, function):
     def run(*args, **kwargs):
-        counts[name] = sum(isinstance(o, (IssueReport, Comment)) for o in gc.get_objects())
+        counts[name] = sum(isinstance(o, (IssueReport, Comment)) and o is not TEXTLESS for o in gc.get_objects())
         return function(*args, **kwargs)
     return run
 

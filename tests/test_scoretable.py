@@ -353,3 +353,19 @@ def test_a_scan_of_other_issues_or_another_lexicon_is_an_error(planted_corpus, s
     with pytest.raises(ValueError, match="^the scan used another lexicon$"):
         score_corpus(issues, synth_lexicon, scan=scanned(issues, table1_lexicon))
     assert score_corpus(issues, synth_lexicon, scan=scanned(issues)) == score_corpus(issues, synth_lexicon)
+
+
+def test_score_corpus_leaves_the_scan_holding_no_codes(planted_corpus, synth_lexicon):
+    issues = planted_corpus[0][:50]
+    scan = TextScan(synth_lexicon)
+    for issue in issues:
+        scan.add(issue)
+    score_corpus(issues, synth_lexicon, scan=scan)
+    assert [len(column) for column in scan.codes()] == [0, 0, 0]
+    # each column is a fresh array of its own: an issue added after the release is coded alone
+    threaded = next(issue for issue in issues if issue.comments)
+    scan.add(threaded)
+    codes = scan.codes()
+    assert [len(column) for column in codes] == [1, 1, len(threaded.comments)]
+    # int64: a code times the issue count, as _prior's keys take it, does not overflow at any corpus size
+    assert all(column.dtype == np.int64 for column in codes)
