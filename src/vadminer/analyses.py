@@ -1,12 +1,13 @@
 """Analysis pipelines over a scored issue corpus.
 
-``score_corpus`` builds a columnar ``ScoreTable`` from the text scores and
-name codes of a ``textscore.TextScan``, which scanned every title,
-description and comment (during loading, for ``analyze``), and takes the
-issue ids and attributes as columns of that table. Every pipeline takes
-that table and nothing else, and so does ``run_analyses``, which runs the
-selected ones; the records can be freed once the table is built. Four
-pipelines compose the score table with the statistics and model layers:
+``score_corpus`` builds a columnar ``ScoreTable`` from the text scores, name
+codes and external feature columns of a ``textscore.TextScan``, which
+scanned every title, description and comment (during loading, for
+``analyze``), and takes the issue ids and attributes as columns of that
+table. Every pipeline takes that table and nothing else, and so does
+``run_analyses``, which runs the selected ones; the records can be freed
+once the table is built. Four pipelines compose the score table with the
+statistics and model layers:
 
 1. group comparisons of one dimension across priority, type-group and
    resolution-time halves (adjacent-pair tests, Bonferroni-adjusted);
@@ -148,15 +149,17 @@ class ScoreTable:
 def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | None = None) -> ScoreTable:
     """Scan every title, description and comment once into a ScoreTable,
     with the issue attributes, read by the getters of ``corpus.ATTRIBUTES``,
-    and the history counts as its feature columns.
+    the history counts and the external features as its feature columns.
 
-    The texts and names come from ``scan``, a ``textscore.TextScan`` over
-    ``lexicon`` that was handed these issues in this order, say by the loader
-    as it read them; of the records' texts and comments only the comment
-    counts are then read, so they may be a textless load's. Without
-    it, the issues are handed to a new scan here, so both ways run the one
-    scanning path and build equal tables. A scan that counted other issues
-    or comments, or used another lexicon, is a ValueError.
+    The texts, names and external features come from ``scan``, a
+    ``textscore.TextScan`` over ``lexicon`` that was handed these issues in
+    this order, say by the loader as it read them; of the records' texts,
+    comments and features only the comment counts are then read, so they may
+    be a textless load's. Without it, the issues are handed to a new scan
+    here, so both ways run the one scanning path and build equal tables. A
+    scan that counted other issues or comments, or used another lexicon, is
+    a ValueError, and so is an external feature that takes the name of a
+    built-in column.
 
     First and Last are their comment's row. All is the spread of the clamped
     per-comment extremes, which equals scoring the newline-joined comments: a
@@ -186,6 +189,14 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
                          f"but {n} issues with {offsets[-1]} comments were given")
 
     elements = np.full((n, len(ELEMENTS), len(DIMENSIONS)), np.nan)
+    # Object, not a fixed-width str dtype, which drops an id's trailing NULs.
+    # Each id is a copy: a record's own string would keep the memory around
+    # it from being reused after the records are freed. The copies are made
+    # before the scan lets go of anything it made during the load: that lies
+    # among the records, and copies made later would fill the gaps it leaves
+    # and so hold the records' memory too.
+    ids = np.array([issue.id.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+                    for issue in issues], dtype=object)
     lo, hi = scan.extremes("issue")
     elements[:, :2] = (hi - lo).reshape(n, 2, len(DIMENSIONS))
     del lo, hi
@@ -218,23 +229,12 @@ def score_corpus(issues, lexicon: Lexicon, jobs: int = 1, *, scan: TextScan | No
         _prior(np.sort(assignees[assigned] * n + rank[assigned]), assignees, rank),
         _prior(np.sort(reporters * n + rank), reporters, rank),
     )))
-    del reporters, assignees, authors, owner, comment_events  # before the ids are copied
-    external: dict[str, np.ndarray] = {}
-    for row, issue in enumerate(issues):
-        for key, value in issue.external_features.items():
-            if key not in external:
-                external[key] = np.full(n, np.nan)
-            external[key][row] = value
+    external = scan.features()
     clash = sorted(external.keys() & set(RESERVED_FEATURES))
     if clash:
         raise ValueError(f"external features {clash} take the names of built-in columns")
     features.update(sorted(external.items()))
 
-    # Object, not a fixed-width str dtype, which drops an id's trailing NULs.
-    # Each id is a copy: a record's own string would keep the memory around
-    # it from being reused after the records are freed.
-    ids = np.array([issue.id.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
-                    for issue in issues], dtype=object)
     return ScoreTable(ids, elements, comments, offsets, roles, features)
 
 

@@ -32,15 +32,16 @@ none of them, yet walks them all, so the CLI runs with the collector off.
 
 The texts are most of a loaded corpus's memory. A caller that reads no text
 (``ingest`` counts issues) loads with ``keep_text=False``: every line is
-checked as before, and the records hold ``None`` for the title and the
-description. Their comments keep only their number: each is ``TEXTLESS``,
-the one module-level ``Comment(None, None, None)``, so a comment costs its
-record one tuple slot. A caller that reads each text once passes
-``on_issue`` as well: the loader hands it every accepted issue with its
-texts and full comments, then gives the record the title, description and
-comments of a textless load. A hook that keeps ``issue.comments`` keeps
-those full comments. ``analyze`` scores the texts and codes the names there
-(``textscore.TextScan``), so its records hold no text and no comment author.
+checked as before, and the records hold ``None`` for the title, the
+description and the external features. Their comments keep only their
+number: each is ``TEXTLESS``, the one module-level ``Comment(None, None,
+None)``, and the records of one load with equal comment counts share one
+tuple of them. A caller that reads each text once passes ``on_issue`` as
+well: the loader hands it every accepted issue whole, then leaves the record
+as a textless load would. A hook that keeps ``issue.comments`` or
+``issue.external_features`` keeps them whole. ``analyze`` scores the texts,
+codes the names and collects the feature columns there
+(``textscore.TextScan``), so its records hold none of them.
 """
 from __future__ import annotations
 
@@ -160,7 +161,7 @@ class IssueReport:
     title: str | None  # the texts are None when loaded with keep_text=False
     description: str | None
     comments: tuple[Comment, ...]
-    external_features: dict[str, float] = field(default_factory=dict)
+    external_features: dict[str, float] | None = field(default_factory=dict)  # None with keep_text=False too
 
     @property
     def resolution_time(self) -> int | None:
@@ -222,8 +223,9 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
     """Validate one decoded JSON object against the issue schema.
 
     With ``keep_text=False`` every check runs as it does by default, and then
-    the texts and comments are left out: the record holds ``None`` for the
-    title and the description, and ``TEXTLESS`` for each comment.
+    the texts, comments and features are left out: the record holds ``None``
+    for the title, the description and the external features, and
+    ``TEXTLESS`` for each comment.
     """
     try:
         (issue_id, project, issue_type, priority, created, status, reporter,
@@ -312,17 +314,19 @@ def parse_issue(obj: dict, *, keep_text: bool = True) -> IssueReport:
             raise ValueError(f"field {name} must be between 0 and 2**53")
 
     if not keep_text:
-        title = description = None
+        title = description = parsed_features = None
     return IssueReport(
         issue_id, intern(project), kind, level, created, resolved, state, intern(reporter), assignee,
         votes, watchers, changes, developers, title, description, tuple(comments), parsed_features,
     )
 
 
-def _drop_text(issue: IssueReport) -> None:
-    """Leave the issue as ``parse_issue`` with ``keep_text=False`` would have made it."""
-    issue.title = issue.description = None
-    issue.comments = (TEXTLESS,) * len(issue.comments)
+def _drop_text(issue: IssueReport, textless: dict[int, tuple[Comment, ...]]) -> None:
+    """Leave the issue as ``parse_issue`` with ``keep_text=False`` would have
+    made it, with the one tuple of ``textless`` for its comment count."""
+    issue.title = issue.description = issue.external_features = None
+    count = len(issue.comments)
+    issue.comments = textless.setdefault(count, (TEXTLESS,) * count)
 
 
 def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
@@ -337,17 +341,18 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     cyclic collector is left as the caller set it (the CLI turns it off).
 
     ``keep_text=False`` runs the same checks, with the same messages on the
-    same lines, and keeps no title, description or comment (see
-    ``parse_issue``): every comment is ``TEXTLESS``, so memory grows with the
-    issues and by one tuple slot per comment, not with the text.
+    same lines, and keeps no title, description, external feature or comment
+    (see ``parse_issue``): every comment is ``TEXTLESS``, and the records with
+    equal comment counts share one tuple of them, so memory grows with the
+    issues and not with the text, the features or the comments.
     Such records are scored only through a scan that the loader fed
     (``on_issue``), and ``write_corpus`` refuses them.
 
     ``on_issue``, if given, is called with each issue as it is accepted, its
-    texts included and its full comments in time order. With
-    ``keep_text=False`` the record then gets a textless load's title,
-    description and comments tuple; the comments the hook saw are not
-    changed, so a hook that keeps ``issue.comments`` keeps them whole. An
+    texts and features included and its full comments in time order. With
+    ``keep_text=False`` the record is then left as a textless load leaves it;
+    the comments and features the hook saw are not changed, so a hook that
+    keeps them keeps them whole. An
     issue that fails a check, or repeats an id, is never handed over, and
     neither is any issue after it: the file raises once it has been read, so
     the caller discards what the hook received, and the rest of the file is
@@ -360,6 +365,7 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
     issues: list[IssueReport] = []
     errors: list[tuple[int, str]] = []
     first_line: dict[str, int] = {}  # issue id -> line it first appeared on
+    textless: dict[int, tuple[Comment, ...]] = {}  # comment count -> the records' shared comments
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped:
@@ -395,8 +401,8 @@ def load_corpus(source: str | Path | IO[str], *, keep_text: bool = True,
             continue
         if on_issue is not None:
             on_issue(issue)
-            if not keep_text:
-                _drop_text(issue)
+        if not keep_text:
+            _drop_text(issue, textless)
         issues.append(issue)
     if errors:
         raise CorpusFormatError(errors)

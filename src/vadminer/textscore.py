@@ -26,13 +26,14 @@ of each thread's clamped per-comment extremes, with no second scan.
 A corpus is scanned through a ``TextScan``, which takes one issue at a time
 and hands its queued texts to ``scan_texts`` whenever they reach
 ``_BATCH_CHARS`` characters, so the word lists of a batch stay small at any
-corpus size or text length. It keeps only the clamped extremes and one
-integer code per reporter, assignee and comment author, so ``analyze`` hands
-it each issue as the loader accepts it (``load_corpus``'s ``on_issue``) and
-then the loader drops the texts and the comments: no more than one batch of
-text is alive at once. ``analyses.score_corpus`` reads the table's text
-scores and roles from it, and feeds one itself when given records that hold
-their texts.
+corpus size or text length. It keeps only the clamped extremes, one
+integer code per reporter, assignee and comment author, and a float array
+per external feature, so ``analyze`` hands it each issue as the loader
+accepts it (``load_corpus``'s ``on_issue``) and then the loader drops the
+texts, the comments and the features: no more than one batch of text is
+alive at once. ``analyses.score_corpus`` reads the table's text scores,
+roles and external columns from it, and feeds one itself when given records
+that hold their texts.
 """
 from __future__ import annotations
 
@@ -55,6 +56,9 @@ _ASCII_WORDS = str.maketrans({chr(i): chr(i).lower() if chr(i).isalpha() else " 
 # one longer, so that empty texts fill a batch too: bounds the word lists held
 # at once, while the numpy calls of a batch stay few per text
 _BATCH_CHARS = 32_768
+
+# repeated for the issues that lack a feature key
+_NAN = array("d", [np.nan])
 
 
 @dataclass(frozen=True)
@@ -145,16 +149,17 @@ class _Queue:
 
 class TextScan:
     """The clamped extremes of a stream of issues' texts, scanned as they arrive,
-    and a code for each name.
+    a code for each name and a column for each external feature.
 
     ``add`` takes one issue record with its texts and its comments' authors.
     Its title and description join one queue and its comment bodies another,
     and a queue goes through ``scan_texts`` once it holds ``_BATCH_CHARS``
     characters, so the word lists of a scan stay small however long the texts
     are. Its reporter, assignee and each comment's author get one integer
-    code per distinct name, in order of first appearance. Only the extremes
-    and the codes are kept, so a loader can hand each issue over and then
-    drop its texts and comments
+    code per distinct name, in order of first appearance, and each external
+    feature key a growing float array, NaN where an issue lacks the key. Only
+    the extremes, the codes and those arrays are kept, so a loader can hand
+    each issue over and then drop its texts, comments and features
     (``load_corpus(path, keep_text=False, on_issue=scan.add)``); ``issues``
     and ``comments`` count what was added.
     """
@@ -165,6 +170,7 @@ class TextScan:
         self._texts, self._bodies = _Queue(), _Queue()
         self._people: dict[str, int] = {}
         self._reporters, self._assignees, self._authors = array("q"), array("q"), array("q")
+        self._features: dict[str, array] = {}  # key -> its value per issue, NaN where the issue lacks it
 
     def add(self, issue) -> None:
         title, description, comments = issue.title, issue.description, issue.comments
@@ -185,6 +191,13 @@ class TextScan:
             queue.chars += sum(map(len, bodies)) + len(bodies)
             if queue.chars >= _BATCH_CHARS:
                 queue.scan(self.lexicon)
+        for key, value in issue.external_features.items():
+            column = self._features.get(key)
+            if column is None:
+                column = self._features[key] = array("d")
+            if len(column) < self.issues:  # the issues since the key was last seen lack it
+                column.extend(_NAN * (self.issues - len(column)))
+            column.append(value)
         self.issues += 1
         self.comments += len(comments)
 
@@ -211,6 +224,17 @@ class TextScan:
         self._people = {}
         self._reporters, self._assignees, self._authors = array("q"), array("q"), array("q")
         return tuple(np.frombuffer(column, dtype=np.int64) for column in columns)
+
+    def features(self) -> dict[str, np.ndarray]:
+        """Each external feature's float64 column, one row per issue added so far
+        and NaN where the issue lacks the key, by key in order of first appearance.
+
+        Each column is a view of the scan's array, which the scan then lets go of.
+        """
+        columns, self._features = self._features, {}
+        for column in columns.values():
+            column.extend(_NAN * (self.issues - len(column)))
+        return {key: np.frombuffer(column) for key, column in columns.items()}
 
 
 def tokenize(text: str, lexicon: Lexicon) -> TokenizedText:

@@ -77,7 +77,8 @@ def load_error(source: str | Path) -> CorpusFormatError:
 
 def without_text(issue: IssueReport) -> IssueReport:
     """The record that loading with keep_text=False gives for a default load's."""
-    return dataclasses.replace(issue, title=None, description=None, comments=(corpus.TEXTLESS,) * len(issue.comments))
+    return dataclasses.replace(issue, title=None, description=None, comments=(corpus.TEXTLESS,) * len(issue.comments),
+                               external_features=None)
 
 
 def test_load_single_issue_round_trip():
@@ -444,6 +445,51 @@ def test_every_textless_comment_is_the_one_textless_constant(tmp_path):
         assert all(comment is corpus.TEXTLESS for issue in loaded for comment in issue.comments)
     assert sum(len(issue.comments) for issue in full) > 500
     assert corpus.TEXTLESS == Comment(None, None, None)
+
+
+def test_a_textless_record_holds_no_external_features(tmp_path):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=300, external_features=True), seed=4)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(issues, path)
+    full = load_corpus(path)
+    seen = []
+    hooked = load_corpus(path, keep_text=False, on_issue=lambda issue: seen.append(issue.external_features))
+    plain = load_corpus(path, keep_text=False)
+    alone = [parse_issue(json.loads(line), keep_text=False) for line in path.read_text(encoding="utf-8").splitlines()]
+    for loaded in (plain, hooked, alone):
+        assert [issue.external_features for issue in loaded] == [None] * len(full)
+    # the hook sees every issue's whole features dict
+    assert seen == [issue.external_features for issue in full]
+    assert all(len(features) == 2 for features in seen)
+
+
+def test_textless_records_with_equal_comment_counts_share_one_tuple(tmp_path):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=300), seed=4)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(issues, path)
+    for loaded in (load_corpus(path, keep_text=False),
+                   load_corpus(path, keep_text=False, on_issue=lambda issue: None)):
+        by_count = {}
+        for issue in loaded:
+            by_count.setdefault(len(issue.comments), set()).add(id(issue.comments))
+        assert len(by_count) > 3
+        assert all(len(tuples) == 1 for tuples in by_count.values())
+
+
+def test_a_textless_record_with_two_features_takes_under_400_bytes(tmp_path):
+    issues, _ = generate_corpus(GeneratorConfig(n_issues=2_000, external_features=True), seed=2)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(issues, path)
+    del issues
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_corpus(path, keep_text=False)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 2_000
+    assert held < 400 * len(loaded)
 
 
 def test_a_textless_comment_costs_its_record_one_tuple_slot(tmp_path):

@@ -369,3 +369,22 @@ def test_score_corpus_leaves_the_scan_holding_no_codes(planted_corpus, synth_lex
     assert [len(column) for column in codes] == [1, 1, len(threaded.comments)]
     # int64: a code times the issue count, as _prior's keys take it, does not overflow at any corpus size
     assert all(column.dtype == np.int64 for column in codes)
+
+
+def test_score_corpus_leaves_the_scan_holding_no_features(planted_corpus, synth_lexicon):
+    issues = planted_corpus[0][:50]
+    scan = TextScan(synth_lexicon)
+    for issue in issues:
+        scan.add(issue)
+    table = score_corpus(issues, synth_lexicon, scan=scan)
+    assert scan.features() == {}
+    assert table.features["avg_sentiment"].dtype == np.float64
+    # after the release a column still has a row for every issue added, NaN where it lacks the key
+    scan.add(dataclasses.replace(issues[0], external_features={}))
+    scan.add(dataclasses.replace(issues[1], external_features={"late": 2}))
+    scan.add(issues[2])
+    columns = scan.features()
+    assert list(columns) == ["late", *issues[2].external_features]
+    assert np.array_equal(columns["late"], [math.nan] * 51 + [2.0, math.nan], equal_nan=True)
+    for key, value in issues[2].external_features.items():
+        assert np.array_equal(columns[key], [math.nan] * 52 + [value], equal_nan=True)

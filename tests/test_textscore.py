@@ -255,7 +255,8 @@ def test_kernel_equals_loop_across_batches(table1_lexicon, monkeypatch):
     scan = TextScan(table1_lexicon)
     for bodies in threads:  # as the comments of issues with empty titles and descriptions
         scan.add(SimpleNamespace(title="", description="", reporter="rep", assignee=None,
-                                 comments=[SimpleNamespace(author="dev", body=b) for b in bodies]))
+                                 comments=[SimpleNamespace(author="dev", body=b) for b in bodies],
+                                 external_features={}))
     extremes = scan.extremes("comment")
     batches = [batch for batch in batches if any(batch)]  # not the empty titles' and descriptions'
     assert batches[:3] == [threads[0] + threads[1], threads[2], threads[3] + threads[4]]
